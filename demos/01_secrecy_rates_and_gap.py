@@ -9,13 +9,12 @@ lambda = 0.302 (rate-1/3 good code) and lambda = 0.465 (borderline
 degradation point, erasure rate 0.335).
 """
 
-from wiretapcodes import BIAWGN, approach2_rate, c_biawgn, secrecy_gap, secrecy_capacity
+from wiretapcodes import BIAWGN, c_biawgn, secrecy_gap
 
 print(f"{'snr':>6} {'C_biawgn':>10} {'Cs':>8} {'coset rate':>11} {'gap':>8}")
 for snr in [0.1, 0.2, 0.302, 0.32, 0.465, 0.6, 0.8, 1.0, 1.5, 2.0]:
-    c = c_biawgn(snr)
-    cs = secrecy_capacity(BIAWGN(snr))
-    rate = approach2_rate(BIAWGN(snr))
+    ch = BIAWGN(snr)
+    c, cs, rate = ch.capacity, ch.secrecy_capacity, ch.erasure_rate
     print(f"{snr:6.3f} {c:10.4f} {cs:8.4f} {rate:11.4f} {secrecy_gap(snr):8.4f}")
 
 print()
@@ -24,6 +23,6 @@ print(f"  equivocation ceiling 1 - C = {1 - c_biawgn(0.302):.4f}  (a rate-1/3 co
 print("  code transmits at R = 2/3, so the secrecy shortfall is below 0.004)")
 print()
 print("operating point snr = 0.465:")
-print(f"  embedded-BEC erasure rate 2Q(sqrt(2*snr)) = {approach2_rate(BIAWGN(0.465)):.4f}")
+print(f"  embedded-BEC erasure rate 2Q(sqrt(2*snr)) = {BIAWGN(0.465).erasure_rate:.4f}")
 print("  which is what a dual-of-(4,6)-LDPC construction needs to hide a")
 print("  rate-1/3 message perfectly (see demo 05).")

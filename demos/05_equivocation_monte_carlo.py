@@ -41,12 +41,12 @@ for eps in [0.30, 0.45, 0.55, 0.60, 0.70, 0.85, 1.00]:
 
 print("\nsame estimator through the degradations (lower bounds):")
 snr = 0.18
-est = secrecy.equivocation_lb_awgn(pair, snr, trials, np.random.default_rng((rng_seed, 2)))
+est = secrecy.equivocation_lb(pair, BIAWGN(snr), trials, np.random.default_rng((rng_seed, 2)))
 ok, margin = check_secrecy_condition(BIAWGN(snr), delta)
 print(f"  AWGN snr={snr}: Re >= {est.value:.4f} +- {est.half_width:.4f} "
       f"(condition ok={ok}, margin {margin:+.4f})")
 q = 0.3
-est = secrecy.equivocation_lb_bsc(pair, q, trials, np.random.default_rng((rng_seed, 3)))
+est = secrecy.equivocation_lb(pair, BSC(q), trials, np.random.default_rng((rng_seed, 3)))
 ok, margin = check_secrecy_condition(BSC(q), delta)
 print(f"  BSC  q={q}:   Re >= {est.value:.4f} +- {est.half_width:.4f} "
       f"(condition ok={ok}, margin {margin:+.4f})")

@@ -21,15 +21,16 @@ for v in inner.vertices:
 print(f"capacity-equivocation region cap: Re <= {outer.vertices[2].equivocation:.4f}")
 print(f"achievable inside capacity region: {outer.contains_polygon(inner)}")
 
-out_dir = pathlib.Path(tempfile.mkdtemp(prefix="wiretapcodes_demo_"))
-region_csv = out_dir / "region.csv"
-compare_csv = out_dir / "compare_bsc.csv"
+with tempfile.TemporaryDirectory(prefix="wiretapcodes_demo_") as tmp:
+    out_dir = pathlib.Path(tmp)
+    region_csv = out_dir / "region.csv"
+    compare_csv = out_dir / "compare_bsc.csv"
 
-cli.main(["region", "--param", str(snr), "--r1", str(r1), "--out", str(region_csv)])
-cli.main(["compare-bsc", "--grid", "0.05:0.5:10", "--out", str(compare_csv)])
+    cli.main(["region", "--param", str(snr), "--r1", str(r1), "--out", str(region_csv)])
+    cli.main(["compare-bsc", "--grid", "0.05:0.5:10", "--out", str(compare_csv)])
 
-print(f"\nCLI reports written under {out_dir}")
-print(f"\n{region_csv.name}:")
-print(region_csv.read_text())
-print(f"{compare_csv.name}:")
-print(compare_csv.read_text())
+    print(f"\nCLI reports written under {out_dir} (removed on exit)")
+    print(f"\n{region_csv.name}:")
+    print(region_csv.read_text())
+    print(f"{compare_csv.name}:")
+    print(compare_csv.read_text())

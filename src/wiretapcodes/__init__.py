@@ -9,9 +9,7 @@ small batch CLI that emits reproducible CSV experiment reports.
 
 from .bitlinalg import (
     BitMatrix,
-    column_submatrix,
     mat_vec,
-    matmul,
     nullspace_basis,
     rank,
     right_inverse,
@@ -22,12 +20,10 @@ from .capacity import (
     RateEquivocationPoint,
     RegionPolygon,
     achievable_region,
-    approach2_rate,
     binary_entropy,
     c_biawgn,
     capacity_equivocation_region,
     q_function,
-    secrecy_capacity,
     secrecy_gap,
     thangaraj_baseline,
 )
@@ -61,11 +57,9 @@ from .secrecy import (
     EquivocationEstimate,
     approach1_equivocation_bound,
     bp_decode_awgn,
-    brute_force_equivocation,
     coset_word,
     encode,
-    equivocation_lb_awgn,
-    equivocation_lb_bsc,
+    equivocation_lb,
     exact_equivocation_bec,
     main_decode,
     mc_equivocation_bec,

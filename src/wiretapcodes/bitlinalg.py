@@ -13,7 +13,6 @@ workers.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -181,7 +180,8 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
     is a parity-check matrix of the dual code and vice versa.
     """
     reduced, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = np.zeros((len(free), m.cols), dtype=np.uint8)
     if free:
         dense = reduced.to_dense()
@@ -218,25 +218,6 @@ def vec_mat(v, m: BitMatrix) -> np.ndarray:
     return _unpack_rows(acc[None, :], m.cols)[0]
 
 
-def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """GF(2) matrix product ``a @ b``."""
-    if a.cols != b.rows:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    out = np.zeros((a.rows, _nwords(b.cols)), dtype=np.uint64)
-    dense_a = a.to_dense()
-    for i in range(a.rows):
-        idx = np.nonzero(dense_a[i])[0]
-        if idx.size:
-            out[i] = np.bitwise_xor.reduce(b.words[idx], axis=0)
-    return BitMatrix(a.rows, b.cols, out)
-
-
-def row_stack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if a.cols != b.cols:
-        raise ValueError("column counts differ")
-    return BitMatrix(a.rows + b.rows, a.cols, np.vstack([a.words, b.words]))
-
-
 def right_inverse(m: BitMatrix) -> BitMatrix:
     """A matrix ``d`` (cols x rows) with ``m @ d = identity`` over GF(2).
 
@@ -250,7 +231,7 @@ def right_inverse(m: BitMatrix) -> BitMatrix:
     dense[:, m.cols :] = np.eye(m.rows, dtype=np.uint8)
     words = _pack_rows(dense, aug_cols)
     # Restrict pivot search to the original columns.
-    pivots = [c for c in _rref_words(words, m.cols)]
+    pivots = _rref_words(words, m.cols)
     if len(pivots) < m.rows:
         raise ValueError(
             f"matrix is rank-deficient: rank {len(pivots)} < {m.rows} rows; "
@@ -261,16 +242,3 @@ def right_inverse(m: BitMatrix) -> BitMatrix:
     d[pivots, :] = ops
     return BitMatrix.from_dense(d)
 
-
-def column_submatrix(m: BitMatrix, cols: Iterable[int] | Sequence[int]) -> BitMatrix:
-    """Select the listed columns, in order."""
-    idx = np.asarray(list(cols), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= m.cols):
-        raise ValueError(
-            f"column index out of range for {m.cols}-column matrix: "
-            f"{idx[(idx < 0) | (idx >= m.cols)][0]}"
-        )
-    if idx.size != np.unique(idx).size:
-        raise ValueError("column indices must be distinct")
-    dense = m.to_dense()
-    return BitMatrix.from_dense(dense[:, idx] if idx.size else dense[:, :0])

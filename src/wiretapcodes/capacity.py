@@ -1,12 +1,15 @@
 """Closed-form and quadrature-based information quantities.
 
-Covers the Gaussian tail function, binary entropy, binary-input AWGN
-capacity, the secrecy capacities of the three eavesdropper channels, the
-perfect-secrecy rate achieved by the dual-of-good-code coset construction,
-the gap between the two, and the rate-equivocation region polygons.
+Covers the earlier error-detecting-code baseline for the BSC, the gap
+between the AWGN secrecy capacity and the perfect-secrecy rate of the
+dual-of-good-code coset construction, and the rate-equivocation region
+polygons.  The per-channel quantities (capacity, secrecy capacity, and that
+perfect-secrecy rate, ``erasure_rate``) are properties of the channel
+models in ``channels``, which also defines the Gaussian tail function,
+binary entropy and binary-input AWGN capacity re-exported here.
 
-Everything here is a pure function; rates and equivocations are in bits per
-channel use.
+Everything here is a pure function; rates and equivocations are in bits
+per channel use.
 """
 
 from __future__ import annotations
@@ -14,107 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import erfc
-
-from .channels import BEC, BIAWGN, BSC, ChannelModel
+from .channels import BIAWGN, c_biawgn
+from .channels import binary_entropy, q_function  # re-exported
 
 _GEOM_TOL = 1e-9
-
-
-def q_function(x) -> np.ndarray | float:
-    """Upper Gaussian tail Q(x), via the complementary error function."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
-
-
-def binary_entropy(q) -> np.ndarray | float:
-    """h(q) = -q log2 q - (1-q) log2 (1-q), with h(0) = h(1) = 0."""
-    p = np.asarray(q, dtype=np.float64)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("binary entropy argument outside [0, 1]")
-    inner = np.where((p <= 0) | (p >= 1), 0.5, p)
-    h = -inner * np.log2(inner) - (1 - inner) * np.log2(1 - inner)
-    out = np.where((p <= 0) | (p >= 1), 0.0, h)
-    return float(out) if np.isscalar(q) or np.ndim(q) == 0 else out
-
-
-def _log2_1p_exp(t: float) -> float:
-    # log2(1 + e^t), overflow-safe for large |t|.
-    if t > 0:
-        return (t + math.log1p(math.exp(-t))) / math.log(2.0)
-    return math.log1p(math.exp(t)) / math.log(2.0)
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-
-
-def _integrate(f, a: float, b: float, tol: float) -> float:
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 48)
-
-
-def c_biawgn(snr: float) -> float:
-    """Capacity of the binary-input AWGN channel at SNR Es/N0, in bits.
-
-    Evaluated as ``1 - (1/sqrt(pi)) * integral of exp(-(y - sqrt(snr))^2) *
-    log2(1 + exp(-4*y*sqrt(snr))) dy`` by adaptive Simpson quadrature over
-    ten standard deviations around the signal mean.  The Gaussian weight
-    makes the truncated tails smaller than 1e-40, so the absolute error is
-    dominated by the 1e-8 panel tolerance.  Monotone nondecreasing in the
-    SNR and clamped to [0, 1].
-    """
-    if snr < 0:
-        raise ValueError("SNR must be nonnegative")
-    s = math.sqrt(snr)
-
-    def integrand(y: float) -> float:
-        return math.exp(-((y - s) ** 2)) * _log2_1p_exp(-4.0 * y * s)
-
-    val = _integrate(integrand, s - 10.0, s + 10.0, 1e-8)
-    return min(1.0, max(0.0, 1.0 - val / math.sqrt(math.pi)))
-
-
-def secrecy_capacity(channel: ChannelModel) -> float:
-    """Secrecy capacity of the type II wiretap channel with this eavesdropper.
-
-    BEC(eps) -> eps; BSC(q) -> h(q); BIAWGN(snr) -> 1 - c_biawgn(snr).
-    """
-    if isinstance(channel, BEC):
-        return channel.erasure_prob
-    if isinstance(channel, BSC):
-        return float(binary_entropy(channel.crossover_prob))
-    if isinstance(channel, BIAWGN):
-        return 1.0 - c_biawgn(channel.snr)
-    raise TypeError(f"unknown channel model {channel!r}")
-
-
-def approach2_rate(channel: ChannelModel) -> float:
-    """Perfect-secrecy rate achieved by nesting the dual of a capacity-
-    achieving erasure code: the erasure rate of the embedded BEC.
-
-    BEC(eps) -> eps; BSC(q) -> 2q; BIAWGN(snr) -> 2*Q(sqrt(2*snr)).
-    """
-    if isinstance(channel, BEC):
-        return channel.erasure_prob
-    if isinstance(channel, BSC):
-        return 2.0 * channel.crossover_prob
-    if isinstance(channel, BIAWGN):
-        return float(2.0 * q_function(math.sqrt(2.0 * channel.snr)))
-    raise TypeError(f"unknown channel model {channel!r}")
 
 
 def thangaraj_baseline(q: float) -> float:
@@ -132,7 +38,8 @@ def secrecy_gap(snr: float) -> float:
     Reported without clamping; it can be negative outside the usual
     operating range.
     """
-    return secrecy_capacity(BIAWGN(snr)) - approach2_rate(BIAWGN(snr))
+    channel = BIAWGN(snr)
+    return channel.secrecy_capacity - channel.erasure_rate
 
 
 @dataclass(frozen=True)
@@ -232,7 +139,7 @@ def achievable_region(snr: float, r1: float, r_dual: float | None = None) -> Reg
     if not 0.0 <= r1 <= 1.0:
         raise ValueError(f"coarse rate {r1} outside [0, 1]")
     if r_dual is None:
-        r_dual = approach2_rate(BIAWGN(snr))
+        r_dual = BIAWGN(snr).erasure_rate
     cap = c_biawgn(snr)
     if r1 > cap + _GEOM_TOL:
         raise ValueError(

@@ -1,4 +1,4 @@
-"""Seeded eavesdropper-channel simulators and BEC-embedding degradations.
+"""Eavesdropper channel models, their simulators and BEC-embedding degradations.
 
 Three memoryless channels are modelled: the binary erasure channel, the
 binary symmetric channel, and the binary-input AWGN channel with SNR
@@ -7,6 +7,11 @@ in unit-variance noise).  Modulation maps bit 0 to symbol +1 and bit 1 to
 symbol -1; the AWGN channel is output-symmetric, so every capacity,
 threshold, and equivocation quantity is independent of this sign choice,
 but it fixes the LLR convention: positive LLR favours bit 0.
+
+Each model class carries its own per-channel facts (CLI name, capacity,
+secrecy capacity, embedded erasure rate), so no other module branches on
+the channel type; the Gaussian tail, the binary entropy and the BI-AWGN
+capacity they need are defined here as well.
 
 The two ``*_degraded_transmit`` functions realize each noisy channel as a
 BEC followed by a memoryless post-processor, which is what turns a BEC
@@ -26,8 +31,9 @@ worker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy.special import erfc, ndtr, ndtri
@@ -38,46 +44,70 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _BISECT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BEC:
-    """Binary erasure channel with erasure probability ``erasure_prob``."""
-
-    erasure_prob: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.erasure_prob <= 1.0:
-            raise ValueError(f"erasure probability {self.erasure_prob} outside [0, 1]")
+def q_function(x) -> np.ndarray | float:
+    """Upper Gaussian tail Q(x), via the complementary error function."""
+    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class BSC:
-    """Binary symmetric channel with crossover probability ``crossover_prob``."""
-
-    crossover_prob: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.crossover_prob <= 1.0:
-            raise ValueError(f"crossover probability {self.crossover_prob} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class BIAWGN:
-    """Binary-input AWGN channel with SNR ``snr = Es/N0`` (dimensionless)."""
-
-    snr: float
-
-    def __post_init__(self):
-        if self.snr < 0.0:
-            raise ValueError(f"SNR {self.snr} must be nonnegative")
+def binary_entropy(q) -> np.ndarray | float:
+    """h(q) = -q log2 q - (1-q) log2 (1-q), with h(0) = h(1) = 0."""
+    p = np.asarray(q, dtype=np.float64)
+    if np.any((p < 0) | (p > 1)):
+        raise ValueError("binary entropy argument outside [0, 1]")
+    inner = np.where((p <= 0) | (p >= 1), 0.5, p)
+    h = -inner * np.log2(inner) - (1 - inner) * np.log2(1 - inner)
+    out = np.where((p <= 0) | (p >= 1), 0.0, h)
+    return float(out) if np.isscalar(q) or np.ndim(q) == 0 else out
 
 
-ChannelModel = Union[BEC, BSC, BIAWGN]
+def _log2_1p_exp(t: float) -> float:
+    # log2(1 + e^t), overflow-safe for large |t|.
+    if t > 0:
+        return (t + math.log1p(math.exp(-t))) / math.log(2.0)
+    return math.log1p(math.exp(t)) / math.log(2.0)
 
 
-def modulate(bits) -> np.ndarray:
-    """Map bits to symbols: 0 -> +1, 1 -> -1."""
-    b = np.asarray(bits, dtype=np.int8)
-    return (1 - 2 * b).astype(np.int8)
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return _adaptive_simpson(
+        f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1
+    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+
+
+def _integrate(f, a: float, b: float, tol: float) -> float:
+    fa, fb = f(a), f(b)
+    fm = f(0.5 * (a + b))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 48)
+
+
+def c_biawgn(snr: float) -> float:
+    """Capacity of the binary-input AWGN channel at SNR Es/N0, in bits.
+
+    Evaluated as ``1 - (1/sqrt(pi)) * integral of exp(-(y - sqrt(snr))^2) *
+    log2(1 + exp(-4*y*sqrt(snr))) dy`` by adaptive Simpson quadrature over
+    ten standard deviations around the signal mean.  The Gaussian weight
+    makes the truncated tails smaller than 1e-40, so the absolute error is
+    dominated by the 1e-8 panel tolerance.  Monotone nondecreasing in the
+    SNR and clamped to [0, 1].
+    """
+    if snr < 0:
+        raise ValueError("SNR must be nonnegative")
+    s = math.sqrt(snr)
+
+    def integrand(y: float) -> float:
+        return math.exp(-((y - s) ** 2)) * _log2_1p_exp(-4.0 * y * s)
+
+    val = _integrate(integrand, s - 10.0, s + 10.0, 1e-8)
+    return min(1.0, max(0.0, 1.0 - val / math.sqrt(math.pi)))
 
 
 def signal_amplitude(snr: float) -> float:
@@ -85,13 +115,118 @@ def signal_amplitude(snr: float) -> float:
     return float(np.sqrt(2.0 * snr))
 
 
-def _gauss_q(x) -> np.ndarray:
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
-
-
 def erasure_rate_for_snr(snr: float) -> float:
     """Erasure probability 2*Q(sqrt(2*snr)) of the embedded BEC."""
-    return float(2.0 * _gauss_q(signal_amplitude(snr)))
+    return float(2.0 * q_function(signal_amplitude(snr)))
+
+
+class _Channel:
+    """Per-channel facts shared by the three eavesdropper models.
+
+    ``name`` is the channel's CLI name.  ``erasure_rate`` is the erasure
+    probability of the BEC the channel is degraded from, which is also the
+    perfect-secrecy rate of the dual-of-good-code construction; it is
+    ``erasures_per_error`` times the channel's own error probability (the
+    erasure probability of a BEC, the crossover probability of a BSC and of
+    hard decisions on BI-AWGN).  ``secrecy_capacity`` is the secrecy
+    capacity with this eavesdropper and a noiseless main channel, and
+    ``capacity`` the channel's own capacity.
+    """
+
+    name: ClassVar[str]
+    erasures_per_error: ClassVar[float] = 2.0
+
+    @property
+    def capacity(self) -> float:
+        return 1.0 - self.secrecy_capacity
+
+    def check_degradable(self) -> None:
+        """Raise ValueError unless the BEC decomposition of the channel exists."""
+
+
+@dataclass(frozen=True)
+class BEC(_Channel):
+    """Binary erasure channel with erasure probability ``erasure_prob``."""
+
+    erasure_prob: float
+    name: ClassVar[str] = "bec"
+    erasures_per_error: ClassVar[float] = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.erasure_prob <= 1.0:
+            raise ValueError(f"erasure probability {self.erasure_prob} outside [0, 1]")
+
+    @property
+    def erasure_rate(self) -> float:
+        return self.erasure_prob
+
+    @property
+    def secrecy_capacity(self) -> float:
+        return self.erasure_prob
+
+
+@dataclass(frozen=True)
+class BSC(_Channel):
+    """Binary symmetric channel with crossover probability ``crossover_prob``."""
+
+    crossover_prob: float
+    name: ClassVar[str] = "bsc"
+
+    def __post_init__(self):
+        if not 0.0 <= self.crossover_prob <= 1.0:
+            raise ValueError(f"crossover probability {self.crossover_prob} outside [0, 1]")
+
+    @property
+    def erasure_rate(self) -> float:
+        return 2.0 * self.crossover_prob
+
+    @property
+    def secrecy_capacity(self) -> float:
+        return float(binary_entropy(self.crossover_prob))
+
+    def check_degradable(self) -> None:
+        if self.crossover_prob > 0.5:
+            raise ValueError(
+                f"crossover probability {self.crossover_prob} outside [0, 1/2]"
+            )
+
+
+@dataclass(frozen=True)
+class BIAWGN(_Channel):
+    """Binary-input AWGN channel with SNR ``snr = Es/N0`` (dimensionless)."""
+
+    snr: float
+    name: ClassVar[str] = "biawgn"
+
+    def __post_init__(self):
+        if self.snr < 0.0:
+            raise ValueError(f"SNR {self.snr} must be nonnegative")
+
+    @property
+    def erasure_rate(self) -> float:
+        return erasure_rate_for_snr(self.snr)
+
+    @property
+    def capacity(self) -> float:
+        return c_biawgn(self.snr)
+
+    @property
+    def secrecy_capacity(self) -> float:
+        return 1.0 - self.capacity
+
+    def check_degradable(self) -> None:
+        if self.snr <= 0:
+            raise ValueError("snr must be positive")
+
+
+ChannelModel = Union[BEC, BSC, BIAWGN]
+CHANNELS = {cls.name: cls for cls in (BEC, BSC, BIAWGN)}
+
+
+def modulate(bits) -> np.ndarray:
+    """Map bits to symbols: 0 -> +1, 1 -> -1."""
+    b = np.asarray(bits, dtype=np.int8)
+    return (1 - 2 * b).astype(np.int8)
 
 
 def bec_transmit(symbols, erasure_prob: float, rng: np.random.Generator) -> np.ndarray:
@@ -146,8 +281,7 @@ def degraded_conditional_density(z, zprime: int, snr: float) -> np.ndarray:
     the BEC transition probabilities reproduces the direct channel density
     exactly.
     """
-    if snr <= 0:
-        raise ValueError("degraded decomposition requires snr > 0")
+    BIAWGN(snr).check_degradable()
     zz = np.asarray(z, dtype=np.float64)
     eps = erasure_rate_for_snr(snr)
     g_pos = biawgn_density(zz, +1, snr)
@@ -183,7 +317,7 @@ def _sample_difference_half(u: np.ndarray, mu: float, eps: float) -> np.ndarray:
 def _sample_folded_tail(count: int, mu: float, rng: np.random.Generator) -> np.ndarray:
     """Draw from f(z|Z'=0): a fair two-sided mixture of folded Gaussian tails."""
     sign = np.where(rng.random(count) < 0.5, 1.0, -1.0)
-    v = rng.random(count) * float(_gauss_q(mu))
+    v = rng.random(count) * float(q_function(mu))
     tail = -ndtri(v)  # upper-tail quantile: P(N >= tail) = v, tail >= mu
     return sign * (tail - mu)
 
@@ -239,8 +373,7 @@ def bsc_degraded_transmit(
     through, erased ones are replaced by independent fair coin flips, making
     the marginal a BSC(q).
     """
-    if not 0.0 <= crossover_prob <= 0.5:
-        raise ValueError(f"crossover probability {crossover_prob} outside [0, 1/2]")
+    BSC(crossover_prob).check_degradable()
     b = np.asarray(bits, dtype=np.uint8)
     zprime = bec_transmit(modulate(b), 2.0 * crossover_prob, rng)
     z = b.copy()

@@ -32,10 +32,15 @@ import numpy as np
 
 from . import capacity as cap
 from . import codes, secrecy, thresholds
-from .channels import BEC, BIAWGN, BSC
+from .channels import BEC, BIAWGN, BSC, CHANNELS
 
-_ESTIMATORS = ("bec-exact", "approach2-awgn", "approach2-bsc", "approach1")
-_CHANNELS = ("bec", "bsc", "biawgn")
+# The eavesdropper channel each estimator's grid parameter belongs to.
+_ESTIMATORS = {
+    "bec-exact": BEC,
+    "approach2-awgn": BIAWGN,
+    "approach2-bsc": BSC,
+    "approach1": BIAWGN,
+}
 
 
 class UsageError(Exception):
@@ -89,16 +94,6 @@ def _parse_ensemble(spec: str) -> codes.DegreeDistribution:
         raise
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad ensemble spec {spec!r}: {exc}") from None
-
-
-def _channel(kind: str, param: float):
-    if kind == "bec":
-        return BEC(param)
-    if kind == "bsc":
-        return BSC(param)
-    if kind == "biawgn":
-        return BIAWGN(param)
-    raise UsageError(f"unknown channel {kind!r}")
 
 
 def _config_dict(args, fields) -> dict:
@@ -177,11 +172,9 @@ def cmd_capacity(args) -> None:
     grid = _grid_values(args)
     rows = []
     for p in grid:
-        ch = _channel(args.channel, p)
-        c = 1.0 - cap.secrecy_capacity(ch) if args.channel != "biawgn" else cap.c_biawgn(p)
-        cs = cap.secrecy_capacity(ch)
-        a2 = cap.approach2_rate(ch)
-        rows.append((p, c, cs, a2, cs - a2))
+        ch = CHANNELS[args.channel](p)
+        cs, a2 = ch.secrecy_capacity, ch.erasure_rate
+        rows.append((p, ch.capacity, cs, a2, cs - a2))
     config = _config_dict(args, ["channel", "param", "grid"])
     _write_report(args, config, ("param", "C", "Cs", "approach2_rate", "gap"), rows)
 
@@ -257,6 +250,8 @@ def _condition_columns(channel, delta_star):
 
 
 def cmd_simulate(args) -> None:
+    if args.estimator is None:
+        raise UsageError("simulate requires --estimator")
     if args.seed is None:
         raise UsageError("simulate requires --seed")
     if args.trials is None:
@@ -282,38 +277,30 @@ def cmd_simulate(args) -> None:
     rows = []
     for i, p in enumerate(grid):
         rng = _spawn_rng(args.seed, 1 + i)
+        channel = _ESTIMATORS[args.estimator](p)
         lam_cols = ("", "")
-        if args.estimator == "bec-exact":
-            est = secrecy.mc_equivocation_bec(pair, p, args.trials, rng)
-            channel = BEC(p)
-        elif args.estimator == "approach2-awgn":
-            est = secrecy.equivocation_lb_awgn(pair, p, args.trials, rng)
-            channel = BIAWGN(p)
-        elif args.estimator == "approach2-bsc":
-            est = secrecy.equivocation_lb_bsc(pair, p, args.trials, rng)
-            channel = BSC(p)
-        elif args.estimator == "approach1":
+        cond_cols = ("",) * 6
+        if args.estimator == "approach1":
             est = secrecy.approach1_equivocation_bound(
                 pair, p, args.trials, args.max_bp_iters, rng
             )
-            channel = BIAWGN(p)
             if args.lambda_star is not None:
                 lam_cols = (args.lambda_star, p >= args.lambda_star)
         else:
-            raise UsageError(f"unknown estimator {args.estimator!r}")
-
-        if args.estimator == "approach1":
-            cfg_cols = ("", "", "")
-            cmp_cols = ("", "", "")
-        else:
-            cfg_cols = _condition_columns(channel, args.delta_star)
-            cmp_cols = _condition_columns(channel, computed_delta)
+            if args.estimator == "bec-exact":
+                est = secrecy.mc_equivocation_bec(pair, p, args.trials, rng)
+            else:
+                est = secrecy.equivocation_lb(pair, channel, args.trials, rng)
+            cond_cols = (
+                *_condition_columns(channel, args.delta_star),
+                *_condition_columns(channel, computed_delta),
+            )
         rows.append(
             (
                 args.estimator, p, pair.n, pair.m, pair.rate, args.trials,
                 args.seed, est.value, est.half_width, est.method,
                 est.detail.get("word_error_rate", ""),
-                *cfg_cols, *cmp_cols, *lam_cols,
+                *cond_cols, *lam_cols,
             )
         )
     config = _config_dict(
@@ -353,8 +340,8 @@ def cmd_compare_bsc(args) -> None:
     for q in grid:
         if not 0.0 < q <= 0.5:
             raise UsageError(f"comparison grid point {q} outside (0, 0.5]")
-        h = float(cap.binary_entropy(q))
-        rate = 2.0 * q
+        channel = BSC(q)
+        h, rate = channel.secrecy_capacity, channel.erasure_rate
         baseline = cap.thangaraj_baseline(q)
         if rate < baseline - 1e-12 or rate > h + 1e-12:
             raise RuntimeError(
@@ -376,11 +363,11 @@ def cmd_compare_bsc(args) -> None:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wiretapcodes", description=__doc__.split("\n")[0])
-    parser.add_argument("--config", help="JSON file providing flag defaults")
+    parser.add_argument("--config", help="JSON file of flag values (command-line flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--channel", choices=_CHANNELS)
+        p.add_argument("--channel", choices=CHANNELS)
         p.add_argument("--param", type=float, help="single channel parameter")
         p.add_argument("--grid", help="'start:stop:count' or comma-separated values")
         p.add_argument("--code", help="alist parity-check file")
@@ -410,7 +397,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="equivocation estimation campaign")
     add_common(p)
-    p.add_argument("--estimator", choices=_ESTIMATORS, required=True)
+    p.add_argument("--estimator", choices=_ESTIMATORS)
     p.add_argument("--max-bp-iters", dest="max_bp_iters", type=int, default=200)
     p.set_defaults(func=cmd_simulate)
 
@@ -422,30 +409,41 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compare-bsc", help="BSC secrecy-rate comparison table")
     add_common(p)
     p.set_defaults(func=cmd_compare_bsc)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(args) -> None:
-    if not args.config:
-        return
+def _config_defaults(args) -> dict:
+    """The ``--config`` file's values, keyed by flag destination."""
     try:
         with open(args.config, "r", encoding="ascii") as fh:
             overrides = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(f"bad config file {args.config}: {exc}") from None
+    if not isinstance(overrides, dict):
+        raise UsageError(f"config file {args.config} must hold a JSON object")
+    defaults = {}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest in ("command", "config", "func") or not hasattr(args, dest):
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, dest) in (None, False):
-            setattr(args, dest, value)
+        defaults[dest] = value
+    return defaults
+
+
+def _parse_args(argv):
+    """Parse the command line: a flag given there wins over the ``--config``
+    file, which wins over the built-in default."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        commands[args.command].set_defaults(**_config_defaults(args))
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args)
+        args = _parse_args(argv)
         if args.channel is None and args.command in ("capacity", "threshold"):
             raise UsageError(f"{args.command} requires --channel")
         args.func(args)

@@ -29,23 +29,13 @@ generators; estimates aggregate by pure reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bitlinalg
 from ._kernels import rank_words
-from .capacity import c_biawgn
-from .channels import (
-    BEC,
-    BIAWGN,
-    BSC,
-    ChannelModel,
-    awgn_llr,
-    biawgn_transmit,
-    erasure_rate_for_snr,
-    modulate,
-)
+from .channels import ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
 from .codes import NestedCodePair
 from .decoders import bp_decode_awgn, peeling_decode_bec  # re-exported decoders
 from .thresholds import wilson_interval
@@ -59,10 +49,8 @@ __all__ = [
     "main_decode",
     "exact_equivocation_bec",
     "mc_equivocation_bec",
-    "equivocation_lb_awgn",
-    "equivocation_lb_bsc",
+    "equivocation_lb",
     "approach1_equivocation_bound",
-    "brute_force_equivocation",
     "brute_force_equivocation_bec",
     "brute_force_equivocation_bsc",
     "peeling_decode_bec",
@@ -257,50 +245,29 @@ def mc_equivocation_bec(
     )
 
 
-def equivocation_lb_awgn(
+def equivocation_lb(
     pair: NestedCodePair,
-    snr: float,
+    channel: ChannelModel,
     trials: int,
     rng: np.random.Generator,
 ) -> EquivocationEstimate:
-    """Equivocation lower bound for an AWGN eavesdropper at the given SNR.
+    """Equivocation lower bound for an eavesdropper on ``channel``.
 
-    Runs the BEC rank estimator at the embedded erasure rate
-    ``2*Q(sqrt(2*snr))``; by data processing through the degradation this
-    lower-bounds the AWGN equivocation rate.  Produces bit-identical values
-    to ``mc_equivocation_bec`` at that erasure rate for the same generator
-    state.
+    Runs the BEC rank estimator at the channel's embedded erasure rate
+    (``2*Q(sqrt(2*snr))`` for BI-AWGN, ``2q`` for a BSC); by data processing
+    through the degradation this lower-bounds the channel's equivocation
+    rate.  Produces bit-identical values to ``mc_equivocation_bec`` at that
+    erasure rate for the same generator state.  Rejects channels without a
+    BEC decomposition (snr <= 0, q > 1/2).
     """
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    eps = erasure_rate_for_snr(snr)
-    base = mc_equivocation_bec(pair, eps, trials, rng)
+    channel.check_degradable()
+    base = mc_equivocation_bec(pair, channel.erasure_rate, trials, rng)
     return EquivocationEstimate(
         value=base.value,
         half_width=base.half_width,
         trials=trials,
         method="degradation-rank",
-        detail={**base.detail, "snr": snr},
-    )
-
-
-def equivocation_lb_bsc(
-    pair: NestedCodePair,
-    crossover_prob: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> EquivocationEstimate:
-    """Equivocation lower bound for a BSC eavesdropper: the BEC rank
-    estimator at the embedded erasure rate ``2q``."""
-    if not 0.0 <= crossover_prob <= 0.5:
-        raise ValueError(f"crossover probability {crossover_prob} outside [0, 1/2]")
-    base = mc_equivocation_bec(pair, 2.0 * crossover_prob, trials, rng)
-    return EquivocationEstimate(
-        value=base.value,
-        half_width=base.half_width,
-        trials=trials,
-        method="degradation-rank",
-        detail={**base.detail, "crossover_prob": crossover_prob},
+        detail={**base.detail, **asdict(channel)},
     )
 
 
@@ -473,17 +440,3 @@ def brute_force_equivocation_bsc(pair: NestedCodePair, crossover_prob: float) ->
         h_total += -np.sum(p_zw[nz] * np.log2(p_zw[nz] / p_z))
     return float(h_total)
 
-
-def brute_force_equivocation(pair: NestedCodePair, channel: ChannelModel):
-    """Ground-truth equivocation oracle for tiny block lengths.
-
-    BEC returns the full per-pattern table; BSC returns H(W|Z) in bits.
-    Continuous observations cannot be enumerated, so AWGN is refused.
-    """
-    if isinstance(channel, BEC):
-        return brute_force_equivocation_bec(pair, channel.erasure_prob)
-    if isinstance(channel, BSC):
-        return brute_force_equivocation_bsc(pair, channel.crossover_prob)
-    if isinstance(channel, BIAWGN):
-        raise ValueError("brute-force enumeration is not defined for a continuous output")
-    raise TypeError(f"unknown channel model {channel!r}")

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, modulate
+from .channels import ChannelModel, awgn_llr, biawgn_transmit, modulate
 from .codes import DegreeDistribution, LinearCode
-from .capacity import q_function
 from .decoders import bp_decode_awgn
 
 DE_TOL = 1e-8
@@ -208,19 +207,13 @@ def check_secrecy_condition(
     """Evaluate the sufficient secrecy condition for a dual-construction
     pair whose base code has BEC threshold ``delta_star``.
 
-    Returns ``(satisfied, margin)`` with the signed margin in probability
-    units: BEC needs ``eps >= 1 - delta_star``, BIAWGN needs
-    ``Q(sqrt(2*snr)) >= (1 - delta_star)/2``, BSC needs
-    ``q >= (1 - delta_star)/2``.
+    The condition is that the channel's embedded erasure rate reaches
+    ``1 - delta_star``.  Returns ``(satisfied, margin)`` with the signed
+    margin in units of the channel's own error probability: BEC needs
+    ``eps >= 1 - delta_star``, BIAWGN needs ``Q(sqrt(2*snr)) >=
+    (1 - delta_star)/2``, BSC needs ``q >= (1 - delta_star)/2``.
     """
     if not 0.0 <= delta_star <= 1.0:
         raise ValueError(f"threshold {delta_star} outside [0, 1]")
-    if isinstance(channel, BEC):
-        margin = channel.erasure_prob - (1.0 - delta_star)
-    elif isinstance(channel, BIAWGN):
-        margin = float(q_function(math.sqrt(2.0 * channel.snr))) - (1.0 - delta_star) / 2.0
-    elif isinstance(channel, BSC):
-        margin = channel.crossover_prob - (1.0 - delta_star) / 2.0
-    else:
-        raise TypeError(f"unknown channel model {channel!r}")
+    margin = (channel.erasure_rate - (1.0 - delta_star)) / channel.erasures_per_error
     return margin >= 0.0, margin

@@ -156,7 +156,7 @@ def test_criterion_09_region_structure():
     achievable = capacity.achievable_region(snr, r1)
     outer = capacity.capacity_equivocation_region(snr)
 
-    r_dual = capacity.approach2_rate(channels.BIAWGN(snr))
+    r_dual = channels.BIAWGN(snr).erasure_rate
     assert r_dual == pytest.approx(0.4237, abs=5e-4)
     cap_value = c_biawgn_oracle(snr)
     expected = {

@@ -134,6 +134,18 @@ class TestNullspace:
         for row in basis.to_dense():
             assert not bitlinalg.mat_vec(m, row).any()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_basis_is_identity_on_free_columns(self, seed):
+        # The null vector with given entries on the non-pivot columns is
+        # unique, so this pins the exact basis, not only its span.
+        rng = np.random.default_rng(700 + seed)
+        m = random_bitmatrix(rng, int(rng.integers(5, 60)), int(rng.integers(5, 140)))
+        _, pivots = bitlinalg.rref(m)
+        free = [c for c in range(m.cols) if c not in pivots]
+        basis = bitlinalg.nullspace_basis(m).to_dense()
+        assert np.array_equal(basis[:, free], np.eye(len(free)))
+        assert not ((m.to_dense() @ basis.T) % 2).any()
+
 
 class TestMatVec:
     def test_identity(self):
@@ -170,7 +182,7 @@ class TestRightInverse:
     def test_wide_matrix(self):
         m = BitMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
         d = bitlinalg.right_inverse(m)
-        assert bitlinalg.matmul(m, d) == BitMatrix.identity(2)
+        assert np.array_equal((m.to_dense() @ d.to_dense()) % 2, np.eye(2))
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="rank-deficient"):
@@ -186,31 +198,7 @@ class TestRightInverse:
             if bitlinalg.rank(m) == rows:
                 break
         d = bitlinalg.right_inverse(m)
-        assert bitlinalg.matmul(m, d) == BitMatrix.identity(rows)
-
-
-class TestColumnSubmatrix:
-    def test_all_columns(self):
-        m = BitMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
-        assert bitlinalg.column_submatrix(m, range(3)) == m
-
-    def test_empty_selection(self):
-        sub = bitlinalg.column_submatrix(BitMatrix.identity(3), [])
-        assert sub.shape == (3, 0)
-        assert bitlinalg.rank(sub) == 0
-
-    def test_identity_pick(self):
-        sub = bitlinalg.column_submatrix(BitMatrix.identity(3), [0, 2])
-        assert sub.to_dense().tolist() == [[1, 0], [0, 0], [0, 1]]
-        assert bitlinalg.rank(sub) == 2
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            bitlinalg.column_submatrix(BitMatrix.identity(3), [0, 3])
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            bitlinalg.column_submatrix(BitMatrix.identity(3), [1, 1])
+        assert np.array_equal((m.to_dense() @ d.to_dense()) % 2, np.eye(rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,10 +235,3 @@ def test_padding_bits_stay_zero():
         spill = mat.words[:, -1] >> np.uint64(70 - 64)
         assert not spill.any()
 
-
-def test_matmul_against_dense():
-    rng = np.random.default_rng(8)
-    a = random_bitmatrix(rng, 5, 9)
-    b = random_bitmatrix(rng, 9, 70)
-    expect = (a.to_dense() @ b.to_dense()) % 2
-    assert np.array_equal(bitlinalg.matmul(a, b).to_dense(), expect)

@@ -70,24 +70,24 @@ class TestCBiawgn:
 
 class TestSecrecyCapacity:
     def test_bec(self):
-        assert capacity.secrecy_capacity(BEC(0.3)) == pytest.approx(0.3)
+        assert BEC(0.3).secrecy_capacity == pytest.approx(0.3)
 
     def test_bsc_zero(self):
-        assert capacity.secrecy_capacity(BSC(0.0)) == 0.0
+        assert BSC(0.0).secrecy_capacity == 0.0
 
     def test_awgn_example(self):
-        assert capacity.secrecy_capacity(BIAWGN(0.302)) == pytest.approx(0.663, abs=0.001)
+        assert BIAWGN(0.302).secrecy_capacity == pytest.approx(0.663, abs=0.001)
 
 
 class TestApproach2Rate:
     def test_awgn(self):
-        assert capacity.approach2_rate(BIAWGN(0.32)) == pytest.approx(0.4237, abs=5e-4)
+        assert BIAWGN(0.32).erasure_rate == pytest.approx(0.4237, abs=5e-4)
 
     def test_bsc(self):
-        assert capacity.approach2_rate(BSC(0.25)) == 0.5
+        assert BSC(0.25).erasure_rate == 0.5
 
     def test_bec(self):
-        assert capacity.approach2_rate(BEC(0.4)) == pytest.approx(0.4)
+        assert BEC(0.4).erasure_rate == pytest.approx(0.4)
 
 
 class TestThangarajBaseline:
@@ -123,7 +123,7 @@ class TestRegions:
         poly = capacity.achievable_region(0.32, 1 / 3)
         verts = {(round(v.rate, 4), round(v.equivocation, 4)) for v in poly.vertices}
         cap_val = capacity.c_biawgn(0.32)
-        r_dual = capacity.approach2_rate(BIAWGN(0.32))
+        r_dual = BIAWGN(0.32).erasure_rate
         assert (0.0, 0.0) in verts
         assert (1.0, 0.0) in verts
         assert (round(r_dual, 4), round(r_dual, 4)) in verts

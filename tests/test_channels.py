@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import erfc
 
 from wiretapcodes import channels
 from wiretapcodes.channels import BEC, BIAWGN, BSC
@@ -14,6 +15,37 @@ class TestModels:
             BSC(-0.1)
         with pytest.raises(ValueError):
             BIAWGN(-1.0)
+
+    def test_cli_names_map_to_classes(self):
+        assert channels.CHANNELS == {"bec": BEC, "bsc": BSC, "biawgn": BIAWGN}
+
+    @pytest.mark.parametrize("snr", [0.0, 0.18, 0.465, 3.0])
+    def test_awgn_facts(self, snr):
+        ch = BIAWGN(snr)
+        assert ch.erasure_rate == channels.erasure_rate_for_snr(snr)
+        assert ch.erasure_rate == float(2.0 * 0.5 * erfc(np.sqrt(2.0 * snr) / np.sqrt(2.0)))
+        assert ch.capacity == channels.c_biawgn(snr)
+        assert ch.secrecy_capacity == 1.0 - channels.c_biawgn(snr)
+
+    @pytest.mark.parametrize("q", [0.0, 0.11, 0.5, 0.75])
+    def test_bsc_facts(self, q):
+        ch = BSC(q)
+        assert ch.erasure_rate == 2.0 * q
+        assert ch.secrecy_capacity == channels.binary_entropy(q)
+        assert ch.capacity == 1.0 - channels.binary_entropy(q)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+    def test_bec_facts(self, eps):
+        ch = BEC(eps)
+        assert ch.erasure_rate == ch.secrecy_capacity == eps
+        assert ch.capacity == 1.0 - eps
+
+    def test_degradable_domain(self):
+        for ch in (BEC(0.0), BEC(1.0), BSC(0.5), BIAWGN(1e-12)):
+            ch.check_degradable()
+        for ch in (BSC(0.6), BIAWGN(0.0)):
+            with pytest.raises(ValueError):
+                ch.check_degradable()
 
     def test_modulation_convention(self):
         assert channels.modulate([0]).tolist() == [1]

@@ -227,6 +227,7 @@ class TestPlumbing:
     def test_usage_error_exit_code(self):
         assert run("capacity") == 1
         assert run("simulate", "--estimator", "bec-exact") == 1
+        assert run("simulate", "--seed", "1", "--trials", "5") == 1
 
     def test_compute_error_exit_code(self, tmp_path):
         assert run(
@@ -257,6 +258,52 @@ class TestPlumbing:
         assert run("--config", str(cfg), "capacity", "--out", str(out)) == 0
         _, rows = read_report(out)
         assert float(rows[0]["Cs"]) == pytest.approx(0.3)
+
+    def test_config_file_overrides_built_in_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 300, "target_wer": 0.5, "tol": 1e-4}))
+        out = tmp_path / "thr.csv"
+        assert run(
+            "--config", str(cfg), "threshold", "--channel", "bec", "--ensemble", "3,6",
+            "--out", str(out),
+        ) == 0
+        header, _ = read_report(out)
+        assert (header["trials"], header["target_wer"], header["tol"]) == ("300", "0.5", "0.0001")
+
+    def test_command_line_beats_config_file(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"param": 0.3, "trials": 300}))
+        out = tmp_path / "cap.csv"
+        assert run(
+            "--config", str(cfg), "capacity", "--channel", "bec", "--param", "0",
+            "--out", str(out),
+        ) == 0
+        header, rows = read_report(out)
+        assert header["param"] == "0"
+        assert [r["param"] for r in rows] == ["0"]
+        out = tmp_path / "thr.csv"
+        assert run(
+            "--config", str(cfg), "threshold", "--channel", "bec", "--ensemble", "3,6",
+            "--trials", "150", "--out", str(out),
+        ) == 0
+        assert read_report(out)[0]["trials"] == "150"
+
+    def test_config_file_supplies_the_estimator(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"estimator": "bec-exact", "ensemble": "3,6", "n": 60,
+                                   "trials": 5, "seed": 1, "param": 1.0}))
+        out = tmp_path / "sim.csv"
+        assert run("--config", str(cfg), "simulate", "--out", str(out)) == 0
+        _, rows = read_report(out)
+        assert rows[0]["estimator"] == "bec-exact" and rows[0]["trials"] == "5"
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"bogus": 1}, {"func": "x"}, [1, 2]):
+            cfg.write_text(json.dumps(bad))
+            assert run("--config", str(cfg), "capacity", "--channel", "bec") == 1
+        cfg.write_text(json.dumps({"estimator": "bogus"}))  # checked like the flag
+        assert run("--config", str(cfg), "simulate", "--seed", "1", "--trials", "5") == 1
 
     def test_stdout_output(self, capsys):
         assert run("capacity", "--channel", "bec", "--param", "0.25") == 0

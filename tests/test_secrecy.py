@@ -220,7 +220,7 @@ class TestDegradationBounds:
         pair = random_pair(rng, 12)
         snr = 0.465
         eps = 2 * float(capacity.q_function(math.sqrt(2 * snr)))
-        a = secrecy.equivocation_lb_awgn(pair, snr, 200, np.random.default_rng(123))
+        a = secrecy.equivocation_lb(pair, BIAWGN(snr), 200, np.random.default_rng(123))
         b = secrecy.mc_equivocation_bec(pair, eps, 200, np.random.default_rng(123))
         assert a.value == b.value and a.half_width == b.half_width
         assert a.method == "degradation-rank"
@@ -228,28 +228,35 @@ class TestDegradationBounds:
     def test_bsc_matches_bec_run_bit_for_bit(self):
         rng = np.random.default_rng(8)
         pair = random_pair(rng, 12)
-        a = secrecy.equivocation_lb_bsc(pair, 0.21, 150, np.random.default_rng(5))
+        a = secrecy.equivocation_lb(pair, BSC(0.21), 150, np.random.default_rng(5))
         b = secrecy.mc_equivocation_bec(pair, 0.42, 150, np.random.default_rng(5))
         assert a.value == b.value and a.half_width == b.half_width
 
+    def test_bec_channel_is_the_rank_estimator_itself(self):
+        pair = random_pair(np.random.default_rng(9), 10)
+        a = secrecy.equivocation_lb(pair, BEC(0.37), 80, np.random.default_rng(4))
+        b = secrecy.mc_equivocation_bec(pair, 0.37, 80, np.random.default_rng(4))
+        assert (a.value, a.half_width) == (b.value, b.half_width)
+        assert a.detail == {**b.detail, "erasure_prob": 0.37}
+
     def test_extreme_snr_limits(self):
         pair = repetition_pair(4)
-        high = secrecy.equivocation_lb_awgn(pair, 50.0, 100, np.random.default_rng(1))
+        high = secrecy.equivocation_lb(pair, BIAWGN(50.0), 100, np.random.default_rng(1))
         assert high.value == 0.0
-        low = secrecy.equivocation_lb_awgn(pair, 1e-12, 100, np.random.default_rng(1))
+        low = secrecy.equivocation_lb(pair, BIAWGN(1e-12), 100, np.random.default_rng(1))
         assert low.value == pytest.approx(pair.m / pair.n, abs=1e-6)
 
     def test_bsc_half_gives_full_rate(self):
         pair = repetition_pair(4)
-        est = secrecy.equivocation_lb_bsc(pair, 0.5, 50, np.random.default_rng(2))
+        est = secrecy.equivocation_lb(pair, BSC(0.5), 50, np.random.default_rng(2))
         assert est.value == pair.m / pair.n
 
     def test_parameter_validation(self):
         pair = repetition_pair()
         with pytest.raises(ValueError):
-            secrecy.equivocation_lb_awgn(pair, 0.0, 10, np.random.default_rng(0))
+            secrecy.equivocation_lb(pair, BIAWGN(0.0), 10, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            secrecy.equivocation_lb_bsc(pair, 0.6, 10, np.random.default_rng(0))
+            secrecy.equivocation_lb(pair, BSC(0.6), 10, np.random.default_rng(0))
 
     def test_borderline_operating_point_nearly_perfect_secrecy(self):
         # (4,6)-dual pair where the embedded erasure rate 0.335 satisfies the
@@ -257,7 +264,7 @@ class TestDegradationBounds:
         # rank estimate still sits within 0.02 of the full coarse rate.
         code = codes.regular_ldpc(3000, 4, 6, seed=13)
         pair = codes.nested_pair_from_coarse(codes.dual(code))
-        est = secrecy.equivocation_lb_awgn(pair, 0.465, 1000, np.random.default_rng(6))
+        est = secrecy.equivocation_lb(pair, BIAWGN(0.465), 1000, np.random.default_rng(6))
         assert est.value >= pair.rate - 0.02
 
 
@@ -383,15 +390,6 @@ class TestBruteForce:
         lower = secrecy.brute_force_equivocation_bec(pair, 2 * q).average
         assert exact >= lower - 1e-9
         assert exact <= pair.m + 1e-9
-
-    def test_dispatch(self):
-        pair = repetition_pair()
-        assert isinstance(
-            secrecy.brute_force_equivocation(pair, BEC(0.5)), secrecy.BecEquivocationTable
-        )
-        assert isinstance(secrecy.brute_force_equivocation(pair, BSC(0.1)), float)
-        with pytest.raises(ValueError, match="continuous"):
-            secrecy.brute_force_equivocation(pair, BIAWGN(1.0))
 
     def test_size_limits(self):
         pair = repetition_pair(13)

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from wiretapcodes import codes, thresholds
+from wiretapcodes import capacity, codes, thresholds
 from wiretapcodes.channels import BEC, BIAWGN, BSC
 from wiretapcodes.codes import DegreeDistribution
 
@@ -177,6 +179,20 @@ class TestSecrecyCondition:
     def test_bsc_failure(self):
         ok, margin = thresholds.check_secrecy_condition(BSC(0.1), 0.5)
         assert not ok and margin == pytest.approx(-0.15)
+
+    @pytest.mark.parametrize("delta", [0.3, 0.4294, 0.665, 0.9])
+    def test_margins_in_units_of_the_error_probability(self, delta):
+        # exactly the per-channel formulas, to the last bit
+        for snr in (0.05, 0.3, 0.465, 1.2):
+            q_tail = float(capacity.q_function(math.sqrt(2.0 * snr)))
+            _, margin = thresholds.check_secrecy_condition(BIAWGN(snr), delta)
+            assert margin == q_tail - (1.0 - delta) / 2.0
+        for q in (0.0, 0.1, 0.2, 0.37, 0.5):
+            _, margin = thresholds.check_secrecy_condition(BSC(q), delta)
+            assert margin == q - (1.0 - delta) / 2.0
+        for eps in (0.0, 0.3, 0.6, 1.0):
+            _, margin = thresholds.check_secrecy_condition(BEC(eps), delta)
+            assert margin == eps - (1.0 - delta)
 
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
