@@ -4,33 +4,40 @@ The Monte Carlo equivocation estimators compute one GF(2) rank per trial on
 matrices with ~10^3 rows and ~10^3..10^4 columns, so the rank kernel is the
 single hottest loop in the package.  A numba-jitted kernel is used when
 available; a vectorized numpy fallback (about 8-10x slower on the dense
-ranks of a 1000-row coset pair) keeps the package functional without it.
-Set WIRETAPCODES_NO_NUMBA=1 to force the fallback.  ``BACKEND`` names the
-kernel in use, ``"numba"`` or ``"numpy"``.
+ranks of a 1000-row coset pair) keeps the package functional without it,
+with one RuntimeWarning at import.  Set WIRETAPCODES_NO_NUMBA=1 to choose
+the fallback silently.  ``BACKEND`` names the rank kernel in use.
 
 Both kernels eliminate in place on bit-packed uint64 words (64 matrix columns
-per word, column j stored at bit j % 64 of word j // 64) and return the rank.
-They only guarantee correct *rank*; eliminated rows may hold garbage in word
-positions left of the current pivot word.
+per word, column j stored at bit j % 64 of word j // 64).  The numpy routine
+``_eliminate`` serves in two modes: clearing the rows below each pivot (the
+rank) or every other row (``rref``, ``nullspace_basis``, ``right_inverse``).
+The numba loop kernel only guarantees correct *rank*; its eliminated rows may
+hold garbage in word positions left of the current pivot word.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
+_ONE = np.uint64(1)
 
-def _rank_words_numpy(words: np.ndarray, ncols: int) -> int:
+
+def _eliminate(words: np.ndarray, ncols: int, clear_above: bool) -> list[int]:
+    """In-place (reduced, with ``clear_above``) row echelon form over the
+    first ``ncols`` columns; whole rows are XORed.  Returns pivot columns."""
     rows = words.shape[0]
+    pivots: list[int] = []
     r = 0
-    one = np.uint64(1)
     for c in range(ncols):
         if r == rows:
             break
         w, b = divmod(c, 64)
-        col = (words[r:, w] >> np.uint64(b)) & one
-        nz = np.nonzero(col)[0]
+        shift = np.uint64(b)
+        nz = np.nonzero((words[r:, w] >> shift) & _ONE)[0]
         if nz.size == 0:
             continue
         p = r + nz[0]
@@ -39,10 +46,17 @@ def _rank_words_numpy(words: np.ndarray, ncols: int) -> int:
             words[r] = words[p]
             words[p] = tmp
         idx = r + nz[1:]
+        if clear_above:
+            idx = np.concatenate((np.nonzero((words[:r, w] >> shift) & _ONE)[0], idx))
         if idx.size:
             words[idx] ^= words[r]
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
+
+
+def _rank_words_numpy(words: np.ndarray, ncols: int) -> int:
+    return len(_eliminate(words, ncols, clear_above=False))
 
 
 def _rank_words_loops(words: np.ndarray, ncols: int) -> int:
@@ -80,7 +94,13 @@ else:
         from numba import njit
 
         rank_words = njit(cache=True, nogil=True)(_rank_words_loops)
-    except ImportError:  # pragma: no cover
+    except ImportError:
+        warnings.warn(
+            "numba is not importable: GF(2) ranks use the numpy kernel "
+            "_rank_words_numpy, about 8-10x slower on dense ranks "
+            "(WIRETAPCODES_NO_NUMBA=1 chooses it without this warning)",
+            RuntimeWarning,
+        )
         rank_words = _rank_words_numpy
 
 BACKEND = "numpy" if rank_words is _rank_words_numpy else "numba"

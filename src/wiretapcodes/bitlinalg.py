@@ -16,12 +16,10 @@ import sys
 
 import numpy as np
 
-from ._kernels import rank_words
+from ._kernels import _eliminate, rank_words
 
 if sys.byteorder != "little":  # pragma: no cover
     raise ImportError("bit-packed word layout assumes a little-endian platform")
-
-_ONE = np.uint64(1)
 
 
 def _nwords(cols: int) -> int:
@@ -124,37 +122,6 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def _rref_words(words: np.ndarray, cols: int) -> list[int]:
-    """In-place reduced row echelon form; returns pivot columns."""
-    rows = words.shape[0]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        w, b = divmod(c, 64)
-        shift = np.uint64(b)
-        below = (words[r:, w] >> shift) & _ONE
-        nz = np.nonzero(below)[0]
-        if nz.size == 0:
-            continue
-        p = r + nz[0]
-        if p != r:
-            tmp = words[r].copy()
-            words[r] = words[p]
-            words[p] = tmp
-        # Eliminate every other row carrying this bit, above and below,
-        # which yields the reduced form in a single forward pass.
-        col = (words[:, w] >> shift) & _ONE
-        col[r] = 0
-        idx = np.nonzero(col)[0]
-        if idx.size:
-            words[idx] ^= words[r]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def rank(m: BitMatrix) -> int:
     """GF(2) rank (dimension of the row space)."""
     if m.rows == 0 or m.cols == 0:
@@ -169,7 +136,7 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     pivots equals ``rank(m)`` and all non-pivot rows are zero.
     """
     words = m.words.copy()
-    pivots = _rref_words(words, m.cols)
+    pivots = _eliminate(words, m.cols, clear_above=True)
     return BitMatrix(m.rows, m.cols, words), pivots
 
 
@@ -179,16 +146,21 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
     Returns a ``(cols - rank(m)) x cols`` matrix; for a generator matrix this
     is a parity-check matrix of the dual code and vice versa.
     """
-    reduced, pivots = rref(m)
+    return _nullspace_from_rref(*rref(m))
+
+
+def _nullspace_from_rref(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
+    """:func:`nullspace_basis` of a matrix whose ``rref`` is given."""
+    cols = reduced.cols
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = np.zeros((len(free), m.cols), dtype=np.uint8)
+    free = [c for c in range(cols) if c not in pivot_set]
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
     if free:
-        dense = reduced.to_dense()
+        dense = _unpack_rows(reduced.words[: len(pivots)], cols)
         basis[np.arange(len(free)), free] = 1
         if pivots:
             # v[pivot_i] = R[i, free] completes each free-column vector.
-            basis[:, pivots] = dense[: len(pivots), :][:, free].T
+            basis[:, pivots] = dense[:, free].T
     return BitMatrix.from_dense(basis)
 
 
@@ -222,23 +194,22 @@ def right_inverse(m: BitMatrix) -> BitMatrix:
     """A matrix ``d`` (cols x rows) with ``m @ d = identity`` over GF(2).
 
     Requires full row rank; raises ValueError naming the rank deficiency
-    otherwise.  Computed by eliminating ``[m | I]``: the row-operation record
+    otherwise.  Computed by eliminating the packed rows of ``[m | I]``, the
+    identity starting at the next word boundary: the row-operation record
     placed at the pivot columns is a right inverse.
     """
-    aug_cols = m.cols + m.rows
-    dense = np.zeros((m.rows, aug_cols), dtype=np.uint8)
-    dense[:, : m.cols] = m.to_dense()
-    dense[:, m.cols :] = np.eye(m.rows, dtype=np.uint8)
-    words = _pack_rows(dense, aug_cols)
+    mw = m.words.shape[1]
+    words = np.zeros((m.rows, mw + _nwords(m.rows)), dtype=np.uint64)
+    words[:, :mw] = m.words
+    i = np.arange(m.rows)
+    words[i, mw + i // 64] = np.uint64(1) << (i % 64).astype(np.uint64)
     # Restrict pivot search to the original columns.
-    pivots = _rref_words(words, m.cols)
+    pivots = _eliminate(words, m.cols, clear_above=True)
     if len(pivots) < m.rows:
         raise ValueError(
             f"matrix is rank-deficient: rank {len(pivots)} < {m.rows} rows; "
             "no right inverse exists"
         )
-    ops = _unpack_rows(words, aug_cols)[:, m.cols :]
-    d = np.zeros((m.cols, m.rows), dtype=np.uint8)
-    d[pivots, :] = ops
-    return BitMatrix.from_dense(d)
-
+    d = np.zeros((m.cols, _nwords(m.rows)), dtype=np.uint64)
+    d[pivots] = words[:, mw:]
+    return BitMatrix(m.cols, m.rows, d)

@@ -90,8 +90,6 @@ def _parse_ensemble(spec: str) -> codes.DegreeDistribution:
             return codes.DegreeDistribution(var, chk)
         dv, dc = (int(tok) for tok in spec.split(","))
         return codes.DegreeDistribution.regular(dv, dc)
-    except UsageError:
-        raise
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad ensemble spec {spec!r}: {exc}") from None
 
@@ -333,7 +331,8 @@ def cmd_region(args) -> None:
 
 
 def cmd_compare_bsc(args) -> None:
-    grid = _grid_values(args) if (args.grid or args.param) else [
+    explicit = args.grid is not None or args.param is not None
+    grid = _grid_values(args) if explicit else [
         float(q) for q in np.linspace(0.01, 0.5, 50)
     ]
     rows = []

@@ -180,7 +180,7 @@ def from_parity_check(h: BitMatrix, ensemble=None) -> LinearCode:
     reduced, pivots = bitlinalg.rref(h)
     r = len(pivots)
     h_norm = BitMatrix(r, h.cols, np.ascontiguousarray(reduced.words[:r]))
-    g = bitlinalg.nullspace_basis(h_norm)
+    g = bitlinalg._nullspace_from_rref(h_norm, pivots)
     return LinearCode(h.cols, h.cols - r, h_norm, g, h.copy(), ensemble)
 
 

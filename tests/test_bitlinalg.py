@@ -1,19 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretapcodes import bitlinalg
+import wiretapcodes
+from wiretapcodes import bitlinalg, codes
 from wiretapcodes._kernels import _rank_words_loops, _rank_words_numpy
 from wiretapcodes.bitlinalg import BitMatrix
 
 
-def dense_rank(mat) -> int:
-    """Independent GF(2) rank oracle: plain uint8 Gaussian elimination."""
+def dense_rref(mat, ncols=None) -> tuple[np.ndarray, list[int]]:
+    """Independent GF(2) oracle: plain uint8 Gauss-Jordan elimination.
+
+    Pivots are searched in the first ``ncols`` columns (all by default);
+    returns the reduced matrix and the pivot columns.
+    """
     a = np.array(mat, dtype=np.uint8) % 2
     rows, cols = a.shape
+    pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(cols if ncols is None else ncols):
         piv = None
         for i in range(r, rows):
             if a[i, c]:
@@ -25,8 +36,30 @@ def dense_rank(mat) -> int:
         for i in range(rows):
             if i != r and a[i, c]:
                 a[i] ^= a[r]
+        pivots.append(c)
         r += 1
-    return r
+    return a, pivots
+
+
+def dense_rank(mat) -> int:
+    return len(dense_rref(mat)[1])
+
+
+def dense_right_inverse(mat) -> np.ndarray:
+    """Oracle right inverse: the row operations of ``[mat | I]`` at the pivots."""
+    a = np.array(mat, dtype=np.uint8)
+    rows, cols = a.shape
+    reduced, pivots = dense_rref(np.hstack([a, np.eye(rows, dtype=np.uint8)]), cols)
+    assert len(pivots) == rows
+    d = np.zeros((cols, rows), dtype=np.uint8)
+    d[pivots] = reduced[:, cols:]
+    return d
+
+
+def low_rank_dense(rng, rows, cols, rank) -> np.ndarray:
+    left = rng.integers(0, 2, size=(rows, rank))
+    right = rng.integers(0, 2, size=(rank, cols))
+    return ((left @ right) % 2).astype(np.uint8)
 
 
 def rowspace(mat) -> set[bytes]:
@@ -76,11 +109,13 @@ class TestRank:
     @pytest.mark.parametrize("seed", range(6))
     def test_kernel_variants_agree(self, seed):
         rng = np.random.default_rng(seed)
-        rows, cols = rng.integers(1, 120, size=2)
-        m = random_bitmatrix(rng, rows, cols)
-        r_loops = _rank_words_loops(m.words.copy(), m.cols)
-        r_numpy = _rank_words_numpy(m.words.copy(), m.cols)
-        assert r_loops == r_numpy == dense_rank(m.to_dense())
+        rows, cols = (int(x) for x in rng.integers(1, 120, size=2))
+        full = random_bitmatrix(rng, rows, cols)
+        rank = int(rng.integers(0, min(rows, cols)))
+        for m in (full, BitMatrix.from_dense(low_rank_dense(rng, rows, cols, rank))):
+            r_loops = _rank_words_loops(m.words.copy(), m.cols)
+            r_numpy = _rank_words_numpy(m.words.copy(), m.cols)
+            assert r_loops == r_numpy == dense_rank(m.to_dense())
 
 
 class TestRref:
@@ -108,6 +143,24 @@ class TestRref:
         assert len(piv) == bitlinalg.rank(m)
         again, piv2 = bitlinalg.rref(r)
         assert again == r and piv2 == piv
+
+    # rows and columns on both sides of a word boundary, none a multiple of 64
+    @pytest.mark.parametrize("rows,cols,rank", [
+        (65, 130, None), (100, 70, None), (70, 190, 69), (130, 127, 100),
+        (129, 200, 33), (5, 193, None),
+    ])
+    def test_against_dense_oracle(self, rows, cols, rank):
+        rng = np.random.default_rng(rows * 1000 + cols)
+        if rank is None:
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        else:
+            dense = low_rank_dense(rng, rows, cols, rank)
+        r, piv = bitlinalg.rref(BitMatrix.from_dense(dense))
+        expect, expect_piv = dense_rref(dense)
+        assert piv == expect_piv
+        assert np.array_equal(r.to_dense(), expect)
+        if rank is not None:
+            assert len(piv) == rank
 
 
 class TestNullspace:
@@ -200,6 +253,25 @@ class TestRightInverse:
         d = bitlinalg.right_inverse(m)
         assert np.array_equal((m.to_dense() @ d.to_dense()) % 2, np.eye(rows))
 
+    @pytest.mark.parametrize("rows,cols", [(65, 130), (70, 71), (100, 190), (129, 200)])
+    def test_against_dense_oracle(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols)
+        while True:
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+            if dense_rank(dense) == rows:
+                break
+        d = bitlinalg.right_inverse(BitMatrix.from_dense(dense))
+        assert d.shape == (cols, rows)
+        assert np.array_equal(d.to_dense(), dense_right_inverse(dense))
+
+    def test_dual_parity_check_against_dense_oracle(self):
+        # the dual's h is the parent's generator, which is not in reduced form
+        h = codes.dual(codes.regular_ldpc(150, 3, 6, seed=4)).h
+        assert h.rows > 64
+        assert bitlinalg.rref(h)[0] != h
+        d = bitlinalg.right_inverse(h)
+        assert np.array_equal(d.to_dense(), dense_right_inverse(h.to_dense()))
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -235,3 +307,32 @@ def test_padding_bits_stay_zero():
         spill = mat.words[:, -1] >> np.uint64(70 - 64)
         assert not spill.any()
 
+
+def _import_without_numba(**env_extra):
+    """Import the package in a fresh interpreter where numba cannot be found."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("WIRETAPCODES_NO_NUMBA", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(Path(wiretapcodes.__file__).parents[1])
+    env.update(env_extra)
+    code = (
+        "import sys; sys.modules['numba'] = None; "
+        "from wiretapcodes import _kernels; print(_kernels.BACKEND)"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+
+
+class TestNumpyFallbackWarning:
+    def test_missing_numba_warns_once(self):
+        proc = _import_without_numba()
+        assert proc.stdout == "numpy\n"
+        assert proc.stderr.count("RuntimeWarning") == 1
+        assert "_rank_words_numpy" in proc.stderr
+        assert "8-10x slower" in proc.stderr
+
+    def test_chosen_fallback_is_silent(self):
+        proc = _import_without_numba(WIRETAPCODES_NO_NUMBA="1")
+        assert proc.stdout == "numpy\n"
+        assert proc.stderr == ""

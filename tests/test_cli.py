@@ -222,6 +222,15 @@ class TestCompareBscCommand:
         assert [float(rows[1][k]) for k in keys] == [0.5, 1.0, 1.0, 1.0]
         assert rows[1]["config_hash"]  # every row carries the config hash
 
+    @pytest.mark.parametrize("param", ["0", "0.6"])
+    def test_param_outside_range_is_usage_error(self, param, capsys):
+        # --param 0 is a given grid point, not "no --param": it must not fall
+        # back to the default table
+        assert run("compare-bsc", "--param", param) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"grid point {float(param)} outside (0, 0.5]" in captured.err
+
 
 class TestPlumbing:
     def test_usage_error_exit_code(self):

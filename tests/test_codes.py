@@ -69,6 +69,20 @@ class TestFromParityCheck:
         assert bitlinalg.rank(code.h) == code.n - code.k
         assert bitlinalg.rank(code.g) == code.k
 
+    def test_reduces_once_with_the_nullspace_basis_of_h(self, monkeypatch):
+        calls = []
+        rref = bitlinalg.rref
+
+        def counting_rref(m):
+            calls.append(m.shape)
+            return rref(m)
+
+        monkeypatch.setattr(bitlinalg, "rref", counting_rref)
+        code = codes.regular_ldpc(2000, 3, 6, seed=101)
+        assert calls == [(1000, 2000)]
+        monkeypatch.undo()
+        assert code.g == bitlinalg.nullspace_basis(code.h)
+
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 64), (7, 65), (40, 300)])
     def test_edge_lists_are_the_ones_in_row_major_order(self, shape):
