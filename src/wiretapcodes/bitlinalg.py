@@ -43,6 +43,53 @@ def _unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
     return np.ascontiguousarray(bits[:, :cols])
 
 
+# Rounds of the 64x64 bit-block transpose: (shift, mask of the bits whose
+# index has that shift's bit clear).
+_TRANSPOSE_ROUNDS = tuple(
+    (np.uint64(s), np.uint64(sum(1 << i for i in range(64) if not i & s)))
+    for s in (32, 16, 8, 4, 2, 1)
+)
+
+
+def _transpose_blocks(blocks: np.ndarray) -> None:
+    """Transpose in place every 64x64 bit block ``blocks[I, J]``, whose
+    ``i``-th word holds bits ``(i, 0..63)``.
+
+    Six rounds, all blocks at once: round ``s`` swaps the bits ``(i, j + s)``
+    and ``(i + s, j)`` for the ``i`` and ``j`` whose bit ``s`` is clear
+    (Hacker's Delight, section 7-3).
+    """
+    rb, cw = blocks.shape[:2]
+    for s, lo_mask in _TRANSPOSE_ROUNDS:
+        pairs = blocks.reshape(rb, cw, 64 // (2 * int(s)), 2, int(s))
+        lo, hi = pairs[:, :, :, 0], pairs[:, :, :, 1]
+        t = lo >> s
+        t ^= hi
+        t &= lo_mask
+        hi ^= t
+        t <<= s
+        lo ^= t
+
+
+def _transpose_words(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Packed words of the transpose of the ``rows x cols`` matrix ``words``."""
+    rb, cw = _nwords(rows), words.shape[1]
+    # blocks[I, J, i] is word J of row 64 I + i: the 64x64 block (I, J).
+    blocks = np.zeros((rb, cw, 64), dtype=np.uint64)
+    rows_of = blocks.transpose(0, 2, 1)
+    full = rows // 64
+    rows_of[:full] = words[: 64 * full].reshape(full, 64, cw)
+    if full < rb:
+        rows_of[full, : rows - 64 * full] = words[64 * full :]
+    _transpose_blocks(blocks)
+    # Block (I, J) is now block (J, I) of the transpose.
+    return np.ascontiguousarray(blocks.transpose(1, 2, 0).reshape(64 * cw, rb)[:cols])
+
+
+def _popcount_rows(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
 def pack_vector(v: np.ndarray, cols: int) -> np.ndarray:
     """Pack a length-`cols` bit vector into a 1-D uint64 word array."""
     return _pack_rows(np.asarray(v, dtype=np.uint8).reshape(1, -1), cols)[0]
@@ -96,13 +143,15 @@ class BitMatrix:
         return BitMatrix(self.rows, self.cols, self.words.copy())
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
+        """The transpose, computed on the packed words by 64x64 bit blocks;
+        no dense array is built."""
+        return BitMatrix(self.cols, self.rows, _transpose_words(self.words, self.rows, self.cols))
 
     def row_weights(self) -> np.ndarray:
-        return np.bitwise_count(self.words).sum(axis=1).astype(np.int64)
+        return _popcount_rows(self.words)
 
     def column_weights(self) -> np.ndarray:
-        return self.to_dense().sum(axis=0, dtype=np.int64)
+        return _popcount_rows(_transpose_words(self.words, self.rows, self.cols))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -144,24 +193,38 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
     """Basis of the right null space {v : m @ v = 0}, one vector per row.
 
     Returns a ``(cols - rank(m)) x cols`` matrix; for a generator matrix this
-    is a parity-check matrix of the dual code and vice versa.
+    is a parity-check matrix of the dual code and vice versa.  Row ``t`` has
+    a one at the ``t``-th free (non-pivot) column ``f``, zeros at the other
+    free columns, and ``R[i, f]`` at the ``i``-th pivot column, ``R`` being
+    the reduced row echelon form.  It is built on packed words only, with
+    one 64x64 bit-block transpose (see :func:`_nullspace_from_rref`).
     """
     return _nullspace_from_rref(*rref(m))
 
 
 def _nullspace_from_rref(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
-    """:func:`nullspace_basis` of a matrix whose ``rref`` is given."""
+    """:func:`nullspace_basis` of a matrix whose ``rref`` is given.
+
+    Let ``a`` be the ``cols x cols`` matrix whose row at the ``i``-th pivot
+    is row ``i`` of ``reduced`` and whose row at each free column ``f`` is
+    the unit vector ``e_f``.  Column ``f`` of ``a`` is then basis vector
+    ``f``, so the basis is the free rows of ``a``'s transpose: ``a`` is
+    written straight into 64x64 bit blocks, transposed, and its free rows
+    gathered.
+    """
     cols = reduced.cols
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    if free:
-        dense = _unpack_rows(reduced.words[: len(pivots)], cols)
-        basis[np.arange(len(free)), free] = 1
-        if pivots:
-            # v[pivot_i] = R[i, free] completes each free-column vector.
-            basis[:, pivots] = dense[:, free].T
-    return BitMatrix.from_dense(basis)
+    piv = np.array(pivots, dtype=np.intp)
+    free = np.ones(cols, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    nw = _nwords(cols)
+    blocks = np.zeros((nw, nw, 64), dtype=np.uint64)
+    rows_of = blocks.transpose(0, 2, 1)  # rows_of[I, i] is row 64 I + i of a
+    rows_of[piv // 64, piv % 64] = reduced.words[: piv.size]
+    rows_of[free // 64, free % 64, free // 64] = np.uint64(1) << (free % 64).astype(np.uint64)
+    _transpose_blocks(blocks)
+    basis = np.ascontiguousarray(blocks[:, free // 64, free % 64].T)
+    return BitMatrix(free.size, cols, basis)
 
 
 def mat_vec(m: BitMatrix, v) -> np.ndarray:

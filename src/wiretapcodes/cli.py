@@ -67,11 +67,14 @@ def _parse_grid(spec: str) -> list[float]:
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")
-            pts = np.linspace(float(start), float(stop), int(count))
-            return [float(p) for p in pts]
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+            values = [float(p) for p in np.linspace(float(start), float(stop), int(count))]
+        else:
+            values = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}: {exc}") from None
+    if not values:
+        raise UsageError(f"empty grid {spec!r}")
+    return values
 
 
 def _parse_ensemble(spec: str) -> codes.DegreeDistribution:
@@ -201,8 +204,8 @@ def cmd_threshold(args) -> None:
     elif args.channel == "biawgn":
         if args.seed is None:
             raise UsageError("empirical threshold estimation requires --seed")
-        code = _load_code(args)
         grid = _grid_values(args)
+        code = _load_code(args)
         rng = _spawn_rng(args.seed, 1)
         res = thresholds.empirical_bp_threshold_awgn(
             code, grid, args.trials, args.target_wer, rng
@@ -254,6 +257,7 @@ def cmd_simulate(args) -> None:
         raise UsageError("simulate requires --seed")
     if args.trials is None:
         raise UsageError("simulate requires --trials")
+    grid = _grid_values(args)
     base = _load_code(args)
     if args.estimator == "approach1":
         pair = codes.nested_pair_from_coarse(base)
@@ -264,7 +268,6 @@ def cmd_simulate(args) -> None:
     if args.estimator != "approach1":
         computed_delta = thresholds.bec_bp_threshold(base.degree_distribution()).value
 
-    grid = _grid_values(args)
     columns = (
         "estimator", "param", "n", "m", "rate", "trials", "seed",
         "estimate", "half_width", "method", "word_error_rate",

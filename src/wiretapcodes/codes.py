@@ -239,9 +239,14 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
             f"could not remove parallel edges after {_LDPC_FIXUP_ROUNDS} rounds"
         )
 
-    dense = np.zeros((m, n), dtype=np.uint8)
-    dense[chk_of_socket, var_of_socket] = 1
-    h = BitMatrix.from_dense(dense)
+    # One bit per edge; ufunc.at ORs the edges that share a word together.
+    words = np.zeros((m, bitlinalg._nwords(n)), dtype=np.uint64)
+    np.bitwise_or.at(
+        words,
+        (chk_of_socket, var_of_socket // 64),
+        np.uint64(1) << (var_of_socket % 64).astype(np.uint64),
+    )
+    h = BitMatrix(m, n, words)
     return from_parity_check(h, ensemble=DegreeDistribution.regular(dv, dc))
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import wiretapcodes
 from wiretapcodes import bitlinalg, codes
+from wiretapcodes import _kernels
 from wiretapcodes._kernels import _rank_words_loops, _rank_words_numpy
 from wiretapcodes.bitlinalg import BitMatrix
 
@@ -271,6 +272,102 @@ class TestRightInverse:
         assert bitlinalg.rref(h)[0] != h
         d = bitlinalg.right_inverse(h)
         assert np.array_equal(d.to_dense(), dense_right_inverse(h.to_dense()))
+
+
+class TestBlockedElimination:
+    """The blocked step against the dense oracle and the per-pivot step."""
+
+    # wide enough for the blocked step; no row or column count is a multiple of 64
+    @pytest.mark.parametrize("rows,cols,rank", [
+        (70, 3000, None), (70, 3000, 41), (130, 2600, None), (201, 2700, 150),
+        (65, 2561, 64), (3, 2600, None),
+    ])
+    def test_rref_and_rank_against_dense_oracle(self, rows, cols, rank):
+        assert bitlinalg._nwords(cols) >= _kernels._BLOCKED_MIN_WORDS
+        rng = np.random.default_rng(rows * 1000 + cols)
+        if rank is None:
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        else:
+            dense = low_rank_dense(rng, rows, cols, rank)
+        m = BitMatrix.from_dense(dense)
+        r, piv = bitlinalg.rref(m)
+        expect, expect_piv = dense_rref(dense)
+        assert piv == expect_piv
+        assert np.array_equal(r.to_dense(), expect)
+        assert bitlinalg.rank(m) == _rank_words_numpy(m.words.copy(), cols) == len(expect_piv)
+        if rank is not None:
+            assert len(piv) <= rank < rows
+
+    @pytest.mark.parametrize("rows,cols", [(70, 2600), (129, 2700)])
+    def test_right_inverse_against_dense_oracle(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols)
+        dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        assert dense_rank(dense) == rows
+        d = bitlinalg.right_inverse(BitMatrix.from_dense(dense))
+        assert np.array_equal(d.to_dense(), dense_right_inverse(dense))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_blocked_step_equals_per_pivot_step(self, seed):
+        # narrow shapes, so that _eliminate takes the per-pivot step; the
+        # words past ncols stand for the identity that right_inverse carries
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(x) for x in rng.integers(1, 200, size=2))
+        if seed % 3 == 0:
+            rank = int(rng.integers(0, min(rows, cols) + 1))
+            dense = low_rank_dense(rng, rows, cols, rank)
+        elif seed % 3 == 1:
+            dense = (rng.random((rows, cols)) < 0.03).astype(np.uint8)
+        else:
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        words = BitMatrix.from_dense(np.hstack([dense, np.eye(rows, dtype=np.uint8)])).words
+        assert words.shape[1] < _kernels._BLOCKED_MIN_WORDS
+        for clear_above in (True, False):
+            per_pivot, blocked = words.copy(), words.copy()
+            piv = _kernels._eliminate(per_pivot, cols, clear_above)
+            assert _kernels._eliminate_blocked(blocked, cols, clear_above) == piv
+            if clear_above and len(piv) == rows:
+                # rref is unique, and so is the row-operation record at full rank
+                assert np.array_equal(blocked, per_pivot)
+            elif clear_above:
+                r = len(piv)
+                assert np.array_equal(blocked[:r, : cols // 64], per_pivot[:r, : cols // 64])
+
+    def test_width_rule(self, monkeypatch):
+        calls = []
+        blocked = _kernels._eliminate_blocked
+
+        def spy(words, ncols, clear_above):
+            calls.append(words.shape)
+            return blocked(words, ncols, clear_above)
+
+        monkeypatch.setattr(_kernels, "_eliminate_blocked", spy)
+        narrow = BitMatrix.zeros(3, 64 * (_kernels._BLOCKED_MIN_WORDS - 1))
+        wide = BitMatrix.zeros(3, 64 * (_kernels._BLOCKED_MIN_WORDS - 1) + 1)
+        bitlinalg.rref(narrow)
+        assert calls == []
+        bitlinalg.rref(wide)
+        assert calls == [wide.words.shape]
+
+
+class TestTranspose:
+    SHAPES = [(0, 0), (0, 5), (5, 0), (0, 130), (130, 0), (1, 1), (63, 64),
+              (64, 65), (65, 63), (127, 129), (200, 3), (3, 200)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_against_dense(self, shape):
+        dense = np.random.default_rng(sum(shape)).integers(0, 2, size=shape, dtype=np.uint8)
+        m = BitMatrix.from_dense(dense)
+        t = m.transpose()
+        assert t == BitMatrix.from_dense(dense.T)
+        assert t.words.flags.c_contiguous
+        assert t.transpose() == m
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_column_weights_against_dense(self, shape):
+        dense = np.random.default_rng(sum(shape)).integers(0, 2, size=shape, dtype=np.uint8)
+        weights = BitMatrix.from_dense(dense).column_weights()
+        assert weights.dtype == np.int64
+        assert np.array_equal(weights, dense.sum(axis=0, dtype=np.int64))
 
 
 @settings(max_examples=60, deadline=None)

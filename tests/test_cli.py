@@ -232,6 +232,26 @@ class TestCompareBscCommand:
         assert f"grid point {float(param)} outside (0, 0.5]" in captured.err
 
 
+# Every subcommand that reads --grid, with the flags it needs besides.
+GRID_COMMANDS = {
+    "capacity": ["capacity", "--channel", "bec"],
+    "threshold": ["threshold", "--channel", "biawgn", "--ensemble", "3,6", "--n", "60",
+                  "--seed", "1", "--trials", "100"],
+    "simulate": ["simulate", "--estimator", "approach2-awgn", "--ensemble", "3,6",
+                 "--n", "60", "--seed", "1", "--trials", "2"],
+    "compare-bsc": ["compare-bsc"],
+}
+
+
+@pytest.mark.parametrize("spec", ["", ",", "0.1:0.5:0"])
+@pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+def test_empty_grid_is_usage_error(command, spec, capsys):
+    assert run(*GRID_COMMANDS[command], "--grid", spec) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: empty grid {spec!r}" in captured.err
+
+
 class TestPlumbing:
     def test_usage_error_exit_code(self):
         assert run("capacity") == 1

@@ -1,9 +1,16 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wiretapcodes import bitlinalg, codes
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.codes import AlistParseError, DegreeDistribution
+
+
+def sha(m: BitMatrix) -> str:
+    return hashlib.sha256(m.words.tobytes() + f"{m.rows}x{m.cols}".encode()).hexdigest()
 
 
 def codeword_set(code) -> set[bytes]:
@@ -165,6 +172,18 @@ class TestRegularLdpc:
         assert (dense.sum(axis=0) == dv).all()
         assert (dense.sum(axis=1) == dc).all()
 
+    # sha256 of the checks built by the earlier dense construction (a dense
+    # m x n uint8 array set at the (check, variable) sockets, then packed)
+    @pytest.mark.parametrize("args,digest", [
+        ((12, 3, 6, 0), "b21f4c8d25d3852cb2292a00d33316fa01866b76131ef6da1525a5e16332fd40"),
+        ((120, 3, 6, 4), "b23abf74b8813236560a9be29f46dbc998e5a2a94789ba7769cc19fa81096f36"),
+        ((500, 2, 4, 3), "5ec85c3a0130c65dc3575d498f2c0125c69d0a1aea41d158a6d66752ea22778b"),
+        ((999, 3, 9, 5), "f0fc43b02889eb8c4962dde56ce1cb6264cccab97d74d179035061163a5df2f4"),
+        ((1000, 3, 6, 7), "4f3bdce55f4b6abb92a4f146d35dfb5548dec14df427156bbd66e609d58d22ee"),
+    ])
+    def test_checks_match_the_dense_construction(self, args, digest):
+        assert sha(codes.regular_ldpc(*args).checks) == digest
+
     def test_degree_distribution_roundtrip(self):
         code = codes.regular_ldpc(120, 3, 6, seed=5)
         dd = code.degree_distribution()
@@ -258,3 +277,52 @@ class TestAlist:
         path.write_text("3 2\n2 2\n1 2 1\n2 2\n2 0\n1 2\n1 0\n2 3\n1 2\n")
         code = codes.read_alist(path)
         assert code.checks.to_dense().tolist() == [[0, 1, 1], [1, 1, 0]]
+
+
+# sha256 of every stored matrix of two code pairs, recorded before the blocked
+# elimination, the packed transpose and the packed null-space basis.  The
+# n=4002 checks (2668 x 63 words) are reduced by the blocked step, the n=2000
+# ones (1000 x 32 words) pivot by pivot.
+PINNED_COARSE = {
+    "ldpc4002": lambda: codes.regular_ldpc(4002, 4, 6, seed=8),
+    "dual-ldpc2000": lambda: codes.dual(codes.regular_ldpc(2000, 3, 6, seed=101)),
+}
+CONSTRUCTION_PINS = {
+    "ldpc4002": {
+        "checks": "5cd00f78c55da1888091873cacc24d9da621c0a3808f700aa4f7f4f5878b9cb3",
+        "h": "58d131779110479c00b4bad185e2c7f99fc3b4cf27015f899f5d84a06b6bb8e6",
+        "g": "8e12ba7c3a763164017d19aff4d48ef88d7284ad308658b56e2d802c2e119bf5",
+        "d": "367dfbd7952dffaa212bbbd3faaf422dbcd6b98ea7f8a0299e8c0623f55f6373",
+        "_h1_columns": "6a1d03bd357b11a85bb61e2d47ab056bbd375eebf9b424adc817bf7fa37e7e3e",
+    },
+    "dual-ldpc2000": {
+        "checks": "48c3d3023ccb605a146bac149f82279567c11837d829f5909441558f7b354832",
+        "h": "48c3d3023ccb605a146bac149f82279567c11837d829f5909441558f7b354832",
+        "g": "d5b59075e55f997ae97f039bae8c3db94c2636a35e0d65458cee7a2eb498affc",
+        "d": "6973097c6273b53b60afc78ff18df51640eb5d81a8df528bcab749929488c5ee",
+        "_h1_columns": "5d169867b3ea6b55b99f0601866e46dfd446875ea7b5c30b12186cf00e0acbff",
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(CONSTRUCTION_PINS))
+def test_construction_is_bit_identical(label):
+    coarse = PINNED_COARSE[label]()
+    pair = codes.nested_pair_from_coarse(coarse)
+    got = {
+        "checks": sha(coarse.checks), "h": sha(coarse.h), "g": sha(coarse.g),
+        "d": sha(pair.d), "_h1_columns": sha(pair._h1_columns),
+    }
+    assert got == CONSTRUCTION_PINS[label]
+
+
+def test_construction_holds_no_dense_check_sized_array():
+    # A dense m x n uint8 array of the n=4002 (4,6) checks takes 2668 * 4002
+    # bytes; every construction step works on packed words and stays below it.
+    tracemalloc.start()
+    try:
+        codes.nested_pair_from_coarse(codes.regular_ldpc(4002, 4, 6, seed=8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2668 * 4002
