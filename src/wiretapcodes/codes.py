@@ -87,11 +87,14 @@ class LinearCode:
     span : BitMatrix or None
         Rows spanning the code itself (possibly redundant), when a sparse
         set is known: the dual of a code keeps the parent's ``checks``.
+    pivots : numpy.ndarray or None
+        Per row of ``h``, its pivot column, when ``h`` is in reduced row
+        echelon form (codes from :func:`from_parity_check`).
     """
 
-    __slots__ = ("n", "k", "h", "g", "checks", "ensemble", "span", "_edge_cache")
+    __slots__ = ("n", "k", "h", "g", "checks", "ensemble", "span", "pivots", "_edge_cache")
 
-    def __init__(self, n, k, h, g, checks, ensemble=None, span=None):
+    def __init__(self, n, k, h, g, checks, ensemble=None, span=None, pivots=None):
         self.n = n
         self.k = k
         self.h = h
@@ -99,6 +102,7 @@ class LinearCode:
         self.checks = checks
         self.ensemble = ensemble
         self.span = span
+        self.pivots = pivots
         self._edge_cache = None
 
     @property
@@ -156,6 +160,15 @@ def _edges(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
     return ri[k].astype(np.int64), (wi[k] * 64 + bit).astype(np.int64)
 
 
+def _pack_edges(rows, cols, nrows: int, ncols: int) -> BitMatrix:
+    """The ``nrows x ncols`` matrix with its ones at ``(rows[i], cols[i])``,
+    packed without a dense intermediate: the inverse of :func:`_edges`."""
+    words = np.zeros((nrows, bitlinalg._nwords(ncols)), dtype=np.uint64)
+    # One bit per edge; ufunc.at ORs the edges that share a word together.
+    np.bitwise_or.at(words, (rows, cols // 64), np.uint64(1) << (cols % 64).astype(np.uint64))
+    return BitMatrix(nrows, ncols, words)
+
+
 def _single_one_columns(m: BitMatrix) -> np.ndarray:
     """Per row of ``m``, the column of its only one, or -1 when the row's
     weight is not one."""
@@ -181,7 +194,8 @@ def from_parity_check(h: BitMatrix, ensemble=None) -> LinearCode:
     r = len(pivots)
     h_norm = BitMatrix(r, h.cols, np.ascontiguousarray(reduced.words[:r]))
     g = bitlinalg._nullspace_from_rref(h_norm, pivots)
-    return LinearCode(h.cols, h.cols - r, h_norm, g, h.copy(), ensemble)
+    pivots = np.array(pivots, dtype=np.int64)
+    return LinearCode(h.cols, h.cols - r, h_norm, g, h.copy(), ensemble, pivots=pivots)
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -239,14 +253,7 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
             f"could not remove parallel edges after {_LDPC_FIXUP_ROUNDS} rounds"
         )
 
-    # One bit per edge; ufunc.at ORs the edges that share a word together.
-    words = np.zeros((m, bitlinalg._nwords(n)), dtype=np.uint64)
-    np.bitwise_or.at(
-        words,
-        (chk_of_socket, var_of_socket // 64),
-        np.uint64(1) << (var_of_socket % 64).astype(np.uint64),
-    )
-    h = BitMatrix(m, n, words)
+    h = _pack_edges(chk_of_socket, var_of_socket, m, n)
     return from_parity_check(h, ensemble=DegreeDistribution.regular(dv, dc))
 
 
@@ -296,7 +303,10 @@ class NestedCodePair:
 
 def nested_pair_from_coarse(coarse: LinearCode) -> NestedCodePair:
     """Nest ``coarse`` inside the full space {0,1}^n."""
-    return NestedCodePair(coarse, bitlinalg.right_inverse(coarse.h))
+    if coarse.pivots is None:  # h not in reduced form: eliminate
+        return NestedCodePair(coarse, bitlinalg.right_inverse(coarse.h))
+    r = coarse.pivots.size  # a reduced h's right inverse: unit rows at its pivots
+    return NestedCodePair(coarse, _pack_edges(coarse.pivots, np.arange(r), coarse.n, r))
 
 
 class AlistParseError(ValueError):
@@ -343,7 +353,7 @@ def read_alist(path) -> LinearCode:
         raise AlistParseError(f"line 4: expected {m} row degrees, got {len(row_deg)}")
 
     def read_index_block(start, count, degs, limit, what):
-        block = []
+        own, block = [], []
         for i in range(count):
             lineno = start + i
             entries = _alist_ints(need(lineno), lineno)
@@ -359,40 +369,40 @@ def read_alist(path) -> LinearCode:
                     )
             if any(v != 0 for v in entries[degs[i] :]):
                 raise AlistParseError(f"line {lineno}: nonzero padding entries")
-            block.append(idx)
-        return block
+            own += [i] * len(idx)
+            block += idx
+        return np.array(own, dtype=np.int64), np.array(block, dtype=np.int64) - 1
 
-    col_block = read_index_block(5, n, col_deg, m, "row")
-    row_block = read_index_block(5 + n, m, row_deg, n, "column")
-
-    dense = np.zeros((m, n), dtype=np.uint8)
-    for j, rows_1based in enumerate(col_block):
-        for r in rows_1based:
-            dense[r - 1, j] = 1
-    for i, cols_1based in enumerate(row_block):
-        expected = set(np.nonzero(dense[i])[0] + 1)
-        if set(cols_1based) != expected:
-            raise AlistParseError(
-                f"line {5 + n + i}: row list disagrees with column lists"
-            )
-    return from_parity_check(BitMatrix.from_dense(dense))
+    col_of, row_idx = read_index_block(5, n, col_deg, m, "row")
+    h = _pack_edges(row_idx, col_of, m, n)
+    from_rows = _pack_edges(*read_index_block(5 + n, m, row_deg, n, "column"), m, n)
+    differ = np.flatnonzero((h.words != from_rows.words).any(axis=1))
+    if differ.size:
+        raise AlistParseError(
+            f"line {5 + n + differ[0]}: row list disagrees with column lists"
+        )
+    return from_parity_check(h)
 
 
 def write_alist(code: LinearCode, path) -> None:
     """Write the raw check matrix of ``code`` in alist format."""
-    dense = code.checks.to_dense()
-    m, n = dense.shape
-    col_deg = dense.sum(axis=0, dtype=np.int64)
-    row_deg = dense.sum(axis=1, dtype=np.int64)
+    m, n = code.checks.shape
+    chk, var = _edges(code.checks)  # row-major: the row lists
+    by_col = np.lexsort((chk, var))  # column-major: the column lists
+    col_deg = np.bincount(var, minlength=n)
+    row_deg = np.bincount(chk, minlength=m)
+
+    def index_lines(idx, degs):
+        one_based, ends = (idx + 1).tolist(), np.cumsum(degs).tolist()
+        return [" ".join(map(str, one_based[e - d : e])) for d, e in zip(degs, ends)]
+
     out = [
         f"{n} {m}",
         f"{int(col_deg.max(initial=0))} {int(row_deg.max(initial=0))}",
         " ".join(str(int(d)) for d in col_deg),
         " ".join(str(int(d)) for d in row_deg),
+        *index_lines(chk[by_col], col_deg),
+        *index_lines(var, row_deg),
     ]
-    for j in range(n):
-        out.append(" ".join(str(int(i) + 1) for i in np.nonzero(dense[:, j])[0]))
-    for i in range(m):
-        out.append(" ".join(str(int(j) + 1) for j in np.nonzero(dense[i])[0]))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(out) + "\n")

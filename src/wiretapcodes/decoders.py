@@ -3,7 +3,8 @@
 Both decoders run on ``code.checks`` (the check matrix as constructed, which
 for LDPC ensembles is the sparse low-density one, not the rank-normalized
 view) using flat edge arrays, so a decoding iteration is a handful of
-vectorized segment reductions.
+vectorized segment reductions.  The BEC decoder and the exact erasure ranks
+of :mod:`.secrecy` share one peeling routine, ``_peel_edges``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,33 @@ from .codes import LinearCode
 
 ERASED_BIT = -1
 _PHI_CLIP = 1e-12
+
+
+def _peel_edges(chk, var, num_checks, unknown):
+    """Peel the Tanner graph ``(chk[i], var[i])``: each round resolves every
+    variable that is the only ``unknown`` one at some check, clearing it in
+    ``unknown`` in place.  Returns ``(rounds, core_chk, core_var)``: per round
+    its resolving ``(chk, var)`` edges in edge order, then the core's edges.
+    """
+    rounds = []
+    keep = unknown[var]
+    chk, var = chk[keep], var[keep]
+    while chk.size:
+        single = np.bincount(chk, minlength=num_checks)[chk] == 1
+        if not single.any():
+            break
+        resolved = var[single]
+        rounds.append((chk[single], resolved))
+        unknown[resolved] = False
+        keep = unknown[var]
+        chk, var = chk[keep], var[keep]
+    return rounds, chk, var
+
+
+def _check_parity(edge_chk, edge_var, bits, num_checks) -> np.ndarray:
+    """Per check, the parity of the 0/1 ``bits`` of its variables."""
+    weights = bits[edge_var].astype(np.float64)
+    return np.bincount(edge_chk, weights=weights, minlength=num_checks).astype(np.int64) & 1
 
 
 def peeling_decode_bec(code: LinearCode, zprime) -> tuple[np.ndarray, bool]:
@@ -33,33 +61,16 @@ def peeling_decode_bec(code: LinearCode, zprime) -> tuple[np.ndarray, bool]:
     edge_chk, edge_var = code.edge_lists()
     m = code.checks.rows
 
-    bits = np.full(code.n, ERASED_BIT, dtype=np.int8)
-    known = z != 0
-    bits[known] = (1 - z[known]) // 2  # +1 -> bit 0, -1 -> bit 1
-
-    while True:
-        unknown_edge = bits[edge_var] < 0
-        unknown_cnt = np.bincount(edge_chk, weights=unknown_edge, minlength=m)
-        resolvable = unknown_edge & (unknown_cnt[edge_chk] == 1)
-        if not resolvable.any():
-            break
-        known_vals = np.where(bits[edge_var] > 0, 1.0, 0.0) * ~unknown_edge
-        parity = np.bincount(edge_chk, weights=known_vals, minlength=m).astype(np.int64) & 1
-        targets = edge_var[resolvable]
-        values = parity[edge_chk[resolvable]]
+    bits = (z < 0).astype(np.int8)  # +1 -> 0, -1 -> 1, and 0 (no parity) while erased
+    unknown = z == 0
+    for chk, var in _peel_edges(edge_chk, edge_var, m, unknown)[0]:
         # A variable may be forced by several checks at once; take the first
         # listed, any later conflict surfaces as an unsatisfied check below.
-        uniq, first = np.unique(targets, return_index=True)
-        bits[uniq] = values[first].astype(np.int8)
+        var, first = np.unique(var, return_index=True)
+        bits[var] = _check_parity(edge_chk, edge_var, bits, m)[chk[first]]
 
-    complete = bool((bits >= 0).all())
-    if complete:
-        syndrome = np.bincount(
-            edge_chk, weights=bits[edge_var].astype(np.float64), minlength=m
-        ).astype(np.int64) & 1
-        success = not syndrome.any()
-    else:
-        success = False
+    success = not unknown.any() and not _check_parity(edge_chk, edge_var, bits, m).any()
+    bits[unknown] = ERASED_BIT
     return bits, success
 
 
@@ -83,9 +94,7 @@ def bp_decode_awgn(
 
     def decide(posterior):
         bits = (posterior < 0).astype(np.uint8)
-        syndrome = np.bincount(
-            edge_chk, weights=bits[edge_var].astype(np.float64), minlength=m
-        ).astype(np.int64) & 1
+        syndrome = _check_parity(edge_chk, edge_var, bits, m)
         # posteriors below the clip scale carry no information (e.g. all-zero
         # channel LLRs); refuse to call those decisions a success
         ok = not syndrome.any() and bool(np.all(np.abs(posterior) >= 1e-9))

@@ -36,8 +36,8 @@ import numpy as np
 from . import bitlinalg
 from ._kernels import rank_words
 from .channels import ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
-from .codes import NestedCodePair
-from .decoders import bp_decode_awgn, peeling_decode_bec  # re-exported decoders
+from .codes import NestedCodePair, _pack_edges
+from .decoders import _peel_edges, bp_decode_awgn, peeling_decode_bec  # decoders re-exported
 from .thresholds import wilson_interval
 
 __all__ = [
@@ -134,42 +134,22 @@ def _compact(idx: np.ndarray) -> tuple[np.ndarray, int]:
 def _peel(pair: NestedCodePair, erased_idx: np.ndarray):
     """Peel the coarse code's sparse span ``S`` on the unerased positions.
 
-    Repeatedly removes every column of ``S`` restricted to the unerased
-    positions that is the only one left in some row (a row singleton).  Each
-    such column adds exactly one to the rank of the restriction, so that rank
-    is the number peeled plus the rank of what remains: the stopping-set
-    core.  Returns ``(peeled, rows, cols, shape)``, the core being the
+    A column of the restriction that is the only one left in some row adds
+    exactly one to its rank: the rank is the number peeled plus that of the
+    stopping-set core left, returned as ``(peeled, rows, cols, shape)``, the
     ``shape`` matrix with its ones at ``(rows[i], cols[i])``.
     """
-    ri, ci = pair._span_edges
-    unerased = np.ones(pair.n, dtype=bool)
-    unerased[erased_idx] = False
-    keep = unerased[ci]
-    ri, ci = ri[keep], ci[keep]
-    peeled = np.zeros(pair.n, dtype=bool)
-    span_rows = pair.coarse.span.rows
-    while ri.size:
-        single = np.bincount(ri, minlength=span_rows)[ri] == 1
-        if not single.any():
-            break
-        peeled[ci[single]] = True
-        keep = ~peeled[ci]
-        ri, ci = ri[keep], ci[keep]
+    remaining = np.ones(pair.n, dtype=bool)
+    remaining[erased_idx] = False
+    _, ri, ci = _peel_edges(*pair._span_edges, pair.coarse.span.rows, remaining)
     rows, nr = _compact(ri)
     cols, nc = _compact(ci)
-    return int(np.count_nonzero(peeled)), rows, cols, (nr, nc)
-
-
-def _rank01(dense: np.ndarray) -> int:
-    """GF(2) rank of a 0/1 array."""
-    return int(rank_words(bitlinalg.BitMatrix.from_dense(dense).words, dense.shape[1]))
+    return pair.n - erased_idx.size - int(np.count_nonzero(remaining)), rows, cols, (nr, nc)
 
 
 def _core_rank(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> int:
     """GF(2) rank of the ``shape`` matrix with its ones at ``(rows[i], cols[i])``."""
-    dense = np.zeros(shape, dtype=np.uint8)
-    dense[rows, cols] = 1
-    return _rank01(dense)
+    return int(rank_words(_pack_edges(rows, cols, *shape).words, shape[1]))
 
 
 def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
@@ -199,7 +179,8 @@ def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
             return m - unerased + peeled + _core_rank(rows, cols, shape)
     sub = pair._h1_columns.words[other_cols]
     dense = bitlinalg.BitMatrix(other_cols.size, m, sub).to_dense()[:, other_rows]
-    return m - other_rows.size + _rank01(dense)
+    rank = int(rank_words(bitlinalg.BitMatrix.from_dense(dense).words, other_rows.size))
+    return m - other_rows.size + rank
 
 
 def exact_equivocation_bec(pair: NestedCodePair, erased) -> int:

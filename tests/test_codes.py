@@ -222,6 +222,35 @@ class TestNestedPair:
         prod = (pair.h1.to_dense() @ pair.d.to_dense()) % 2
         assert np.array_equal(prod, np.eye(pair.m))
 
+    def test_coset_map_comes_from_pivots_without_elimination(self, monkeypatch):
+        calls = []
+        right_inverse = bitlinalg.right_inverse
+
+        def counting_right_inverse(m):
+            calls.append(m.shape)
+            return right_inverse(m)
+
+        monkeypatch.setattr(bitlinalg, "right_inverse", counting_right_inverse)
+        code = codes.regular_ldpc(120, 3, 6, seed=4)
+        codes.nested_pair_from_coarse(code)
+        assert calls == []
+        # a dual's h is the parent's generator, not reduced: eliminate once
+        codes.nested_pair_from_coarse(codes.dual(code))
+        assert calls == [(code.k, code.n)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pivot_coset_map_is_the_right_inverse(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(1, 150))
+        rows = int(rng.integers(2, n + 10))
+        rank = int(rng.integers(0, min(rows - 1, n) + 1))  # rank-deficient rows
+        dense = (rng.integers(0, 2, size=(rows, rank)) @ rng.integers(0, 2, size=(rank, n))) % 2
+        cases = [dense, np.zeros((rows, n)), np.eye(n)]
+        for h in cases:
+            code = codes.from_parity_check(BitMatrix.from_dense(h.astype(np.uint8)))
+            pair = codes.nested_pair_from_coarse(code)
+            assert pair.d == bitlinalg.right_inverse(code.h)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_pairs_partition(self, seed):
         rng = np.random.default_rng(500 + seed)
@@ -271,6 +300,36 @@ class TestAlist:
         path.write_text("3 1\n1 1\n1 1 1\n3\n2\n1\n1\n1 2 3\n")
         with pytest.raises(AlistParseError, match="outside"):
             codes.read_alist(path)
+
+    def test_row_list_disagreeing_with_column_lists_names_its_line(self, tmp_path):
+        # columns say row 2 is {1, 3}; its row list (line 9) says {1, 2}
+        path = tmp_path / "bad4.alist"
+        path.write_text("3 2\n2 2\n2 1 1\n2 2\n1 2\n1\n2\n1 2\n1 2\n")
+        with pytest.raises(AlistParseError, match="line 9: row list disagrees"):
+            codes.read_alist(path)
+
+    def test_roundtrip_keeps_zero_rows_and_columns(self, tmp_path):
+        dense = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 1]], dtype=np.uint8)
+        code = codes.from_parity_check(BitMatrix.from_dense(dense))
+        path = tmp_path / "zeros.alist"
+        codes.write_alist(code, path)
+        assert path.read_text().splitlines()[5:8] == ["", "1", "3"]  # columns 2-4
+        back = codes.read_alist(path)
+        assert back.checks == code.checks
+        assert back.h == code.h
+
+    def test_roundtrip_holds_no_dense_check_sized_array(self, tmp_path):
+        code = codes.regular_ldpc(4002, 4, 6, seed=8)
+        path = tmp_path / "ldpc4002.alist"
+        tracemalloc.start()
+        try:
+            codes.write_alist(code, path)
+            back = codes.read_alist(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.checks == code.checks
+        assert peak < 2668 * 4002  # a dense m x n uint8 array of the checks
 
     def test_padding_zeros_tolerated(self, tmp_path):
         path = tmp_path / "pad.alist"

@@ -322,6 +322,35 @@ class TestPeeling:
         assert not ok
         assert word.tolist() == [0, 1, 0]  # unerased positions untouched
 
+    def test_same_round_conflict_first_check_wins_and_is_reported(self):
+        # both checks force variable 0 in the first round, to 0 and to 1
+        code = codes.from_parity_check(BitMatrix.from_dense([[1, 1, 0], [1, 0, 1]]))
+        word, ok = secrecy.peeling_decode_bec(code, np.array([0, 1, -1], dtype=np.int8))
+        assert word.tolist() == [0, 0, 1]
+        assert not ok
+
+    # BEC BP thresholds: (3,6) 0.4294, (4,6) 0.5061
+    @pytest.mark.parametrize("n,dv,dc,eps,below", [
+        (120, 3, 6, 0.25, True), (120, 3, 6, 0.55, False),
+        (102, 4, 6, 0.30, True), (102, 4, 6, 0.60, False),
+    ])
+    def test_resolved_positions_are_the_sent_bits(self, n, dv, dc, eps, below):
+        code = codes.regular_ldpc(n, dv, dc, seed=n + dv)
+        rng = np.random.default_rng(int(100 * eps))
+        successes = partial = 0
+        for _ in range(40):
+            cw = code.random_codeword(rng)
+            z = bec_transmit(modulate(cw), eps, rng)
+            word, ok = secrecy.peeling_decode_bec(code, z)
+            resolved = word >= 0
+            assert np.array_equal(word[resolved], cw[resolved])
+            assert ok == bool(resolved.all())
+            successes += ok
+            partial += not ok and np.count_nonzero(resolved) > np.count_nonzero(z)
+        assert (successes > 30) == below
+        # above the threshold, failed decodes still resolve some erasures
+        assert below or partial > 30
+
     def test_threshold_behaviour_at_n_10k(self):
         code = codes.regular_ldpc(10_000, 3, 6, seed=20)
         x = modulate(np.zeros(10_000, dtype=np.uint8)).astype(np.int8)
