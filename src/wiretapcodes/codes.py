@@ -351,6 +351,9 @@ def read_alist(path) -> LinearCode:
     row_deg = _alist_ints(need(4), 4)
     if len(row_deg) != m:
         raise AlistParseError(f"line 4: expected {m} row degrees, got {len(row_deg)}")
+    for lineno, degs in ((3, col_deg), (4, row_deg)):
+        if min(degs, default=0) < 0:
+            raise AlistParseError(f"line {lineno}: negative degree {min(degs)}")
 
     def read_index_block(start, count, degs, limit, what):
         own, block = [], []

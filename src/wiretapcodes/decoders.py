@@ -88,6 +88,8 @@ def bp_decode_awgn(
     llr = np.asarray(llrs, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"expected {code.n} LLRs, got {llr.shape}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     edge_chk, edge_var = code.edge_lists()
     m = code.checks.rows
     n = code.n

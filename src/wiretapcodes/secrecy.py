@@ -162,7 +162,8 @@ def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
     ``m - |Ebar| + rank(S_Ebar)`` over the unerased positions ``Ebar``
     (``h1`` is a parity-check matrix of the code ``S`` spans), and peeling
     leaves only the core of ``S_Ebar`` to eliminate.  Whichever of the two
-    eliminations has the smaller side runs.
+    eliminations has the smaller side runs; the second ranks rows of ``h1``
+    or of its transpose, whichever side is smaller, masked to the other side.
     """
     m = pair.m
     if erased_idx.size == 0 or m == 0:
@@ -177,10 +178,14 @@ def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
         if min(shape) < min(other_cols.size, other_rows.size):
             unerased = pair.n - erased_idx.size
             return m - unerased + peeled + _core_rank(rows, cols, shape)
-    sub = pair._h1_columns.words[other_cols]
-    dense = bitlinalg.BitMatrix(other_cols.size, m, sub).to_dense()[:, other_rows]
-    rank = int(rank_words(bitlinalg.BitMatrix.from_dense(dense).words, other_rows.size))
-    return m - other_rows.size + rank
+    if other_cols.size <= other_rows.size:
+        words, ncols, keep = pair._h1_columns.words[other_cols], m, ~pivoted
+    else:
+        words, ncols = pair.h1.words[other_rows], pair.n
+        keep = np.zeros(ncols, dtype=bool)
+        keep[other_cols] = True
+    words &= bitlinalg.pack_vector(keep, ncols)
+    return m - other_rows.size + int(rank_words(words, ncols))
 
 
 def exact_equivocation_bec(pair: NestedCodePair, erased) -> int:

@@ -1,0 +1,70 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_summary.py"
+_SPEC = importlib.util.spec_from_file_location("bench_summary", _PATH)
+bench_summary = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_summary)
+
+
+def write_result(directory, workload, seed, trials_per_s, digest, commit, trace=0):
+    directory.mkdir(exist_ok=True)
+    record = {
+        "workload": workload,
+        "provenance": {"backend": "numpy", "python": "3.11.7", "nproc": 2,
+                       "seed": seed, "commit": commit},
+        "end_to_end": {"trials_per_s": trials_per_s, "ok_ratio": 1.0},
+        "result_digest": digest,
+    }
+    path = directory / f"result-{workload}-seed{seed}-trace{trace}.json"
+    path.write_text(json.dumps(record))
+
+
+@pytest.fixture
+def dirs(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, rate in zip((1, 2, 3, 4), (10.0, 20.0, 30.0, 40.0)):
+        write_result(parent, "hot", seed, rate, f"d{seed}", "aaa")
+        write_result(change, "hot", seed, 2 * rate, f"d{seed}" if seed != 3 else "x", "bbb")
+    write_result(parent, "hot", 5, 99.0, "d5", "aaa")  # no partner seed
+    write_result(change, "hot", 1, 1e9, "d1", "bbb", trace=1)  # traced, ignored
+    write_result(change, "cold", 1, 1.0, "c", "bbb")  # no parent run
+    return parent, change
+
+
+def test_summary_pairs_seeds_and_keeps_provenance(dirs, tmp_path):
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main([str(dirs[0]), str(dirs[1]), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert list(summary["workloads"]) == ["hot"]
+    hot = summary["workloads"]["hot"]
+    assert hot["seeds"] == [1, 2, 3, 4]
+    assert hot["digests_equal"] == {"1": True, "2": True, "3": False, "4": True}
+    rate = hot["end_to_end"]["trials_per_s"]
+    assert rate["parent"] == {"median": 25.0, "q1": 17.5, "q3": 32.5, "iqr": 15.0}
+    assert rate["change"] == {"median": 50.0, "q1": 35.0, "q3": 65.0, "iqr": 30.0}
+    assert hot["end_to_end"]["ok_ratio"]["change"]["iqr"] == 0.0
+    assert summary["provenance"]["parent"] == {
+        "backend": "numpy", "python": "3.11.7", "nproc": 2, "commit": "aaa"}
+    assert summary["provenance"]["change"]["commit"] == "bbb"
+
+
+def test_single_seed_and_mixed_provenance(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    write_result(parent, "hot", 7, 3.0, "d", "aaa")
+    write_result(change, "hot", 7, 4.0, "d", "bbb")
+    write_result(change, "warm", 7, 4.0, "d", "ccc")
+    write_result(parent, "warm", 7, 4.0, "d", "aaa")
+    summary = bench_summary.summarize(parent, change)
+    assert summary["workloads"]["hot"]["end_to_end"]["trials_per_s"]["parent"]["iqr"] == 0.0
+    assert summary["provenance"]["change"]["commit"] == ["bbb", "ccc"]
+
+
+def test_no_common_seed_is_an_error(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    write_result(parent, "hot", 1, 3.0, "d", "aaa")
+    write_result(change, "hot", 2, 3.0, "d", "bbb")
+    assert bench_summary.main([str(parent), str(change), "--out", str(tmp_path / "o")]) == 1

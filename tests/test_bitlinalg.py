@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wiretapcodes
@@ -308,8 +308,8 @@ class TestBlockedElimination:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_blocked_step_equals_per_pivot_step(self, seed):
-        # narrow shapes, so that _eliminate takes the per-pivot step; the
-        # words past ncols stand for the identity that right_inverse carries
+        # the block step on narrow shapes against the per-pivot dense oracle;
+        # the words past ncols stand for the identity that right_inverse carries
         rng = np.random.default_rng(seed)
         rows, cols = (int(x) for x in rng.integers(1, 200, size=2))
         if seed % 3 == 0:
@@ -319,33 +319,50 @@ class TestBlockedElimination:
             dense = (rng.random((rows, cols)) < 0.03).astype(np.uint8)
         else:
             dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-        words = BitMatrix.from_dense(np.hstack([dense, np.eye(rows, dtype=np.uint8)])).words
+        with_eye = np.hstack([dense, np.eye(rows, dtype=np.uint8)])
+        words = BitMatrix.from_dense(with_eye).words
         assert words.shape[1] < _kernels._BLOCKED_MIN_WORDS
+        expect, expect_piv = dense_rref(with_eye, cols)
         for clear_above in (True, False):
-            per_pivot, blocked = words.copy(), words.copy()
-            piv = _kernels._eliminate(per_pivot, cols, clear_above)
-            assert _kernels._eliminate_blocked(blocked, cols, clear_above) == piv
-            if clear_above and len(piv) == rows:
+            reduced = words.copy()
+            piv = _kernels._eliminate(reduced, cols, clear_above)
+            assert piv == expect_piv
+            got = bitlinalg._unpack_rows(reduced, with_eye.shape[1])
+            r = len(piv)
+            if clear_above and r == rows:
                 # rref is unique, and so is the row-operation record at full rank
-                assert np.array_equal(blocked, per_pivot)
+                assert np.array_equal(got, expect)
+                d = np.zeros((cols, rows), dtype=np.uint8)
+                d[piv] = got[:, cols:]
+                assert np.array_equal(d, dense_right_inverse(dense))
             elif clear_above:
-                r = len(piv)
-                assert np.array_equal(blocked[:r, : cols // 64], per_pivot[:r, : cols // 64])
+                assert np.array_equal(got[:r, :cols], expect[:r, :cols])
+            else:
+                # echelon rows span the same space as the oracle's pivot rows
+                assert not got[r:, :cols].any()
+                assert dense_rank(np.vstack([got[:r, :cols], expect[:r, :cols]])) == r
 
     def test_width_rule(self, monkeypatch):
+        # rref takes the block step at any width; only ranks have a width rule
         calls = []
-        blocked = _kernels._eliminate_blocked
+        eliminate = _kernels._eliminate
 
         def spy(words, ncols, clear_above):
             calls.append(words.shape)
-            return blocked(words, ncols, clear_above)
+            return eliminate(words, ncols, clear_above)
 
-        monkeypatch.setattr(_kernels, "_eliminate_blocked", spy)
+        monkeypatch.setattr(_kernels, "_eliminate", spy)
+        monkeypatch.setattr(bitlinalg, "_eliminate", spy)
         narrow = BitMatrix.zeros(3, 64 * (_kernels._BLOCKED_MIN_WORDS - 1))
         wide = BitMatrix.zeros(3, 64 * (_kernels._BLOCKED_MIN_WORDS - 1) + 1)
-        bitlinalg.rref(narrow)
+        tiny = BitMatrix.identity(2)
+        for m in (tiny, narrow, wide):
+            bitlinalg.rref(m)
+        assert calls == [tiny.words.shape, narrow.words.shape, wide.words.shape]
+        calls.clear()
+        assert _rank_words_numpy(narrow.words.copy(), narrow.cols) == 0
         assert calls == []
-        bitlinalg.rref(wide)
+        assert _rank_words_numpy(wide.words.copy(), wide.cols) == 0
         assert calls == [wide.words.shape]
 
 
@@ -393,6 +410,37 @@ def test_rank_nullity(seed, rows, cols):
     m = random_bitmatrix(rng, rows, cols)
     basis = bitlinalg.nullspace_basis(m)
     assert bitlinalg.rank(basis) + bitlinalg.rank(m) == m.cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 48),
+    ncols=st.one_of(
+        st.integers(0, 200),
+        st.integers(64 * (_kernels._BLOCKED_MIN_WORDS - 2), 64 * _kernels._BLOCKED_MIN_WORDS + 70),
+    ),
+    extra_words=st.integers(0, 2),
+    rank=st.none() | st.integers(0, 48),
+)
+@example(seed=0, rows=3, ncols=0, extra_words=0, rank=None)  # a 0-word array
+@example(seed=0, rows=0, ncols=130, extra_words=1, rank=None)
+@example(seed=1, rows=40, ncols=64 * _kernels._BLOCKED_MIN_WORDS - 1, extra_words=1, rank=20)
+def test_numpy_rank_equals_oracle_and_loop_kernel(seed, rows, ncols, extra_words, rank):
+    # junk bits past ncols, in the last word and in extra trailing words
+    # (like right_inverse's identity tail), must not count
+    rng = np.random.default_rng(seed)
+    if rank is None:
+        dense = rng.integers(0, 2, size=(rows, ncols), dtype=np.uint8)
+    else:
+        dense = low_rank_dense(rng, rows, ncols, min(rank, rows, ncols))
+    width = bitlinalg._nwords(ncols) + extra_words
+    inside = bitlinalg.pack_vector(np.arange(64 * width) < ncols, 64 * width)
+    words = rng.integers(0, 2**64, size=(rows, width), dtype=np.uint64) & ~inside
+    words[:, : bitlinalg._nwords(ncols)] |= BitMatrix.from_dense(dense).words
+    want = dense_rank(dense)
+    assert _rank_words_numpy(words.copy(), ncols) == want
+    assert _rank_words_loops(words.copy(), ncols) == want
 
 
 def test_padding_bits_stay_zero():

@@ -289,6 +289,14 @@ class TestPlumbing:
             "--param", "0.5", "--trials", "0", "--seed", "1",
         ) == 2
 
+    def test_negative_bp_iterations_exit_code(self, tmp_path):
+        # no decode can run -1 iterations; this used to report a WER of 1
+        assert run(
+            "simulate", "--estimator", "approach1", "--ensemble", "3,6", "--n", "60",
+            "--param", "3.0", "--trials", "2", "--seed", "1", "--max-bp-iters", "-1",
+            "--out", str(tmp_path / "sim.csv"),
+        ) == 2
+
     def test_io_error_exit_code(self, tmp_path):
         assert run(
             "capacity", "--channel", "bec", "--param", "0.5",

@@ -295,6 +295,17 @@ class TestAlist:
         with pytest.raises(AlistParseError, match="line 3"):
             codes.read_alist(path)
 
+    def test_negative_degree_rejected(self, tmp_path):
+        # column 1 declares degree -1; slicing by it used to drop the padding
+        # and read the file as [[1, 1, 1]]
+        path = tmp_path / "neg.alist"
+        path.write_text("3 1\n1 3\n1 -1 1\n3\n1\n1 0\n1\n1 2 3\n")
+        with pytest.raises(AlistParseError, match="line 3"):
+            codes.read_alist(path)
+        path.write_text("3 1\n1 1\n1 1 1\n-3\n1\n1\n1\n1 2 3\n")
+        with pytest.raises(AlistParseError, match="line 4"):
+            codes.read_alist(path)
+
     def test_out_of_range_index(self, tmp_path):
         path = tmp_path / "bad3.alist"
         path.write_text("3 1\n1 1\n1 1 1\n3\n2\n1\n1\n1 2 3\n")

@@ -177,6 +177,51 @@ class TestPeelPath:
         assert core_sizes[0.30].min() > pair.m
 
 
+def uint8_rank(a) -> int:
+    """GF(2) rank by per-pivot elimination of a dense uint8 array."""
+    a = np.array(a, dtype=np.uint8)
+    r = 0
+    for c in range(a.shape[1]):
+        if r == a.shape[0]:
+            break
+        nz = r + np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        a[[r, nz[0]], c:] = a[[nz[0], r], c:]
+        a[nz[1:], c:] ^= a[r, c:]
+        r += 1
+    return r
+
+
+class TestDenseOrientation:
+    def test_both_orientations_match_uint8_elimination(self, ldpc_dual_pair, monkeypatch):
+        # the dense rest is ranked on the gathered columns of h1 (ncols = m)
+        # well below eps = 0.5 and on its rows (ncols = n) above it
+        pair = ldpc_dual_pair
+        h1 = pair.h1.to_dense()
+        ncols_seen = []
+        rank_words = secrecy.rank_words
+
+        def spy(words, ncols):
+            ncols_seen.append(ncols)
+            return rank_words(words, ncols)
+
+        monkeypatch.setattr(secrecy, "rank_words", spy)
+        rng = np.random.default_rng(77)
+        checked = {pair.m: [], pair.n: []}
+        for eps in (0.20, 0.52):
+            for _ in range(30):
+                erased = np.nonzero(rng.random(pair.n) < eps)[0]
+                ncols_seen.clear()
+                got = secrecy.exact_equivocation_bec(pair, erased)
+                if ncols_seen in ([pair.m], [pair.n]):
+                    checked[ncols_seen[0]].append(got)
+                    assert got == uint8_rank(h1[:, erased].T)
+        assert len(checked[pair.m]) >= 20 and len(checked[pair.n]) >= 20
+        # both orientations meet rank-deficient blocks, where a wrong mask shows
+        assert min(checked[pair.m]) < pair.m and min(checked[pair.n]) < pair.m
+
+
 class TestMonteCarloBec:
     def test_certain_erasure(self):
         pair = repetition_pair()
@@ -378,6 +423,11 @@ class TestBpDecode:
         code = codes.regular_ldpc(30, 3, 6, seed=1)
         bits, ok = secrecy.bp_decode_awgn(code, np.zeros(30), 50)
         assert not ok
+
+    def test_negative_iterations_rejected(self):
+        code = codes.regular_ldpc(30, 3, 6, seed=1)
+        with pytest.raises(ValueError, match="max_iters"):
+            secrecy.bp_decode_awgn(code, np.ones(30), -1)
 
     def test_high_snr_ensemble_success(self):
         from wiretapcodes.channels import awgn_llr, biawgn_transmit
