@@ -2,34 +2,23 @@
 
 The Monte Carlo equivocation estimators compute one GF(2) rank per trial on
 matrices with ~10^3 rows and ~10^3..10^4 columns, so the rank kernel is the
-single hottest loop in the package.  A numba-jitted kernel is used when
-available; a vectorized numpy fallback (about 8-10x slower on the dense
-ranks of a 1000-row coset pair) keeps the package functional without it,
-with one RuntimeWarning at import.  Set WIRETAPCODES_NO_NUMBA=1 to choose
-the fallback silently.  ``BACKEND`` names the rank kernel in use.
+single hottest loop in the package.
 
-Both kernels work on bit-packed uint64 words (64 matrix columns per word,
-column j stored at bit j % 64 of word j // 64).  The numpy side has one
-routine per job.  Every reduction (a wide rank, ``rref``, ``nullspace_basis``,
+The kernels work on bit-packed uint64 words (64 matrix columns per word,
+column j stored at bit j % 64 of word j // 64), with one routine per job.
+Every reduction (a wide rank, ``rref``, ``nullspace_basis``,
 ``right_inverse``) is ``_eliminate``, the Method of Four Russians (Albrecht,
 Bard and Hart, ACM TOMS 2010, the "M4RI" library) at every width: up to
 ``_BLOCK_PIVOTS`` pivots per word-wide column stripe, every other row fixed
-by one gather from the table of their XOR combinations.  Per-pivot over
-blocked time, against the per-pivot loop it replaced, on regular-LDPC
-checks: 0.80-0.84 at n=240, 0.87-0.95 at n=1000, 1.00-1.12 at n=2000 and
-about 4 at n=10002.  Every numpy rank narrower than ``_BLOCKED_MIN_WORDS``
-words (each per-trial erasure rank of an n=2000 pair) is an XOR basis keyed
-by leading bit, one Python int per row: about rows x rank big-int XORs and
-no numpy call per pivot.  Wider ranks count the pivots of ``_eliminate``,
-since there the int basis loses (238-251 against 127-153 ms on a dense
-2000 x 5000 matrix).  The numba loop kernel only guarantees correct *rank*;
-its eliminated rows may hold garbage left of the current pivot word.
+by one gather from the table of their XOR combinations.  Every rank
+narrower than ``_BLOCKED_MIN_WORDS`` words (each per-trial erasure rank of
+an n=2000 pair) is an XOR basis keyed by leading bit, one Python int per
+row: about rows x rank big-int XORs and no numpy call per pivot.  Wider
+ranks count the pivots of ``_eliminate``, since there the int basis loses
+(238-251 against 127-153 ms on a dense 2000 x 5000 matrix).
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 
@@ -135,48 +124,5 @@ def _rank_words_numpy(words: np.ndarray, ncols: int) -> int:
     return len(basis)
 
 
-def _rank_words_loops(words: np.ndarray, ncols: int) -> int:
-    rows, nwords = words.shape
-    r = 0
-    for c in range(ncols):
-        w = c >> 6
-        b = np.uint64(c & 63)
-        p = -1
-        for i in range(r, rows):
-            if (words[i, w] >> b) & np.uint64(1):
-                p = i
-                break
-        if p < 0:
-            continue
-        if p != r:
-            for j in range(w, nwords):
-                t = words[r, j]
-                words[r, j] = words[p, j]
-                words[p, j] = t
-        for i in range(r + 1, rows):
-            if (words[i, w] >> b) & np.uint64(1):
-                for j in range(w, nwords):
-                    words[i, j] ^= words[r, j]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-if os.environ.get("WIRETAPCODES_NO_NUMBA"):
-    rank_words = _rank_words_numpy
-else:
-    try:
-        from numba import njit
-
-        rank_words = njit(cache=True, nogil=True)(_rank_words_loops)
-    except ImportError:
-        warnings.warn(
-            "numba is not importable: GF(2) ranks use the numpy kernel "
-            "_rank_words_numpy, about 8-10x slower on dense ranks "
-            "(WIRETAPCODES_NO_NUMBA=1 chooses it without this warning)",
-            RuntimeWarning,
-        )
-        rank_words = _rank_words_numpy
-
-BACKEND = "numpy" if rank_words is _rank_words_numpy else "numba"
+# The name other modules import; perfbench/run.py checks it is _rank_words_numpy.
+rank_words = _rank_words_numpy

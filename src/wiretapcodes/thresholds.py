@@ -170,6 +170,8 @@ def empirical_bp_threshold_awgn(
     has ``value=None`` and method tag ``"empirical-BP (above grid)"``.
     """
     grid = [float(s) for s in snr_grid]
+    if not grid:
+        raise ValueError("snr grid must be nonempty")
     if grid != sorted(grid):
         raise ValueError("snr grid must be ascending")
     if trials < 100:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import wiretapcodes
 from wiretapcodes import bitlinalg, codes
 from wiretapcodes import _kernels
-from wiretapcodes._kernels import _rank_words_loops, _rank_words_numpy
+from wiretapcodes._kernels import _rank_words_numpy
 from wiretapcodes.bitlinalg import BitMatrix
 
 
@@ -114,9 +114,7 @@ class TestRank:
         full = random_bitmatrix(rng, rows, cols)
         rank = int(rng.integers(0, min(rows, cols)))
         for m in (full, BitMatrix.from_dense(low_rank_dense(rng, rows, cols, rank))):
-            r_loops = _rank_words_loops(m.words.copy(), m.cols)
-            r_numpy = _rank_words_numpy(m.words.copy(), m.cols)
-            assert r_loops == r_numpy == dense_rank(m.to_dense())
+            assert _rank_words_numpy(m.words.copy(), m.cols) == dense_rank(m.to_dense())
 
 
 class TestRref:
@@ -426,7 +424,7 @@ def test_rank_nullity(seed, rows, cols):
 @example(seed=0, rows=3, ncols=0, extra_words=0, rank=None)  # a 0-word array
 @example(seed=0, rows=0, ncols=130, extra_words=1, rank=None)
 @example(seed=1, rows=40, ncols=64 * _kernels._BLOCKED_MIN_WORDS - 1, extra_words=1, rank=20)
-def test_numpy_rank_equals_oracle_and_loop_kernel(seed, rows, ncols, extra_words, rank):
+def test_numpy_rank_equals_oracle(seed, rows, ncols, extra_words, rank):
     # junk bits past ncols, in the last word and in extra trailing words
     # (like right_inverse's identity tail), must not count
     rng = np.random.default_rng(seed)
@@ -440,7 +438,6 @@ def test_numpy_rank_equals_oracle_and_loop_kernel(seed, rows, ncols, extra_words
     words[:, : bitlinalg._nwords(ncols)] |= BitMatrix.from_dense(dense).words
     want = dense_rank(dense)
     assert _rank_words_numpy(words.copy(), ncols) == want
-    assert _rank_words_loops(words.copy(), ncols) == want
 
 
 def test_padding_bits_stay_zero():
@@ -453,31 +450,11 @@ def test_padding_bits_stay_zero():
         assert not spill.any()
 
 
-def _import_without_numba(**env_extra):
-    """Import the package in a fresh interpreter where numba cannot be found."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("WIRETAPCODES_NO_NUMBA", "PYTHONWARNINGS")}
+def test_import_is_silent_and_loads_no_numba():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(wiretapcodes.__file__).parents[1])
-    env.update(env_extra)
-    code = (
-        "import sys; sys.modules['numba'] = None; "
-        "from wiretapcodes import _kernels; print(_kernels.BACKEND)"
+    code = "import wiretapcodes, sys; assert 'numba' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
     )
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    )
-
-
-class TestNumpyFallbackWarning:
-    def test_missing_numba_warns_once(self):
-        proc = _import_without_numba()
-        assert proc.stdout == "numpy\n"
-        assert proc.stderr.count("RuntimeWarning") == 1
-        assert "_rank_words_numpy" in proc.stderr
-        assert "8-10x slower" in proc.stderr
-
-    def test_chosen_fallback_is_silent(self):
-        proc = _import_without_numba(WIRETAPCODES_NO_NUMBA="1")
-        assert proc.stdout == "numpy\n"
-        assert proc.stderr == ""
+    assert proc.returncode == 0, proc.stderr

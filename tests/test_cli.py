@@ -1,10 +1,5 @@
 import csv
-import importlib.util
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -176,26 +171,6 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
         assert run(*[*args[:-1], "8", "--out", str(c)]) == 0
         assert a.read_bytes() != c.read_bytes()
-
-    def test_numpy_and_numba_kernels_write_identical_csv_bodies(self, tmp_path):
-        if importlib.util.find_spec("numba") is None:
-            pytest.skip("numba is not importable: only the numpy rank kernel runs here")
-        args = [
-            "simulate", "--estimator", "bec-exact", "--ensemble", "3,6", "--n", "200",
-            "--grid", "0.2:0.7:6", "--trials", "40", "--seed", "11",
-        ]
-        env = {k: v for k, v in os.environ.items() if k != "WIRETAPCODES_NO_NUMBA"}
-        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-        bodies = []
-        for name, choice in (("numpy.csv", {"WIRETAPCODES_NO_NUMBA": "1"}), ("numba.csv", {})):
-            out = tmp_path / name
-            subprocess.run(
-                [sys.executable, "-m", "wiretapcodes.cli", *args, "--out", str(out)],
-                env={**env, **choice}, capture_output=True, check=True,
-            )
-            lines = out.read_bytes().splitlines(keepends=True)
-            bodies.append(b"".join(ln for ln in lines if not ln.startswith(b"#")))
-        assert bodies[0] == bodies[1]
 
     def test_estimator_channel_mismatch_is_usage_error(self, tmp_path):
         assert run(

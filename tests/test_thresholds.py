@@ -151,6 +151,14 @@ class TestEmpiricalBpThreshold:
                 code, [1.0, 0.5], 100, 0.1, np.random.default_rng(0)
             )
 
+    def test_empty_grid_rejected_before_any_decode(self):
+        code = codes.regular_ldpc(510, 3, 6, seed=1)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="nonempty"):
+            thresholds.empirical_bp_threshold_awgn(code, [], 100, 0.1, rng)
+        assert rng.bit_generator.state == before
+
     def test_minimum_trials(self):
         code = codes.regular_ldpc(510, 3, 6, seed=1)
         with pytest.raises(ValueError, match="100"):
