@@ -127,19 +127,18 @@ class RegionPolygon:
         )
 
 
-def achievable_region(snr: float, r1: float, r_dual: float | None = None) -> RegionPolygon:
+def achievable_region(snr: float, r1: float) -> RegionPolygon:
     """Rate-equivocation region achieved by time-sharing the coset schemes.
 
     ``r1`` is the rate of a good code whose AWGN threshold lies below
-    ``snr`` (it caps the rate axis of the full-equivocation corner) and
-    ``r_dual`` is the perfect-secrecy rate of the dual construction,
-    defaulting to ``2*Q(sqrt(2*snr))``.  Returns the convex hull of the five
-    corner points; dominated and duplicate corners disappear in the hull.
+    ``snr`` (it caps the rate axis of the full-equivocation corner); the
+    dual construction's perfect-secrecy rate is ``2*Q(sqrt(2*snr))``.
+    Returns the convex hull of the five corner points; dominated and
+    duplicate corners disappear in the hull.
     """
     if not 0.0 <= r1 <= 1.0:
         raise ValueError(f"coarse rate {r1} outside [0, 1]")
-    if r_dual is None:
-        r_dual = BIAWGN(snr).erasure_rate
+    r_dual = BIAWGN(snr).erasure_rate
     cap = c_biawgn(snr)
     if r1 > cap + _GEOM_TOL:
         raise ValueError(

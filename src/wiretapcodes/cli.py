@@ -15,6 +15,10 @@ bodies regardless of execution order.  Reports start with a commented
 ``key=value`` echo of the configuration, including a hash of its canonical
 JSON form.
 
+One table, ``_COMMANDS``, gives each subcommand's function, the flags it
+reads, requires and defaults; the parser, the echo and hash, and the
+required-flag check are built from it.
+
 Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure,
 3 I/O error.
 """
@@ -27,6 +31,7 @@ import hashlib
 import io
 import json
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,8 +102,8 @@ def _parse_ensemble(spec: str) -> codes.DegreeDistribution:
         raise UsageError(f"bad ensemble spec {spec!r}: {exc}") from None
 
 
-def _config_dict(args, fields) -> dict:
-    cfg = {name: getattr(args, name) for name in fields}
+def _config_dict(args) -> dict:
+    cfg = {name: getattr(args, name) for name in _COMMANDS[args.command].reads}
     cfg["command"] = args.command
     canonical = json.dumps(cfg, sort_keys=True, default=str)
     cfg["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()[:12]
@@ -120,11 +125,7 @@ def _write_report(args, config: dict, columns, rows) -> None:
     else:
         sys.stdout.write(text)
     if args.json is not None:
-        json_path = args.json if isinstance(args.json, str) else None
-        if json_path is None:
-            if not args.out:
-                raise UsageError("--json without a path requires --out")
-            json_path = str(args.out) + ".json"
+        json_path = args.json if isinstance(args.json, str) else str(args.out) + ".json"
         payload = {
             "config": config,
             "columns": list(columns),
@@ -176,8 +177,7 @@ def cmd_capacity(args) -> None:
         ch = CHANNELS[args.channel](p)
         cs, a2 = ch.secrecy_capacity, ch.erasure_rate
         rows.append((p, ch.capacity, cs, a2, cs - a2))
-    config = _config_dict(args, ["channel", "param", "grid"])
-    _write_report(args, config, ("param", "C", "Cs", "approach2_rate", "gap"), rows)
+    _write_report(args, _config_dict(args), ("param", "C", "Cs", "approach2_rate", "gap"), rows)
 
 
 def cmd_threshold(args) -> None:
@@ -204,7 +204,9 @@ def cmd_threshold(args) -> None:
     elif args.channel == "biawgn":
         if args.seed is None:
             raise UsageError("empirical threshold estimation requires --seed")
-        grid = _grid_values(args)
+        if args.grid is None:
+            raise UsageError("empirical threshold estimation requires --grid")
+        grid = _parse_grid(args.grid)
         code = _load_code(args)
         rng = _spawn_rng(args.seed, 1)
         res = thresholds.empirical_bp_threshold_awgn(
@@ -235,12 +237,7 @@ def cmd_threshold(args) -> None:
             ("user-supplied (typical-pair)", args.delta_star, args.delta_star,
              args.delta_star, "", "", "", "user override")
         )
-    config = _config_dict(
-        args,
-        ["channel", "code", "ensemble", "n", "grid", "trials", "target_wer",
-         "tol", "seed", "delta_star"],
-    )
-    _write_report(args, config, columns, rows)
+    _write_report(args, _config_dict(args), columns, rows)
 
 
 def _condition_columns(channel, delta_star):
@@ -251,12 +248,6 @@ def _condition_columns(channel, delta_star):
 
 
 def cmd_simulate(args) -> None:
-    if args.estimator is None:
-        raise UsageError("simulate requires --estimator")
-    if args.seed is None:
-        raise UsageError("simulate requires --seed")
-    if args.trials is None:
-        raise UsageError("simulate requires --trials")
     grid = _grid_values(args)
     base = _load_code(args)
     if args.estimator == "approach1":
@@ -304,17 +295,10 @@ def cmd_simulate(args) -> None:
                 *cond_cols, *lam_cols,
             )
         )
-    config = _config_dict(
-        args,
-        ["estimator", "code", "ensemble", "n", "param", "grid", "trials",
-         "seed", "delta_star", "lambda_star", "max_bp_iters"],
-    )
-    _write_report(args, config, columns, rows)
+    _write_report(args, _config_dict(args), columns, rows)
 
 
 def cmd_region(args) -> None:
-    if args.param is None:
-        raise UsageError("region requires --param (the eavesdropper SNR)")
     if args.r1 is not None:
         r1 = args.r1
     elif args.ensemble:
@@ -329,8 +313,7 @@ def cmd_region(args) -> None:
         for idx, v in enumerate(poly.vertices):
             rows.append((name, idx, v.rate, v.equivocation))
     rows.append(("containment", "", "achievable_in_capacity", contained))
-    config = _config_dict(args, ["param", "r1", "ensemble"])
-    _write_report(args, config, ("region", "vertex", "R", "Re"), rows)
+    _write_report(args, _config_dict(args), ("region", "vertex", "R", "Re"), rows)
 
 
 def cmd_compare_bsc(args) -> None:
@@ -351,9 +334,8 @@ def cmd_compare_bsc(args) -> None:
                 f"baseline={baseline}, h={h}"
             )
         rows.append((q, h, rate, baseline))
-    config = _config_dict(args, ["param", "grid"])
     _write_report(
-        args, config,
+        args, _config_dict(args),
         ("q", "secrecy_capacity", "construction_rate", "detection_baseline"),
         rows,
     )
@@ -363,59 +345,75 @@ def cmd_compare_bsc(args) -> None:
 # argument plumbing
 
 
-def _build_parser() -> _Parser:
+# Every flag a subcommand may read, by destination, with its argparse keywords.
+_FLAGS = {
+    "channel": {"choices": CHANNELS},
+    "param": {"type": float, "help": "single channel parameter"},
+    "grid": {"help": "'start:stop:count' or comma-separated values"},
+    "code": {"help": "alist parity-check file"},
+    "ensemble": {"help": "'dv,dc' or 'lambda=...;rho=...'"},
+    "n": {"type": int, "help": "block length for ensemble codes"},
+    "trials": {"type": int},
+    "seed": {"type": int, "help": "64-bit master seed"},
+    "delta_star": {"type": float,
+                   "help": "user-supplied BEC threshold (e.g. a typical-pair value)"},
+    "lambda_star": {"type": float, "help": "user-supplied AWGN SNR threshold"},
+    "target_wer": {"type": float, "help": "word-error-rate target for the empirical estimate"},
+    "tol": {"type": float, "help": "DE residual classification tolerance"},
+    "estimator": {"choices": _ESTIMATORS},
+    "max_bp_iters": {"type": int},
+    "r1": {"type": float, "help": "coarse code rate for the region corner"},
+    "out": {"help": "CSV output path (default: stdout)"},
+    "json": {"nargs": "?", "const": True,
+             "help": "also write a JSON sidecar (default path: OUT.json)"},
+}
+
+
+class _Command(NamedTuple):
+    func: Callable
+    help: str
+    reads: tuple  # flags besides --out and --json; exactly these are echoed and hashed
+    requires: tuple = ()
+    defaults: dict = {}
+
+
+_COMMANDS = {
+    "capacity": _Command(cmd_capacity, "capacities and secrecy rates over a grid",
+                         ("channel", "param", "grid"), ("channel",)),
+    "threshold": _Command(cmd_threshold, "BEC DE threshold or empirical BP threshold",
+                          ("channel", "code", "ensemble", "n", "grid", "trials",
+                           "target_wer", "tol", "seed", "delta_star"),
+                          ("channel",), {"trials": 200, "target_wer": 0.1, "tol": 1e-6}),
+    "simulate": _Command(cmd_simulate, "equivocation estimation campaign",
+                         ("estimator", "code", "ensemble", "n", "param", "grid", "trials",
+                          "seed", "delta_star", "lambda_star", "max_bp_iters"),
+                         ("estimator", "seed", "trials"), {"max_bp_iters": 200}),
+    "region": _Command(cmd_region, "rate-equivocation region vertex CSV",
+                       ("param", "r1", "ensemble"), ("param",)),
+    "compare-bsc": _Command(cmd_compare_bsc, "BSC secrecy-rate comparison table",
+                            ("param", "grid")),
+}
+_COMMON = ("out", "json")
+# Pairs of flags that say one thing two ways; a run may take each from only one.
+_EXCLUSIVE = (("param", "grid"), ("code", "ensemble"))
+
+
+def _build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="wiretapcodes", description=__doc__.split("\n")[0])
     parser.add_argument("--config", help="JSON file of flag values (command-line flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--channel", choices=CHANNELS)
-        p.add_argument("--param", type=float, help="single channel parameter")
-        p.add_argument("--grid", help="'start:stop:count' or comma-separated values")
-        p.add_argument("--code", help="alist parity-check file")
-        p.add_argument("--ensemble", help="'dv,dc' or 'lambda=...;rho=...'")
-        p.add_argument("--n", type=int, help="block length for ensemble codes")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int, help="64-bit master seed")
-        p.add_argument("--delta-star", dest="delta_star", type=float,
-                       help="user-supplied BEC threshold (e.g. a typical-pair value)")
-        p.add_argument("--lambda-star", dest="lambda_star", type=float,
-                       help="user-supplied AWGN SNR threshold")
-        p.add_argument("--out", help="CSV output path (default: stdout)")
-        p.add_argument("--json", nargs="?", const=True,
-                       help="also write a JSON sidecar (default path: OUT.json)")
-
-    p = sub.add_parser("capacity", help="capacities and secrecy rates over a grid")
-    add_common(p)
-    p.set_defaults(func=cmd_capacity)
-
-    p = sub.add_parser("threshold", help="BEC DE threshold or empirical BP threshold")
-    add_common(p)
-    p.add_argument("--target-wer", dest="target_wer", type=float, default=0.1,
-                   help="word-error-rate target for the empirical estimate")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="DE residual classification tolerance")
-    p.set_defaults(func=cmd_threshold, trials=200)
-
-    p = sub.add_parser("simulate", help="equivocation estimation campaign")
-    add_common(p)
-    p.add_argument("--estimator", choices=_ESTIMATORS)
-    p.add_argument("--max-bp-iters", dest="max_bp_iters", type=int, default=200)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("region", help="rate-equivocation region vertex CSV")
-    add_common(p)
-    p.add_argument("--r1", type=float, help="coarse code rate for the region corner")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("compare-bsc", help="BSC secrecy-rate comparison table")
-    add_common(p)
-    p.set_defaults(func=cmd_compare_bsc)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest in (*command.reads, *_COMMON):
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **_FLAGS[dest])
+        p.set_defaults(**command.defaults)
     return parser, sub.choices
 
 
 def _config_defaults(args) -> dict:
-    """The ``--config`` file's values, keyed by flag destination."""
+    """The ``--config`` file's values for this subcommand, keyed by flag
+    destination.  A key naming only other subcommands' flags is ignored, so
+    one file can serve several subcommands; a key naming no flag is an error."""
     try:
         with open(args.config, "r", encoding="ascii") as fh:
             overrides = json.load(fh)
@@ -423,32 +421,41 @@ def _config_defaults(args) -> dict:
         raise UsageError(f"bad config file {args.config}: {exc}") from None
     if not isinstance(overrides, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")
+    reads = (*_COMMANDS[args.command].reads, *_COMMON)
     defaults = {}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if dest in ("command", "config", "func") or not hasattr(args, dest):
+        if dest not in _FLAGS:
             raise UsageError(f"unknown config key {key!r}")
-        defaults[dest] = value
+        if dest in reads:
+            defaults[dest] = value
     return defaults
 
 
 def _parse_args(argv):
     """Parse the command line: a flag given there wins over the ``--config``
-    file, which wins over the built-in default."""
+    file, which wins over the built-in default.  Then check, before any
+    computation, the flags the subcommands share rules for."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
         commands[args.command].set_defaults(**_config_defaults(args))
         args = parser.parse_args(argv)
+    for dest in _COMMANDS[args.command].requires:
+        if getattr(args, dest) is None:
+            raise UsageError(f"{args.command} requires --{dest.replace('_', '-')}")
+    for pair in _EXCLUSIVE:
+        if all(getattr(args, dest, None) is not None for dest in pair):
+            raise UsageError("give --{} or --{}, not both".format(*pair))
+    if args.json is not None and not isinstance(args.json, str) and not args.out:
+        raise UsageError("--json without a path requires --out")
     return args
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        if args.channel is None and args.command in ("capacity", "threshold"):
-            raise UsageError(f"{args.command} requires --channel")
-        args.func(args)
+        _COMMANDS[args.command].func(args)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

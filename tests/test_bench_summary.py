@@ -68,3 +68,25 @@ def test_no_common_seed_is_an_error(tmp_path):
     write_result(parent, "hot", 1, 3.0, "d", "aaa")
     write_result(change, "hot", 2, 3.0, "d", "bbb")
     assert bench_summary.main([str(parent), str(change), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_verdicts_follow_benchmark_json(dirs):
+    # trials_per_s is "higher is better" with a 25% bound; the parent's runs
+    # (10..40) spread 60% of their median and overlap the change's (20..80)
+    hot = bench_summary.summarize(*dirs)["workloads"]["hot"]["end_to_end"]
+    assert hot["trials_per_s"]["worse_than_bound"] is False
+    assert hot["trials_per_s"]["unresolved"] is True
+    assert (hot["ok_ratio"]["worse_than_bound"], hot["ok_ratio"]["unresolved"]) == (False, False)
+
+
+@pytest.mark.parametrize("better, parent, change, expected", [
+    ("lower", [10, 10, 10, 10], [12, 12, 13, 13], (False, False)),  # 25% worse is the bound
+    ("lower", [10, 10, 10, 10], [13, 13, 13, 13], (True, False)),
+    ("higher", [10, 10, 10, 10], [7, 7, 7, 7], (True, False)),
+    ("higher", [10, 10, 10, 10], [13, 13, 13, 13], (False, False)),
+    ("lower", [6, 8, 12, 14], [15, 16, 16, 17], (True, True)),  # parent IQR/median 0.5
+    ("lower", [6, 8, 12, 14], [2, 3, 4, 5], (False, False)),  # every change run beats
+])
+def test_verdict(better, parent, change, expected):
+    result = bench_summary.verdict(parent, change, better, 0.25)
+    assert (result["worse_than_bound"], result["unresolved"]) == expected

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +347,76 @@ class TestPlumbing:
         assert run("capacity", "--channel", "bec", "--param", "0.25") == 0
         captured = capsys.readouterr().out
         assert "param,C,Cs,approach2_rate,gap" in captured
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+_SIM_BEC = ("simulate", "--estimator", "bec-exact", "--ensemble", "3,6", "--n", "60",
+            "--param", "1.0", "--trials", "5", "--seed", "1")
+
+# A valid run of each subcommand plus one flag that subcommand does not read.
+UNREAD_FLAGS = {
+    "simulate --channel": (*_SIM_BEC, "--channel", "bec"),
+    "capacity --seed": ("capacity", "--channel", "bec", "--param", "0.3", "--seed", "1"),
+    "region --grid": ("region", "--param", "0.32", "--r1", "0.3333333333", "--grid", "0.1"),
+    "compare-bsc --n": ("compare-bsc", "--param", "0.1", "--n", "60"),
+    "threshold --param": ("threshold", "--channel", "bec", "--ensemble", "3,6",
+                          "--param", "0.5"),
+}
+
+
+class TestFlagTable:
+    def test_accepted_flags_are_the_echoed_keys(self):
+        echoed = {}
+        for path in sorted(GOLDEN.glob("*.csv")):
+            header, _ = read_report(path)
+            command = header.pop("command")
+            echoed[command] = set(header) - {"config_hash"}
+        _, commands = cli._build_parser()
+        assert set(echoed) == set(commands)
+        for name, parser in commands.items():
+            accepted = {
+                flag[2:].replace("-", "_")
+                for action in parser._actions for flag in action.option_strings
+                if flag.startswith("--")
+            } - {"help", "out", "json", "config"}
+            assert accepted == echoed[name], name
+
+    @pytest.mark.parametrize("case", sorted(UNREAD_FLAGS))
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, case, capsys):
+        assert run(*UNREAD_FLAGS[case]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {case.split()[1]}" in captured.err
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [({}, ("--param", "0.3", "--grid", "0.1:0.5:3")),
+         ({"grid": "0.1:0.5:3"}, ("--param", "0.3")),
+         ({"param": 0.3}, ("--grid", "0.1:0.5:3"))],
+        ids=["command-line", "grid-from-config", "param-from-config"],
+    )
+    def test_param_with_grid_is_usage_error(self, config, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("--config", str(cfg), "capacity", "--channel", "bec", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "give --param or --grid, not both" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("threshold", "--channel", "bec", "--ensemble", "3,6"),
+        _SIM_BEC,
+    ], ids=["threshold", "simulate"])
+    def test_code_with_ensemble_is_usage_error(self, argv, tmp_path, capsys):
+        # the file does not exist: neither subcommand may get as far as opening it
+        assert run(*argv, "--code", str(tmp_path / "missing.alist")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "give --code or --ensemble, not both" in captured.err
+
+    def test_json_without_path_or_out_fails_before_any_report(self, capsys):
+        assert run("capacity", "--channel", "bec", "--param", "0.3", "--json") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--json without a path requires --out" in captured.err

@@ -10,7 +10,12 @@ read, and only the seeds both directories hold for a workload.  The output
 holds, per workload:
 
 - per end-to-end metric, the median, quartiles and interquartile range over
-  those seeds, for the parent and the change;
+  those seeds, for the parent and the change, and two verdicts against the
+  metric's ``better`` direction and ``bound`` in ``BENCHMARK.json``:
+  ``worse_than_bound`` (the change's median is worse than the parent's by
+  more than ``bound`` times the parent's median) and ``unresolved`` (the
+  parent's interquartile range exceeds ``bound`` times its median, and not
+  every change run beats every parent run);
 - per seed, whether the two result digests are equal;
 
 and, per side, the provenance of its runs (rank backend, Python, numpy and
@@ -28,6 +33,7 @@ import sys
 from pathlib import Path
 
 _RESULT = re.compile(r"result-(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def load_results(directory: Path) -> dict[tuple[str, int], dict]:
@@ -49,6 +55,18 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """``worse_than_bound`` and ``unresolved`` for one metric's paired runs."""
+    sign = 1.0 if better == "higher" else -1.0
+    base = spread(parent)
+    worse = sign * (base["median"] - statistics.median(change)) > bound * abs(base["median"])
+    beats = min(sign * v for v in change) > max(sign * v for v in parent)
+    return {
+        "worse_than_bound": worse,
+        "unresolved": base["iqr"] > bound * abs(base["median"]) and not beats,
+    }
+
+
 def provenance(results: list[dict]) -> dict:
     fields: dict[str, list] = {}
     for result in results:
@@ -59,6 +77,7 @@ def provenance(results: list[dict]) -> dict:
 
 
 def summarize(parent_dir: Path, change_dir: Path) -> dict:
+    specs = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
     sides = {"parent": load_results(parent_dir), "change": load_results(change_dir)}
     workloads = {}
     for name in sorted({wl for wl, _ in sides["parent"]} | {wl for wl, _ in sides["change"]}):
@@ -68,16 +87,17 @@ def summarize(parent_dir: Path, change_dir: Path) -> dict:
         if not seeds:
             continue
         runs = {side: [results[name, seed] for seed in seeds] for side, results in sides.items()}
-        metrics = list(runs["parent"][0]["end_to_end"])
+        end_to_end = {}
+        for metric in runs["parent"][0]["end_to_end"]:
+            values = {side: [run["end_to_end"][metric] for run in runs[side]] for side in sides}
+            end_to_end[metric] = {
+                **{side: spread(values[side]) for side in sides},
+                **verdict(values["parent"], values["change"],
+                          specs[metric]["better"], specs[metric]["bound"]),
+            }
         workloads[name] = {
             "seeds": seeds,
-            "end_to_end": {
-                metric: {
-                    side: spread([run["end_to_end"][metric] for run in runs[side]])
-                    for side in sides
-                }
-                for metric in metrics
-            },
+            "end_to_end": end_to_end,
             "digests_equal": {
                 str(seed): p["result_digest"] == c["result_digest"]
                 for seed, p, c in zip(seeds, runs["parent"], runs["change"])
