@@ -152,7 +152,7 @@ def _construction_seed(seed: int) -> int:
     return int(np.random.SeedSequence((seed, 0)).generate_state(1)[0])
 
 
-def _load_code(args, need_seed=True) -> codes.LinearCode:
+def _load_code(args) -> codes.LinearCode:
     if args.code:
         return codes.read_alist(args.code)
     if args.ensemble and args.n:
@@ -160,9 +160,7 @@ def _load_code(args, need_seed=True) -> codes.LinearCode:
         if set(dd.var_edge) != {max(dd.var_edge)} or set(dd.chk_edge) != {max(dd.chk_edge)}:
             raise UsageError("code construction currently supports regular ensembles")
         dv, dc = max(dd.var_edge), max(dd.chk_edge)
-        if args.seed is None and need_seed:
-            raise UsageError("--seed is required to sample an ensemble code")
-        return codes.regular_ldpc(args.n, dv, dc, _construction_seed(args.seed or 0))
+        return codes.regular_ldpc(args.n, dv, dc, _construction_seed(args.seed))
     raise UsageError("provide --code ALIST or --ensemble with --n")
 
 
@@ -196,7 +194,7 @@ def cmd_threshold(args) -> None:
         if args.ensemble:
             dd = _parse_ensemble(args.ensemble)
         elif args.code:
-            dd = _load_code(args, need_seed=False).degree_distribution()
+            dd = _load_code(args).degree_distribution()
         else:
             raise UsageError("BEC threshold needs --ensemble or --code")
         res = thresholds.bec_bp_threshold(dd, tol=args.tol)
@@ -250,13 +248,11 @@ def _condition_columns(channel, delta_star):
 def cmd_simulate(args) -> None:
     grid = _grid_values(args)
     base = _load_code(args)
+    computed_delta = None
     if args.estimator == "approach1":
         pair = codes.nested_pair_from_coarse(base)
-    else:
+    else:  # the second scheme nests the cosets of the dual code
         pair = codes.nested_pair_from_coarse(codes.dual(base))
-
-    computed_delta = None
-    if args.estimator != "approach1":
         computed_delta = thresholds.bec_bp_threshold(base.degree_distribution()).value
 
     columns = (
@@ -395,7 +391,7 @@ _COMMANDS = {
 }
 _COMMON = ("out", "json")
 # Pairs of flags that say one thing two ways; a run may take each from only one.
-_EXCLUSIVE = (("param", "grid"), ("code", "ensemble"))
+_EXCLUSIVE = (("param", "grid"), ("code", "ensemble"), ("r1", "ensemble"))
 
 
 def _build_parser() -> tuple[_Parser, dict]:
@@ -428,8 +424,23 @@ def _config_defaults(args) -> dict:
         if dest not in _FLAGS:
             raise UsageError(f"unknown config key {key!r}")
         if dest in reads:
-            defaults[dest] = value
+            defaults[dest] = _config_value(key, _FLAGS[dest], value)
     return defaults
+
+
+def _config_value(key: str, spec: dict, value):
+    """``value`` checked as argparse checks flag ``spec``; it skips parser defaults."""
+    kind = spec.get("type", str)
+    if value is True and "const" in spec:  # a bare --json
+        return value
+    if isinstance(value, str) or (kind is not str and type(value) in (int, kind)):
+        try:
+            converted = kind(value)  # a JSON integer is a valid float
+        except ValueError:
+            converted = None
+        if converted is not None and converted in spec.get("choices", (converted,)):
+            return converted
+    raise UsageError(f"bad value {value!r} for config key {key!r}")
 
 
 def _parse_args(argv):

@@ -87,14 +87,15 @@ class LinearCode:
     span : BitMatrix or None
         Rows spanning the code itself (possibly redundant), when a sparse
         set is known: the dual of a code keeps the parent's ``checks``.
-    pivots : numpy.ndarray or None
-        Per row of ``h``, its pivot column, when ``h`` is in reduced row
-        echelon form (codes from :func:`from_parity_check`).
+    pivots : numpy.ndarray
+        Per row ``i`` of ``h``, the column where ``h`` holds row ``i`` of the
+        identity, increasing; ``g`` holds the identity on the other columns
+        in the same way.  Every code is in this systematic form.
     """
 
     __slots__ = ("n", "k", "h", "g", "checks", "ensemble", "span", "pivots", "_edge_cache")
 
-    def __init__(self, n, k, h, g, checks, ensemble=None, span=None, pivots=None):
+    def __init__(self, n, k, h, g, checks, pivots, ensemble=None, span=None):
         self.n = n
         self.k = k
         self.h = h
@@ -169,18 +170,6 @@ def _pack_edges(rows, cols, nrows: int, ncols: int) -> BitMatrix:
     return BitMatrix(nrows, ncols, words)
 
 
-def _single_one_columns(m: BitMatrix) -> np.ndarray:
-    """Per row of ``m``, the column of its only one, or -1 when the row's
-    weight is not one."""
-    out = np.full(m.rows, -1, dtype=np.int64)
-    single = np.flatnonzero(m.row_weights() == 1)
-    ri, wi = np.nonzero(m.words[single])
-    # the one word of a weight-one row is a power of two, 2**b with b set bits below
-    bit = np.bitwise_count(m.words[single[ri], wi] - np.uint64(1))
-    out[single[ri]] = wi * 64 + bit
-    return out
-
-
 def from_parity_check(h: BitMatrix, ensemble=None) -> LinearCode:
     """Build a code from a parity-check matrix.
 
@@ -195,14 +184,14 @@ def from_parity_check(h: BitMatrix, ensemble=None) -> LinearCode:
     h_norm = BitMatrix(r, h.cols, np.ascontiguousarray(reduced.words[:r]))
     g = bitlinalg._nullspace_from_rref(h_norm, pivots)
     pivots = np.array(pivots, dtype=np.int64)
-    return LinearCode(h.cols, h.cols - r, h_norm, g, h.copy(), ensemble, pivots=pivots)
+    return LinearCode(h.cols, h.cols - r, h_norm, g, h.copy(), pivots, ensemble)
 
 
 def dual(code: LinearCode) -> LinearCode:
     """The dual code: generator and parity-check views swap roles.
 
     The parent's raw ``checks`` span the dual, so they are kept as its
-    ``span``.
+    ``span``; the parent's ``g`` holds the identity off its ``pivots``.
     """
     return LinearCode(
         code.n,
@@ -210,7 +199,7 @@ def dual(code: LinearCode) -> LinearCode:
         code.g.copy(),
         code.h.copy(),
         code.g.copy(),
-        ensemble=None,
+        np.setdiff1d(np.arange(code.n), code.pivots),
         span=code.checks,
     )
 
@@ -275,9 +264,9 @@ class NestedCodePair:
         # Columns of h1 packed as rows: the per-trial erasure-pattern ranks
         # reduce to a row gather from this table.
         self._h1_columns = self.h1.transpose()
-        # Per column of h1, the row of its only one, or -1 when its weight is
-        # not one: an erased unit column is a pivot of the restriction alone.
-        self._unit_rows = _single_one_columns(self._h1_columns)
+        # Per column of h1, the row its identity puts there, or -1 off the pivots.
+        self._unit_rows = np.full(self.n, -1, dtype=np.int64)
+        self._unit_rows[coarse.pivots] = np.arange(coarse.pivots.size)
         # Edges of the coarse code's sparse span, peeled per erasure pattern.
         self._span_edges = None if coarse.span is None else _edges(coarse.span)
 
@@ -303,9 +292,7 @@ class NestedCodePair:
 
 def nested_pair_from_coarse(coarse: LinearCode) -> NestedCodePair:
     """Nest ``coarse`` inside the full space {0,1}^n."""
-    if coarse.pivots is None:  # h not in reduced form: eliminate
-        return NestedCodePair(coarse, bitlinalg.right_inverse(coarse.h))
-    r = coarse.pivots.size  # a reduced h's right inverse: unit rows at its pivots
+    r = coarse.pivots.size  # h1's right inverse: unit rows at its pivots
     return NestedCodePair(coarse, _pack_edges(coarse.pivots, np.arange(r), coarse.n, r))
 
 

@@ -10,7 +10,7 @@ message survives:
   ``w = h1 @ x`` given the unerased positions is uniform on an affine image
   and its entropy equals the GF(2) rank of ``h1`` restricted to the erased
   columns.  Monte Carlo over patterns averages these exact per-pattern
-  values.  The rank is found by peeling first: the erased unit columns of
+  values.  The rank is found by peeling first: the erased pivot columns of
   ``h1`` and, when the coarse code has a sparse span (a dual pair), that
   span on the unerased positions.
 * For AWGN and BSC eavesdroppers the BEC-embedding degradations make the
@@ -155,9 +155,9 @@ def _core_rank(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> in
 def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
     """rank(h1_E) for the distinct erased positions ``E``.
 
-    An erased column of ``h1`` with a single one (``h1`` holds an identity
-    on its pivot columns) is a pivot on its own, and so is the row holding
-    that one; the other erased columns are eliminated on the other rows.
+    An erased pivot column of ``h1`` (an identity column) is a pivot on
+    its own, and so is the row holding its one; the other erased columns
+    are eliminated on the other rows.
     When the coarse code has a sparse span ``S``, the same rank is
     ``m - |Ebar| + rank(S_Ebar)`` over the unerased positions ``Ebar``
     (``h1`` is a parity-check matrix of the code ``S`` spans), and peeling

@@ -11,6 +11,11 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+# A valid bec-exact simulate run on a small ensemble code.
+_SIM_BEC = ("simulate", "--estimator", "bec-exact", "--ensemble", "3,6", "--n", "60",
+            "--param", "1.0", "--trials", "5", "--seed", "1")
+
+
 def read_report(path):
     header = {}
     rows = []
@@ -343,6 +348,43 @@ class TestPlumbing:
         cfg.write_text(json.dumps({"estimator": "bogus"}))  # checked like the flag
         assert run("--config", str(cfg), "simulate", "--seed", "1", "--trials", "5") == 1
 
+    @pytest.mark.parametrize("key, bad, good, argv", [
+        ("channel", "bogus", "bec", ("capacity", "--param", "0.3")),
+        ("estimator", "bogus", "bec-exact", ("simulate", *_SIM_BEC[3:])),
+        ("trials", 2.5, 5, (*_SIM_BEC[:9], *_SIM_BEC[11:])),
+        ("trials", True, 5, (*_SIM_BEC[:9], *_SIM_BEC[11:])),
+        ("trials", None, 5, (*_SIM_BEC[:9], *_SIM_BEC[11:])),
+        ("param", "x", 0.3, ("capacity", "--channel", "bec")),
+        ("grid", 0.5, "0.5", ("capacity", "--channel", "bec")),
+    ], ids=["choices-channel", "choices-estimator", "int-trials", "bool-trials",
+            "null-trials", "float-param", "str-grid"])
+    def test_bad_config_value_is_usage_error(self, key, bad, good, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: good}))
+        assert run("--config", str(cfg), *argv) == 0  # the value alone decides
+        capsys.readouterr()
+        cfg.write_text(json.dumps({key: bad}))
+        assert run("--config", str(cfg), *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config key {key!r}" in captured.err
+
+    def test_config_values_convert_like_the_command_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"param": 1, "trials": "5"}))
+        assert run("--config", str(cfg), *_SIM_BEC[:7], *_SIM_BEC[11:]) == 0
+        from_config = capsys.readouterr().out
+        assert run(*_SIM_BEC) == 0
+        assert capsys.readouterr().out == from_config
+
+    def test_config_true_json_is_the_bare_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"json": True}))
+        out = tmp_path / "cap.csv"
+        assert run("--config", str(cfg), "capacity", "--channel", "bec", "--param", "0.3",
+                   "--out", str(out)) == 0
+        assert json.loads((tmp_path / "cap.csv.json").read_text())["config"]["param"] == 0.3
+
     def test_stdout_output(self, capsys):
         assert run("capacity", "--channel", "bec", "--param", "0.25") == 0
         captured = capsys.readouterr().out
@@ -350,9 +392,6 @@ class TestPlumbing:
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
-
-_SIM_BEC = ("simulate", "--estimator", "bec-exact", "--ensemble", "3,6", "--n", "60",
-            "--param", "1.0", "--trials", "5", "--seed", "1")
 
 # A valid run of each subcommand plus one flag that subcommand does not read.
 UNREAD_FLAGS = {
@@ -414,6 +453,12 @@ class TestFlagTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "give --code or --ensemble, not both" in captured.err
+
+    def test_r1_with_ensemble_is_usage_error(self, capsys):
+        assert run("region", "--param", "0.32", "--r1", "0.3", "--ensemble", "4,6") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "give --r1 or --ensemble, not both" in captured.err
 
     def test_json_without_path_or_out_fails_before_any_report(self, capsys):
         assert run("capacity", "--channel", "bec", "--param", "0.3", "--json") == 1

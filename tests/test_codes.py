@@ -135,6 +135,53 @@ class TestDual:
                          ([0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1])}
 
 
+def assert_systematic(code):
+    """``h`` holds the identity at ``pivots`` and ``g`` on the other columns,
+    so the pair's coset map from the pivots is a right inverse of ``h``."""
+    others = np.setdiff1d(np.arange(code.n), code.pivots)
+    assert np.all(np.diff(code.pivots) > 0)
+    assert code.pivots.size == code.h.rows == code.n - code.k
+    h, g = code.h.to_dense(), code.g.to_dense()
+    assert np.array_equal(h[:, code.pivots], np.eye(code.h.rows))
+    assert np.array_equal(g[:, others], np.eye(code.k))
+    pair = codes.nested_pair_from_coarse(code)
+    assert np.array_equal(h @ pair.d.to_dense() % 2, np.eye(pair.m))
+
+
+def random_rank_deficient(seed):
+    rng = np.random.default_rng(700 + seed)
+    n = int(rng.integers(1, 150))
+    rows = int(rng.integers(2, n + 10))
+    rank = int(rng.integers(0, min(rows - 1, n) + 1))
+    dense = (rng.integers(0, 2, size=(rows, rank)) @ rng.integers(0, 2, size=(rank, n))) % 2
+    return [dense, np.zeros((rows, n)), np.eye(n)]
+
+
+class TestSystematicForm:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rank_deficient_and_their_duals(self, seed):
+        for dense in random_rank_deficient(seed):
+            code = codes.from_parity_check(BitMatrix.from_dense(dense.astype(np.uint8)))
+            dual = codes.dual(code)
+            for c in (code, dual, codes.dual(dual)):
+                assert_systematic(c)
+            assert np.array_equal(codes.dual(dual).pivots, code.pivots)
+
+    @pytest.mark.parametrize("args", [(120, 3, 6, 4), (60, 2, 4, 1), (90, 4, 6, 2)])
+    def test_regular_ldpc_and_its_dual(self, args):
+        code = codes.regular_ldpc(*args)
+        for c in (code, codes.dual(code), codes.dual(codes.dual(code))):
+            assert_systematic(c)
+
+    def test_alist_roundtrip(self, tmp_path):
+        code = codes.regular_ldpc(30, 3, 6, seed=9)
+        path = tmp_path / "code.alist"
+        codes.write_alist(code, path)
+        back = codes.read_alist(path)
+        assert_systematic(back)
+        assert np.array_equal(back.pivots, code.pivots)
+
+
 class TestRegularLdpc:
     def test_small_ensemble_weights(self):
         code = codes.regular_ldpc(6, 2, 3, seed=0)
@@ -233,10 +280,9 @@ class TestNestedPair:
         monkeypatch.setattr(bitlinalg, "right_inverse", counting_right_inverse)
         code = codes.regular_ldpc(120, 3, 6, seed=4)
         codes.nested_pair_from_coarse(code)
-        assert calls == []
-        # a dual's h is the parent's generator, not reduced: eliminate once
+        # a dual's h is the parent's generator, systematic on the free columns
         codes.nested_pair_from_coarse(codes.dual(code))
-        assert calls == [(code.k, code.n)]
+        assert calls == []
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pivot_coset_map_is_the_right_inverse(self, seed):
@@ -369,7 +415,7 @@ CONSTRUCTION_PINS = {
         "checks": "48c3d3023ccb605a146bac149f82279567c11837d829f5909441558f7b354832",
         "h": "48c3d3023ccb605a146bac149f82279567c11837d829f5909441558f7b354832",
         "g": "d5b59075e55f997ae97f039bae8c3db94c2636a35e0d65458cee7a2eb498affc",
-        "d": "6973097c6273b53b60afc78ff18df51640eb5d81a8df528bcab749929488c5ee",
+        "d": "b4be367bad8d8deb87399b5a71d81160281092cd1bda0eed53f66f37e0b68a2b",
         "_h1_columns": "5d169867b3ea6b55b99f0601866e46dfd446875ea7b5c30b12186cf00e0acbff",
     },
 }
