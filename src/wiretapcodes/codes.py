@@ -90,12 +90,24 @@ class LinearCode:
     pivots : numpy.ndarray
         Per row ``i`` of ``h``, the column where ``h`` holds row ``i`` of the
         identity, increasing; ``g`` holds the identity on the other columns
-        in the same way.  Every code is in this systematic form.
+        in the same way.  Every code is in this systematic form; the
+        constructor raises ``ValueError`` otherwise.
     """
 
-    __slots__ = ("n", "k", "h", "g", "checks", "ensemble", "span", "pivots", "_edge_cache")
+    __slots__ = (
+        "n", "k", "h", "g", "checks", "ensemble", "span", "pivots",
+        "_edge_cache", "_variable_cache",
+    )
 
     def __init__(self, n, k, h, g, checks, pivots, ensemble=None, span=None):
+        pivots = np.asarray(pivots, dtype=np.int64)
+        free = np.setdiff1d(np.arange(n), pivots)
+        if (h.rows, h.cols, g.rows, g.cols) != (n - k, n, k, n) or not (
+            _holds_identity(h, pivots) and _holds_identity(g, free)
+        ):
+            raise ValueError(
+                "h must hold the identity at the pivots and g at the other columns"
+            )
         self.n = n
         self.k = k
         self.h = h
@@ -105,6 +117,7 @@ class LinearCode:
         self.span = span
         self.pivots = pivots
         self._edge_cache = None
+        self._variable_cache = None
 
     @property
     def rate(self) -> float:
@@ -131,6 +144,17 @@ class LinearCode:
             self._edge_cache = _edges(self.checks)
         return self._edge_cache
 
+    def variable_checks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(start, chk)``: the checks of variable ``v`` in ``checks`` are
+        ``chk[start[v]:start[v + 1]]``.  Cached beside :meth:`edge_lists`."""
+        if self._variable_cache is None:
+            edge_chk, edge_var = self.edge_lists()
+            order = np.argsort(edge_var, kind="stable")
+            start = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(edge_var, minlength=self.n), out=start[1:])
+            self._variable_cache = start, edge_chk[order]
+        return self._variable_cache
+
     def degree_distribution(self) -> DegreeDistribution:
         """Empirical edge-perspective degree distribution of ``checks``."""
         col_w = self.checks.column_weights()
@@ -148,6 +172,28 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k})"
+
+
+def _holds_identity(m: BitMatrix, cols: np.ndarray) -> bool:
+    """Whether ``m[:, cols]`` is the identity: row ``i`` has exactly one one
+    among the distinct columns ``cols``, at ``cols[i]``.  Read off the
+    packed words one word column at a time, never transposed or unpacked."""
+    if cols.shape != (m.rows,):
+        return False
+    if not m.rows:
+        return True
+    if cols.min() < 0 or cols.max() >= m.cols:
+        return False
+    in_cols = np.zeros(m.cols, dtype=bool)
+    in_cols[cols] = True
+    if np.count_nonzero(in_cols) != cols.size:
+        return False
+    mask = bitlinalg.pack_vector(in_cols, m.cols)
+    ones = np.zeros(m.rows, dtype=np.int64)
+    for w in np.flatnonzero(mask):
+        ones += np.bitwise_count(m.words[:, w] & mask[w])
+    own = m.words[np.arange(m.rows), cols // 64] >> (cols % 64).astype(np.uint64)
+    return bool((ones == 1).all() and (own & np.uint64(1)).all())
 
 
 def _edges(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:

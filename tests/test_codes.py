@@ -181,6 +181,23 @@ class TestSystematicForm:
         assert_systematic(back)
         assert np.array_equal(back.pivots, code.pivots)
 
+    def test_constructor_rejects_codes_off_their_pivots(self):
+        h = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+        g = BitMatrix.from_dense([[1, 1, 1]])
+        # h[:, [0, 1]] is [[1, 1], [0, 1]], not I: the pair's h1 @ d would not be I
+        with pytest.raises(ValueError, match="identity"):
+            codes.LinearCode(3, 1, h, g, h, [0, 1])
+        # g must hold the identity on the column off the pivots
+        with pytest.raises(ValueError, match="identity"):
+            codes.LinearCode(3, 1, h, BitMatrix.from_dense([[1, 0, 1]]), h, [0, 2])
+        # repeated, out-of-range or too few pivots, and a wrong k
+        for pivots in ([0, 0], [0, 3], [0]):
+            with pytest.raises(ValueError, match="identity"):
+                codes.LinearCode(3, 1, h, g, h, pivots)
+        with pytest.raises(ValueError, match="identity"):
+            codes.LinearCode(3, 2, h, g, h, [0, 2])
+        assert_systematic(codes.LinearCode(3, 1, h, g, h, [0, 2]))
+
 
 class TestRegularLdpc:
     def test_small_ensemble_weights(self):

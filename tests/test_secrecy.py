@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wiretapcodes import bitlinalg, capacity, codes, secrecy
+from wiretapcodes import bitlinalg, capacity, codes, decoders, secrecy
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import BEC, BIAWGN, BSC, bec_transmit, modulate
 
@@ -193,20 +193,31 @@ def uint8_rank(a) -> int:
     return r
 
 
+def spy_rank_ncols(monkeypatch) -> list:
+    """Record the ``ncols`` of every ``secrecy.rank_words`` call."""
+    ncols_seen = []
+    rank_words = secrecy.rank_words
+
+    def spy(words, ncols):
+        ncols_seen.append(ncols)
+        return rank_words(words, ncols)
+
+    monkeypatch.setattr(secrecy, "rank_words", spy)
+    return ncols_seen
+
+
 class TestDenseOrientation:
     def test_both_orientations_match_uint8_elimination(self, ldpc_dual_pair, monkeypatch):
-        # the dense rest is ranked on the gathered columns of h1 (ncols = m)
-        # well below eps = 0.5 and on its rows (ncols = n) above it
-        pair = ldpc_dual_pair
+        # the criterion-7 h1 without its sparse span, so every rank is the
+        # dense rest: ranked on the gathered columns of h1 (ncols = m) well
+        # below eps = 0.5 and on its rows (ncols = n) above it
+        c = ldpc_dual_pair.coarse
+        pair = codes.nested_pair_from_coarse(
+            codes.LinearCode(c.n, c.k, c.h, c.g, c.checks, c.pivots)
+        )
+        assert pair._span_edges is None
         h1 = pair.h1.to_dense()
-        ncols_seen = []
-        rank_words = secrecy.rank_words
-
-        def spy(words, ncols):
-            ncols_seen.append(ncols)
-            return rank_words(words, ncols)
-
-        monkeypatch.setattr(secrecy, "rank_words", spy)
+        ncols_seen = spy_rank_ncols(monkeypatch)
         rng = np.random.default_rng(77)
         checked = {pair.m: [], pair.n: []}
         for eps in (0.20, 0.52):
@@ -220,6 +231,42 @@ class TestDenseOrientation:
         assert len(checked[pair.m]) >= 20 and len(checked[pair.n]) >= 20
         # both orientations meet rank-deficient blocks, where a wrong mask shows
         assert min(checked[pair.m]) < pair.m and min(checked[pair.n]) < pair.m
+
+
+class TestRankPathChoice:
+    # The sparse stopping-set core is ranked whenever it is less work than
+    # the dense rest: in the mid band, not only when it is the smaller block.
+    @pytest.mark.parametrize("eps,path", [(0.20, "dense"), (0.45, "core"), (0.527, "core")])
+    def test_path_follows_the_work_rule(self, ldpc_dual_pair, monkeypatch, eps, path):
+        pair = ldpc_dual_pair
+        h1 = pair.h1.to_dense()
+        ncols_seen = spy_rank_ncols(monkeypatch)
+        rng = np.random.default_rng(int(1000 * eps))
+        for _ in range(10):
+            erased = np.nonzero(rng.random(pair.n) < eps)[0]
+            width = secrecy._peel(pair, erased)[3][1]
+            assert width not in (0, pair.m, pair.n)
+            ncols_seen.clear()
+            got = secrecy.exact_equivocation_bec(pair, erased)
+            assert ncols_seen == ([width] if path == "core" else [pair.m])
+            assert got == dense_rank(pair, erased) == uint8_rank(h1[:, erased].T)
+
+    def test_nonempty_cores_above_the_threshold_take_the_core(self, ldpc_dual_pair, monkeypatch):
+        pair = ldpc_dual_pair
+        h1 = pair.h1.to_dense()
+        ncols_seen = spy_rank_ncols(monkeypatch)
+        rng = np.random.default_rng(3)
+        nonempty = 0
+        for _ in range(200):
+            erased = np.nonzero(rng.random(pair.n) < 0.60)[0]
+            rows, width = secrecy._peel(pair, erased)[3]
+            ncols_seen.clear()
+            got = secrecy.exact_equivocation_bec(pair, erased)
+            if rows:
+                nonempty += 1
+                assert ncols_seen == [width]
+                assert got == dense_rank(pair, erased) == uint8_rank(h1[:, erased].T)
+        assert nonempty >= 3
 
 
 class TestMonteCarloBec:
@@ -373,6 +420,39 @@ class TestPeeling:
         word, ok = secrecy.peeling_decode_bec(code, np.array([0, 1, -1], dtype=np.int8))
         assert word.tolist() == [0, 0, 1]
         assert not ok
+
+    @pytest.mark.parametrize(
+        "n,dv,dc,eps", [(120, 3, 6, 0.35), (120, 3, 6, 0.50), (102, 4, 6, 0.45)]
+    )
+    def test_matches_per_round_parity_reference(self, n, dv, dc, eps):
+        # the reference recomputes every check's parity each round
+        def reference(code, z):
+            edge_chk, edge_var = code.edge_lists()
+            m = code.checks.rows
+            bits = (z < 0).astype(np.int8)
+            unknown = z == 0
+            for chk, var in decoders._peel_edges(edge_chk, edge_var, m, unknown)[0]:
+                var, first = np.unique(var, return_index=True)
+                bits[var] = decoders._check_parity(edge_chk, edge_var, bits, m)[chk[first]]
+            parity = decoders._check_parity(edge_chk, edge_var, bits, m)
+            success = not unknown.any() and not parity.any()
+            bits[unknown] = decoders.ERASED_BIT
+            return bits, success
+
+        code = codes.regular_ldpc(n, dv, dc, seed=n + dv)
+        rng = np.random.default_rng(int(100 * eps))
+        outcomes = set()
+        for trial in range(60):
+            # every other input is a random word, not a codeword: inconsistent
+            cw = code.random_codeword(rng) if trial % 2 else rng.integers(0, 2, n, dtype=np.uint8)
+            z = bec_transmit(modulate(cw), eps, rng)
+            word, ok = secrecy.peeling_decode_bec(code, z)
+            want, want_ok = reference(code, z)
+            assert np.array_equal(word, want) and ok == want_ok
+            outcomes.add((trial % 2, ok))
+        # consistent inputs decode at least once, inconsistent ones never
+        assert (0, False) in outcomes and (0, True) not in outcomes
+        assert eps > 0.45 or (1, True) in outcomes
 
     # BEC BP thresholds: (3,6) 0.4294, (4,6) 0.5061
     @pytest.mark.parametrize("n,dv,dc,eps,below", [
