@@ -97,24 +97,24 @@ class RegionPolygon:
         ordered = hull[start:] + hull[:start]
         return cls(tuple(RateEquivocationPoint(r, re) for r, re in ordered))
 
-    def contains(self, rate: float, equivocation: float, tol: float = 1e-9) -> bool:
+    def contains(self, rate: float, equivocation: float) -> bool:
         """Point membership for a convex counterclockwise polygon."""
         p = (rate, equivocation)
         verts = [(v.rate, v.equivocation) for v in self.vertices]
         if len(verts) == 1:
-            return abs(p[0] - verts[0][0]) <= tol and abs(p[1] - verts[0][1]) <= tol
+            return abs(p[0] - verts[0][0]) <= _GEOM_TOL and abs(p[1] - verts[0][1]) <= _GEOM_TOL
         if len(verts) == 2:
             a, b = verts
             along = _cross(a, b, p)
-            within = min(a[0], b[0]) - tol <= p[0] <= max(a[0], b[0]) + tol
-            return abs(along) <= tol and within
+            within = min(a[0], b[0]) - _GEOM_TOL <= p[0] <= max(a[0], b[0]) + _GEOM_TOL
+            return abs(along) <= _GEOM_TOL and within
         return all(
-            _cross(verts[i], verts[(i + 1) % len(verts)], p) >= -tol
+            _cross(verts[i], verts[(i + 1) % len(verts)], p) >= -_GEOM_TOL
             for i in range(len(verts))
         )
 
-    def contains_polygon(self, other: "RegionPolygon", tol: float = 1e-9) -> bool:
-        return all(self.contains(v.rate, v.equivocation, tol) for v in other.vertices)
+    def contains_polygon(self, other: "RegionPolygon") -> bool:
+        return all(self.contains(v.rate, v.equivocation) for v in other.vertices)
 
     def is_convex(self) -> bool:
         verts = [(v.rate, v.equivocation) for v in self.vertices]

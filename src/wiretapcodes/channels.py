@@ -323,33 +323,18 @@ def _sample_folded_tail(count: int, mu: float, rng: np.random.Generator) -> np.n
 
 
 def awgn_degraded_transmit(
-    symbols,
-    snr: float,
-    rng: np.random.Generator,
-    allow_pure_erasure: bool = False,
+    symbols, snr: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transmit through the BEC-embedded decomposition of the AWGN channel.
 
     Returns ``(zprime, z)``: the BEC output over {+1, 0, -1} and the final
     real observation.  The marginal law of ``z`` given the input equals the
     direct channel's; ``z`` always carries the sign of an unerased
-    ``zprime``.
-
-    At ``snr = 0`` the erasure rate is one and the unerased conditional
-    densities are undefined; that case is rejected unless
-    ``allow_pure_erasure`` is set, in which case everything is erased and
-    ``z`` is standard normal.
+    ``zprime``.  Rejects ``snr <= 0``, where the erasure rate reaches one
+    and the unerased conditional densities are undefined.
     """
+    BIAWGN(snr).check_degradable()
     x = np.asarray(symbols, dtype=np.int8)
-    if snr <= 0:
-        if not (snr == 0 and allow_pure_erasure):
-            raise ValueError(
-                "snr must be positive (the erasure rate reaches 1 at snr=0; "
-                "pass allow_pure_erasure=True for the all-erasure channel)"
-            )
-        zprime = np.zeros(x.shape, dtype=np.int8)
-        return zprime, rng.standard_normal(x.shape)
-
     mu = signal_amplitude(snr)
     eps = erasure_rate_for_snr(snr)
     zprime = bec_transmit(x, eps, rng)

@@ -74,7 +74,8 @@ class LinearCode:
     Attributes
     ----------
     n, k : int
-        Block length and dimension (``k`` from the exact GF(2) rank).
+        Block length and dimension: the width of ``h`` and the row count of
+        ``g`` (``k`` from the exact GF(2) rank).
     h : BitMatrix
         Full-row-rank parity-check matrix, ``(n - k) x n``.
     g : BitMatrix
@@ -82,8 +83,6 @@ class LinearCode:
     checks : BitMatrix
         The check matrix as originally given (possibly redundant rows);
         the iterative decoders run on this structure.
-    ensemble : DegreeDistribution or None
-        Degree metadata when the code came from an ensemble.
     span : BitMatrix or None
         Rows spanning the code itself (possibly redundant), when a sparse
         set is known: the dual of a code keeps the parent's ``checks``.
@@ -95,25 +94,26 @@ class LinearCode:
     """
 
     __slots__ = (
-        "n", "k", "h", "g", "checks", "ensemble", "span", "pivots",
+        "n", "k", "h", "g", "checks", "span", "pivots",
         "_edge_cache", "_variable_cache",
     )
 
-    def __init__(self, n, k, h, g, checks, pivots, ensemble=None, span=None):
+    def __init__(self, h, g, checks, pivots, span=None):
+        n, k = h.cols, g.rows
         pivots = np.asarray(pivots, dtype=np.int64)
         free = np.setdiff1d(np.arange(n), pivots)
-        if (h.rows, h.cols, g.rows, g.cols) != (n - k, n, k, n) or not (
+        if g.cols != n or h.rows + k != n or not (
             _holds_identity(h, pivots) and _holds_identity(g, free)
         ):
             raise ValueError(
-                "h must hold the identity at the pivots and g at the other columns"
+                "h and g must be (n - k) x n and k x n, h holding the identity"
+                " at the pivots and g at the other columns"
             )
         self.n = n
         self.k = k
         self.h = h
         self.g = g
         self.checks = checks
-        self.ensemble = ensemble
         self.span = span
         self.pivots = pivots
         self._edge_cache = None
@@ -216,7 +216,7 @@ def _pack_edges(rows, cols, nrows: int, ncols: int) -> BitMatrix:
     return BitMatrix(nrows, ncols, words)
 
 
-def from_parity_check(h: BitMatrix, ensemble=None) -> LinearCode:
+def from_parity_check(h: BitMatrix) -> LinearCode:
     """Build a code from a parity-check matrix.
 
     The stored ``h`` is the reduced row echelon form restricted to its
@@ -229,8 +229,7 @@ def from_parity_check(h: BitMatrix, ensemble=None) -> LinearCode:
     r = len(pivots)
     h_norm = BitMatrix(r, h.cols, np.ascontiguousarray(reduced.words[:r]))
     g = bitlinalg._nullspace_from_rref(h_norm, pivots)
-    pivots = np.array(pivots, dtype=np.int64)
-    return LinearCode(h.cols, h.cols - r, h_norm, g, h.copy(), pivots, ensemble)
+    return LinearCode(h_norm, g, h.copy(), pivots)
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -238,16 +237,10 @@ def dual(code: LinearCode) -> LinearCode:
 
     The parent's raw ``checks`` span the dual, so they are kept as its
     ``span``; the parent's ``g`` holds the identity off its ``pivots``.
+    Codes are immutable, so the dual shares the parent's matrices.
     """
-    return LinearCode(
-        code.n,
-        code.n - code.k,
-        code.g.copy(),
-        code.h.copy(),
-        code.g.copy(),
-        np.setdiff1d(np.arange(code.n), code.pivots),
-        span=code.checks,
-    )
+    free = np.setdiff1d(np.arange(code.n), code.pivots)
+    return LinearCode(code.g, code.h, code.g, free, span=code.checks)
 
 
 def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
@@ -289,7 +282,7 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
         )
 
     h = _pack_edges(chk_of_socket, var_of_socket, m, n)
-    return from_parity_check(h, ensemble=DegreeDistribution.regular(dv, dc))
+    return from_parity_check(h)
 
 
 class NestedCodePair:
@@ -298,15 +291,17 @@ class NestedCodePair:
     Messages are ``m = n - k1`` bits; message ``w`` indexes the coset
     ``{x : h1 @ x = w}`` of the coarse code.  The coset-leader map ``d``
     satisfies ``h1 @ d = I`` so that ``d @ w`` lands in coset ``w`` and
-    decoding is the single multiply ``h1 @ y``.
+    decoding is the single multiply ``h1 @ y``; ``h1`` holds the identity
+    at the coarse code's pivots, so ``d`` is the unit rows there.
     """
 
     __slots__ = ("coarse", "h1", "d", "_h1_columns", "_unit_rows", "_span_edges")
 
-    def __init__(self, coarse: LinearCode, d: BitMatrix):
+    def __init__(self, coarse: LinearCode):
         self.coarse = coarse
         self.h1 = coarse.h
-        self.d = d
+        r = coarse.pivots.size
+        self.d = _pack_edges(coarse.pivots, np.arange(r), coarse.n, r)
         # Columns of h1 packed as rows: the per-trial erasure-pattern ranks
         # reduce to a row gather from this table.
         self._h1_columns = self.h1.transpose()
@@ -338,8 +333,7 @@ class NestedCodePair:
 
 def nested_pair_from_coarse(coarse: LinearCode) -> NestedCodePair:
     """Nest ``coarse`` inside the full space {0,1}^n."""
-    r = coarse.pivots.size  # h1's right inverse: unit rows at its pivots
-    return NestedCodePair(coarse, _pack_edges(coarse.pivots, np.arange(r), coarse.n, r))
+    return NestedCodePair(coarse)
 
 
 class AlistParseError(ValueError):

@@ -38,7 +38,7 @@ from ._kernels import rank_words
 from .channels import ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
 from .codes import NestedCodePair, _pack_edges
 from .decoders import _peel_edges, bp_decode_awgn, peeling_decode_bec  # decoders re-exported
-from .thresholds import wilson_interval
+from .thresholds import Z95, wilson_interval
 
 __all__ = [
     "CosetCodeword",
@@ -57,7 +57,6 @@ __all__ = [
     "bp_decode_awgn",
 ]
 
-_Z95 = 1.96
 _BRUTE_FORCE_BEC_LIMIT = 12
 _BRUTE_FORCE_BSC_LIMIT = 10
 # Work rule of _erased_rank: the stopping-set core (``e`` edges) is ranked
@@ -192,10 +191,12 @@ def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
     other_rows = np.flatnonzero(~pivoted)
     if pair._span_edges is not None:
         peeled, rows, cols, shape = _peel(pair, erased_idx)
+        rank = m - (pair.n - erased_idx.size) + peeled
+        if not rows.size:  # empty core: peeling found the whole rank
+            return rank
         s = min(other_cols.size, other_rows.size)
         if _CORE_WORK * rows.size < s * s:
-            unerased = pair.n - erased_idx.size
-            return m - unerased + peeled + _core_rank(rows, cols, shape)
+            return rank + _core_rank(rows, cols, shape)
     if other_cols.size <= other_rows.size:
         words, ncols, keep = pair._h1_columns.words[other_cols], m, ~pivoted
     else:
@@ -242,7 +243,7 @@ def mc_equivocation_bec(
     sd = float(ranks.std(ddof=1)) if trials > 1 else 0.0
     return EquivocationEstimate(
         value=mean / pair.n,
-        half_width=_Z95 * sd / math.sqrt(trials) / pair.n,
+        half_width=Z95 * sd / math.sqrt(trials) / pair.n,
         trials=trials,
         method="exact-rank",
         detail={"erasure_prob": erasure_prob, "n": pair.n, "m": pair.m},

@@ -27,6 +27,7 @@ from .decoders import bp_decode_awgn
 
 DE_TOL = 1e-8
 DE_MAX_ITER = 10_000
+Z95 = 1.96  # two-sided 95% standard normal quantile
 _BRACKET_WIDTH = 1e-4
 _SHANNON_SLACK = 1e-3
 
@@ -54,52 +55,42 @@ class ThresholdResult:
             raise ValueError(f"estimate {self.value} outside bracket {self.bracket}")
 
 
-def de_residual(
-    eps: float,
-    dd: DegreeDistribution,
-    tol: float = DE_TOL,
-    max_iter: int = DE_MAX_ITER,
-) -> float:
+def de_residual(eps: float, dd: DegreeDistribution) -> float:
     """Limiting erasure probability of density evolution at channel eps.
 
-    Iterates until successive values differ by less than ``tol`` or the
-    iteration budget runs out, and returns the last iterate.  Monotone
-    nondecreasing in ``eps`` up to the stopping resolution.
+    Iterates until successive values differ by less than ``DE_TOL`` or
+    ``DE_MAX_ITER`` iterations have run, and returns the last iterate.
+    Monotone nondecreasing in ``eps`` up to the stopping resolution.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"erasure probability {eps} outside [0, 1]")
     x = eps
-    for _ in range(max_iter):
+    for _ in range(DE_MAX_ITER):
         x_next = eps * dd.lam(1.0 - dd.rho(1.0 - x))
-        if abs(x_next - x) < tol:
+        if abs(x_next - x) < DE_TOL:
             return x_next
         x = x_next
     return x
 
 
-def bec_bp_threshold(
-    dd: DegreeDistribution,
-    tol: float = 1e-6,
-    de_tol: float = DE_TOL,
-    max_iter: int = DE_MAX_ITER,
-) -> ThresholdResult:
+def bec_bp_threshold(dd: DegreeDistribution, tol: float = 1e-6) -> ThresholdResult:
     """BEC threshold of an ensemble by bisection on the DE residual.
 
     ``tol`` classifies convergence: the threshold is the largest eps whose
     residual falls below it.  The classification tolerance is kept two
-    orders looser than the iteration tolerance ``de_tol`` so that ensembles
+    orders looser than the iteration tolerance ``DE_TOL`` so that ensembles
     with slow linear contraction (degree-2 variables) are not misclassified
     by the stopping rule.  The final bracket is at most 1e-4 wide, and the
     estimate is checked against the Shannon bound ``1 - design rate``.
     """
-    if tol <= de_tol:
+    if tol <= DE_TOL:
         raise ValueError("classification tol must exceed the DE iteration tol")
     lo, hi = 0.0, 1.0
-    if de_residual(hi, dd, de_tol, max_iter) < tol:
+    if de_residual(hi, dd) < tol:
         lo = hi
     while hi - lo > _BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        if de_residual(mid, dd, de_tol, max_iter) < tol:
+        if de_residual(mid, dd) < tol:
             lo = mid
         else:
             hi = mid
@@ -113,17 +104,18 @@ def bec_bp_threshold(
         value=estimate,
         bracket=(lo, hi),
         method="DE-bisection",
-        detail={"tol": tol, "de_tol": de_tol, "max_iter": max_iter},
+        detail={"tol": tol, "de_tol": DE_TOL, "max_iter": DE_MAX_ITER},
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes outside [0, trials]")
     p = successes / trials
+    z = Z95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom

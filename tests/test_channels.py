@@ -120,16 +120,8 @@ class TestAwgnDegraded:
 
     def test_zero_snr_rejected(self):
         rng = np.random.default_rng(7)
-        with pytest.raises(ValueError, match="pure_erasure"):
+        with pytest.raises(ValueError, match="must be positive"):
             channels.awgn_degraded_transmit(np.ones(4, dtype=np.int8), 0.0, rng)
-
-    def test_pure_erasure_on_request(self):
-        rng = np.random.default_rng(7)
-        zp, z = channels.awgn_degraded_transmit(
-            np.ones(50_000, dtype=np.int8), 0.0, rng, allow_pure_erasure=True
-        )
-        assert not zp.any()
-        assert abs(z.mean()) < 0.02
 
     def test_histogram_matches_direct_density(self):
         # chi-squared goodness of fit of the composed channel against g(z|x)

@@ -186,17 +186,21 @@ class TestSystematicForm:
         g = BitMatrix.from_dense([[1, 1, 1]])
         # h[:, [0, 1]] is [[1, 1], [0, 1]], not I: the pair's h1 @ d would not be I
         with pytest.raises(ValueError, match="identity"):
-            codes.LinearCode(3, 1, h, g, h, [0, 1])
+            codes.LinearCode(h, g, h, [0, 1])
         # g must hold the identity on the column off the pivots
         with pytest.raises(ValueError, match="identity"):
-            codes.LinearCode(3, 1, h, BitMatrix.from_dense([[1, 0, 1]]), h, [0, 2])
-        # repeated, out-of-range or too few pivots, and a wrong k
+            codes.LinearCode(h, BitMatrix.from_dense([[1, 0, 1]]), h, [0, 2])
+        # repeated, out-of-range or too few pivots
         for pivots in ([0, 0], [0, 3], [0]):
             with pytest.raises(ValueError, match="identity"):
-                codes.LinearCode(3, 1, h, g, h, pivots)
-        with pytest.raises(ValueError, match="identity"):
-            codes.LinearCode(3, 2, h, g, h, [0, 2])
-        assert_systematic(codes.LinearCode(3, 1, h, g, h, [0, 2]))
+                codes.LinearCode(h, g, h, pivots)
+        # row counts of h and g that do not add up to n, and a g wider than h
+        for bad_g in ([[1, 1, 1], [0, 1, 0]], [[0, 1, 0, 1]]):
+            with pytest.raises(ValueError, match="identity"):
+                codes.LinearCode(h, BitMatrix.from_dense(bad_g), h, [0, 2])
+        code = codes.LinearCode(h, g, h, [0, 2])
+        assert (code.n, code.k) == (3, 1)
+        assert_systematic(code)
 
 
 class TestRegularLdpc:
@@ -209,7 +213,7 @@ class TestRegularLdpc:
 
     def test_design_rate_example(self):
         code = codes.regular_ldpc(12, 4, 6, seed=1)
-        assert code.ensemble.design_rate == pytest.approx(1 / 3)
+        assert code.degree_distribution().design_rate == pytest.approx(1 / 3)
         assert code.rate >= 1 / 3 - 1e-12
 
     def test_deterministic(self):

@@ -213,7 +213,7 @@ class TestDenseOrientation:
         # below eps = 0.5 and on its rows (ncols = n) above it
         c = ldpc_dual_pair.coarse
         pair = codes.nested_pair_from_coarse(
-            codes.LinearCode(c.n, c.k, c.h, c.g, c.checks, c.pivots)
+            codes.LinearCode(c.h, c.g, c.checks, c.pivots)
         )
         assert pair._span_edges is None
         h1 = pair.h1.to_dense()
@@ -267,6 +267,18 @@ class TestRankPathChoice:
                 assert ncols_seen == [width]
                 assert got == dense_rank(pair, erased) == uint8_rank(h1[:, erased].T)
         assert nonempty >= 3
+
+    def test_empty_cores_need_no_rank_call(self, ldpc_dual_pair, monkeypatch):
+        # far above the BP threshold of the (3,6) code every core is empty,
+        # so the peeled count is the whole rank and nothing is eliminated
+        pair = ldpc_dual_pair
+        ncols_seen = spy_rank_ncols(monkeypatch)
+        rng = np.random.default_rng(65)
+        for _ in range(50):
+            erased = np.nonzero(rng.random(pair.n) < 0.65)[0]
+            assert secrecy._peel(pair, erased)[3] == (0, 0)
+            assert secrecy.exact_equivocation_bec(pair, erased) == dense_rank(pair, erased)
+        assert ncols_seen == []
 
 
 class TestMonteCarloBec:

@@ -95,7 +95,7 @@ class TestBecBpThreshold:
 
     def test_tolerance_ordering_enforced(self):
         with pytest.raises(ValueError, match="exceed"):
-            thresholds.bec_bp_threshold(REGULAR_36, tol=1e-9, de_tol=1e-8)
+            thresholds.bec_bp_threshold(REGULAR_36, tol=1e-9)
 
 
 class TestWilsonInterval:
