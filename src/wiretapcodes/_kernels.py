@@ -8,103 +8,128 @@ The kernels work on bit-packed uint64 words (64 matrix columns per word,
 column j stored at bit j % 64 of word j // 64), with one routine per job.
 Every reduction (a wide rank, ``rref``, ``nullspace_basis``,
 ``right_inverse``) is ``_eliminate``, the Method of Four Russians (Albrecht,
-Bard and Hart, ACM TOMS 2010, the "M4RI" library) at every width: up to
-``_BLOCK_PIVOTS`` pivots per word-wide column stripe, every other row fixed
-by one gather from the table of their XOR combinations.  Every rank
-narrower than ``_BLOCKED_MIN_WORDS`` words (each per-trial erasure rank of
-an n=2000 pair) is an XOR basis keyed by leading bit, one Python int per
-row: about rows x rank big-int XORs and no numpy call per pivot.  Wider
-ranks count the pivots of ``_eliminate``, since there the int basis loses
-(238-251 against 127-153 ms on a dense 2000 x 5000 matrix).
+Bard and Hart, ACM TOMS 2010, the "M4RI" library) on byte-aligned blocks:
+the pivots of each 8-column byte come from the distinct byte values of the
+unreduced rows, and every row below them is fixed by one gather from the
+table of all XOR combinations of the pivot rows.  Full reduction is a
+second pass that back-substitutes the bytes from last to first, so rows
+above a pivot are cleared once, after later pivots have been removed from
+the pivot rows.  Every rank narrower than ``_BLOCKED_MIN_WORDS`` words (each
+per-trial erasure rank of an n=2000 pair) is an XOR basis keyed by leading
+bit, one Python int per row: about rows x rank big-int XORs and no numpy
+call per pivot.  Wider ranks count the pivots of ``_eliminate``, since
+there the int basis loses (318-362 against 121-125 ms on a dense
+2000 x 5000 matrix, numpy 2.4.6, 2 vCPUs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_ONE = np.uint64(1)
-
-
 # Width rule for ranks: a words array at least this many uint64 words wide is
 # ranked by _eliminate, a narrower one on a Python-int XOR basis.
 _BLOCKED_MIN_WORDS = 40
-# Pivots per block: the table has 2**_BLOCK_PIVOTS rows.
-_BLOCK_PIVOTS = 8
+
+
+def _bit_extract_table() -> np.ndarray:
+    """``table[mask, x]``: the bits of byte ``x`` under ``mask``, packed
+    into the low bits in order (a parallel bit extract)."""
+    mask = np.arange(256)[:, None]
+    x = np.arange(256)[None, :]
+    table = np.zeros((256, 256), dtype=np.uint8)
+    below = np.zeros_like(mask)  # bits of mask below bit b
+    for b in range(8):
+        on = mask >> b & 1
+        table |= ((x >> b & 1) * on << below).astype(np.uint8)
+        below = below + on
+    return table
+
+
+_EXTRACT = _bit_extract_table()
+
+
+def _combinations(rows: np.ndarray) -> np.ndarray:
+    """``table[t]``: the XOR of the rows ``i`` with bit ``i`` of ``t`` set."""
+    table = np.empty((1 << rows.shape[0], rows.shape[1]), dtype=np.uint64)
+    table[0] = 0
+    for i, row in enumerate(rows):
+        np.bitwise_xor(table[: 1 << i], row, out=table[1 << i : 2 << i])
+    return table
 
 
 def _eliminate(words: np.ndarray, ncols: int, clear_above: bool) -> list[int]:
     """In-place (reduced, with ``clear_above``) row echelon form over the
-    first ``ncols`` columns, by blocks of up to ``_BLOCK_PIVOTS`` pivots.
-    Returns pivot columns.
+    first ``ncols`` columns, one byte (8 columns) at a time.  Returns pivot
+    columns.
 
-    Each block finds its pivots on the one-word stripe of the unreduced
-    rows, reduces the pivot rows against each other, and then fixes every
-    other row with one gather from the table of all XOR combinations of the
-    pivot rows.  Rows at and below ``r`` are zero left of the current
-    column, so only words from the stripe onward are XORed.
+    The forward pass clears each byte below its pivot rows.  Rows at and
+    below ``r`` are zero left of the byte, so their distinct byte values
+    decide its pivots: an XOR basis of them keyed by lowest bit, with one
+    row per basis value.  Every row below then XORs the entry of the table
+    of all combinations of those rows that has its pivot bits, which zeroes
+    the byte, and the reduced pivot rows are table entries too.  With
+    ``clear_above`` a second pass walks the bytes from last to first and
+    clears each byte's pivot columns in the rows above its pivot rows, which
+    later bytes have already freed of later pivots.
     """
     rows = words.shape[0]
+    octets = words.view(np.uint8)
     pivots: list[int] = []
+    blocks: list[tuple[int, int, int]] = []  # (byte, first pivot row, pivot mask)
     r = 0
-    c = 0
-    while c < ncols and r < rows:
-        w, b = divmod(c, 64)
-        end = min(ncols - 64 * w, 64)
-        # Pivot search on the stripe alone; a chosen row is zeroed in it, and
-        # reduction never sets a bit that no row of the stripe had.
-        stripe = words[r:, w].copy()
-        present = int(np.bitwise_or.reduce(stripe)) >> b << b
-        bits: list[int] = []
-        found: list[int] = []
-        while present and len(found) < _BLOCK_PIVOTS and r + len(found) < rows:
-            bit = (present & -present).bit_length() - 1
-            if bit >= end:
-                break
-            present &= present - 1
-            nz = np.flatnonzero(stripe & np.uint64(1 << bit))
-            if nz.size:
-                stripe[nz] ^= stripe[nz[0]]
-                bits.append(bit)
-                found.append(r + int(nz[0]))
-        c = 64 * w + (bits[-1] + 1 if len(found) == _BLOCK_PIVOTS else end)
-        k = len(found)
-        if k == 0:
+    for byte in range((ncols + 7) // 8):
+        if r == rows:
+            break
+        w = byte // 8
+        col = octets[r:, byte] & np.uint8((1 << min(ncols - 8 * byte, 8)) - 1)
+        vals, first = np.unique(col, return_index=True)
+        if vals[-1] == 0:
             continue
-        # Reduce the pivot rows against each other (Gauss-Jordan on k rows),
-        # deciding each row operation on their stripe words as Python ints.
-        piv = words[found, w:]
-        head = [int(x) for x in piv[:, 0]]
-        for i, bit in enumerate(bits):
-            for j in range(k):
-                if j != i and head[j] >> bit & 1:
-                    piv[j] ^= piv[i]
-                    head[j] ^= head[i]
-        # Every other row: XOR the table entry its stripe bits select.  The
-        # pivot rows are saved in piv and leave the selection, so a block
-        # with nothing to clear (an already reduced matrix) builds no table.
-        words[found, w] = 0
-        lo = 0 if clear_above else r
-        col = words[lo:, w] & np.uint64(sum(1 << bit for bit in bits))
+        # Earliest rows first; stop once every column of the byte seen is a pivot.
+        order = np.argsort(first)
+        limit = int(np.bitwise_or.reduce(vals)).bit_count()
+        basis: dict[int, int] = {}  # lowest bit -> reduced value
+        found: list[int] = []
+        for v, i in zip(vals[order].tolist(), first[order].tolist()):
+            x = v
+            while x:
+                low = x & -x
+                if low not in basis:
+                    basis[low] = x
+                    found.append(r + i)
+                    break
+                x ^= basis[low]
+            if len(found) == limit:
+                break
+        k = len(found)
+        mask = sum(basis)
+        extract = _EXTRACT[mask]
+        # entry[s] is the table row whose pivot bits, packed, are s.
+        table = _combinations(words[found, w:])
+        entry = np.empty(1 << k, dtype=np.intp)
+        entry[extract[table.view(np.uint8)[:, byte % 8]]] = np.arange(1 << k)
         nz = np.flatnonzero(col)
-        if nz.size:
-            col = col[nz]
-            sel = np.zeros(nz.size, dtype=np.intp)
-            for i, bit in enumerate(bits):
-                sel |= ((col >> np.uint64(bit)) & _ONE).astype(np.intp) << i
-            # table[s] is the XOR of the pivot rows i with bit i of s set.
-            table = np.zeros((1 << k, piv.shape[1]), dtype=np.uint64)
-            for i in range(k):
-                table[1 << i : 2 << i] = table[: 1 << i] ^ piv[i]
-            sub = words[lo:, w:]
-            sub[nz] ^= table[sel]
+        sub = words[r:, w:]
+        sub[nz] ^= table[entry[extract[col[nz]]]]
         # Pivot rows go to rows r..r+k-1; the rows they displace fill the holes.
         found_set = set(found)
         moved = [t for t in range(r, r + k) if t not in found_set]
         holes = [q for q in found if q >= r + k]
         words[holes] = words[moved]
-        words[r : r + k, w:] = piv
-        pivots.extend(64 * w + bit for bit in bits)
+        words[r : r + k, w:] = table[entry[1 << np.arange(k)]]
+        pivots.extend(8 * byte + b for b in range(8) if mask >> b & 1)
+        blocks.append((byte, r, mask))
         r += k
+    if clear_above:
+        for byte, a, mask in reversed(blocks):
+            sel = _EXTRACT[mask][octets[:a, byte]]
+            nz = np.flatnonzero(sel)
+            if not nz.size:
+                continue
+            w = byte // 8
+            table = _combinations(words[a : a + mask.bit_count(), w:])
+            sub = words[:a, w:]
+            sub[nz] ^= table[sel[nz]]
     return pivots
 
 

@@ -81,11 +81,12 @@ class LinearCode:
     g : BitMatrix
         Generator matrix, ``k x n``, with ``g @ h.T = 0``.
     checks : BitMatrix
-        The check matrix as originally given (possibly redundant rows);
-        the iterative decoders run on this structure.
+        The check matrix as originally given (possibly redundant rows, ``n``
+        columns); the iterative decoders run on this structure.
     span : BitMatrix or None
-        Rows spanning the code itself (possibly redundant), when a sparse
-        set is known: the dual of a code keeps the parent's ``checks``.
+        Rows spanning the code itself (possibly redundant, ``n`` columns),
+        when a sparse set is known: the dual of a code keeps the parent's
+        ``checks``.
     pivots : numpy.ndarray
         Per row ``i`` of ``h``, the column where ``h`` holds row ``i`` of the
         identity, increasing; ``g`` holds the identity on the other columns
@@ -109,6 +110,9 @@ class LinearCode:
                 "h and g must be (n - k) x n and k x n, h holding the identity"
                 " at the pivots and g at the other columns"
             )
+        for name, m in (("checks", checks), ("span", span)):
+            if m is not None and m.cols != n:
+                raise ValueError(f"{name} has {m.cols} columns, not n = {n}")
         self.n = n
         self.k = k
         self.h = h
@@ -295,21 +299,27 @@ class NestedCodePair:
     at the coarse code's pivots, so ``d`` is the unit rows there.
     """
 
-    __slots__ = ("coarse", "h1", "d", "_h1_columns", "_unit_rows", "_span_edges")
+    __slots__ = ("coarse", "h1", "d", "_h1_columns_cache", "_unit_rows", "_span_edges")
 
     def __init__(self, coarse: LinearCode):
         self.coarse = coarse
         self.h1 = coarse.h
         r = coarse.pivots.size
         self.d = _pack_edges(coarse.pivots, np.arange(r), coarse.n, r)
-        # Columns of h1 packed as rows: the per-trial erasure-pattern ranks
-        # reduce to a row gather from this table.
-        self._h1_columns = self.h1.transpose()
+        self._h1_columns_cache = None
         # Per column of h1, the row its identity puts there, or -1 off the pivots.
         self._unit_rows = np.full(self.n, -1, dtype=np.int64)
         self._unit_rows[coarse.pivots] = np.arange(coarse.pivots.size)
         # Edges of the coarse code's sparse span, peeled per erasure pattern.
         self._span_edges = None if coarse.span is None else _edges(coarse.span)
+
+    @property
+    def _h1_columns(self) -> BitMatrix:
+        """Columns of ``h1`` packed as rows, built on first use: the
+        per-trial erasure-pattern ranks reduce to a row gather from them."""
+        if self._h1_columns_cache is None:
+            self._h1_columns_cache = self.h1.transpose()
+        return self._h1_columns_cache
 
     @property
     def n(self) -> int:

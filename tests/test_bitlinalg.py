@@ -304,6 +304,30 @@ class TestBlockedElimination:
         d = bitlinalg.right_inverse(BitMatrix.from_dense(dense))
         assert np.array_equal(d.to_dense(), dense_right_inverse(dense))
 
+    @staticmethod
+    def assert_matches_oracle(words, ncols, width):
+        """``_eliminate`` in both modes against the dense oracle, on packed
+        rows ``width`` bits wide whose pivots are searched in ``ncols``."""
+        dense = bitlinalg._unpack_rows(words, width)
+        expect, expect_piv = dense_rref(dense, ncols)
+        r = len(expect_piv)
+        for clear_above in (True, False):
+            reduced = words.copy()
+            assert _kernels._eliminate(reduced, ncols, clear_above) == expect_piv
+            got = bitlinalg._unpack_rows(reduced, width)
+            assert not got[r:, :ncols].any()
+            if clear_above and r == words.shape[0]:
+                # rref is unique, and at full rank so is the row-operation
+                # record past ncols (the right inverse, for [m | I])
+                assert np.array_equal(got, expect)
+            elif clear_above:
+                assert np.array_equal(got[:r, :ncols], expect[:r, :ncols])
+            else:
+                # echelon rows: row i starts at pivot i and spans the oracle's rows
+                lead = [int(np.flatnonzero(row)[0]) for row in got[:r, :ncols]]
+                assert lead == expect_piv
+                assert dense_rank(np.vstack([got[:r, :ncols], expect[:r, :ncols]])) == r
+
     @pytest.mark.parametrize("seed", range(40))
     def test_blocked_step_equals_per_pivot_step(self, seed):
         # the block step on narrow shapes against the per-pivot dense oracle;
@@ -320,25 +344,33 @@ class TestBlockedElimination:
         with_eye = np.hstack([dense, np.eye(rows, dtype=np.uint8)])
         words = BitMatrix.from_dense(with_eye).words
         assert words.shape[1] < _kernels._BLOCKED_MIN_WORDS
-        expect, expect_piv = dense_rref(with_eye, cols)
-        for clear_above in (True, False):
-            reduced = words.copy()
-            piv = _kernels._eliminate(reduced, cols, clear_above)
-            assert piv == expect_piv
-            got = bitlinalg._unpack_rows(reduced, with_eye.shape[1])
-            r = len(piv)
-            if clear_above and r == rows:
-                # rref is unique, and so is the row-operation record at full rank
-                assert np.array_equal(got, expect)
-                d = np.zeros((cols, rows), dtype=np.uint8)
-                d[piv] = got[:, cols:]
-                assert np.array_equal(d, dense_right_inverse(dense))
-            elif clear_above:
-                assert np.array_equal(got[:r, :cols], expect[:r, :cols])
-            else:
-                # echelon rows span the same space as the oracle's pivot rows
-                assert not got[r:, :cols].any()
-                assert dense_rank(np.vstack([got[:r, :cols], expect[:r, :cols]])) == r
+        self.assert_matches_oracle(words, cols, with_eye.shape[1])
+
+    @pytest.mark.parametrize("args", [(600, 3, 6, 2), (600, 4, 6, 3)])
+    def test_sparse_checks_with_pivot_gaps(self, args):
+        # sparse checks whose pivots skip columns, so some bytes hold fewer
+        # than 8 pivots and some none; the (4,6) checks are rank-deficient
+        checks = codes.regular_ldpc(*args).checks
+        _, piv = dense_rref(checks.to_dense())
+        per_byte = np.bincount(np.array(piv) // 8)
+        assert ((per_byte > 0) & (per_byte < 8))[:-1].any()
+        assert (per_byte == 0).any()
+        self.assert_matches_oracle(checks.words, checks.cols, checks.cols)
+
+    @pytest.mark.parametrize("rows,ncols,rank", [
+        (20, 61, None), (70, 203, None), (70, 203, 50), (90, 2605, None), (90, 2605, 40),
+    ])
+    def test_junk_past_ncols_in_the_same_byte(self, rows, ncols, rank):
+        # ncols % 8 != 0: the last byte mixes pivot candidates with junk bits,
+        # which are carried along but never chosen as pivots
+        assert ncols % 8
+        rng = np.random.default_rng(rows + ncols)
+        width = 64 * bitlinalg._nwords(ncols) + 64
+        dense = rng.integers(0, 2, size=(rows, width), dtype=np.uint8)
+        if rank is not None:
+            dense[:, :ncols] = low_rank_dense(rng, rows, ncols, rank)
+        assert dense[:, ncols : ncols + 8 - ncols % 8].any()
+        self.assert_matches_oracle(BitMatrix.from_dense(dense).words, ncols, width)
 
     def test_width_rule(self, monkeypatch):
         # rref takes the block step at any width; only ranks have a width rule

@@ -202,6 +202,19 @@ class TestSystematicForm:
         assert (code.n, code.k) == (3, 1)
         assert_systematic(code)
 
+    def test_constructor_rejects_checks_or_span_of_another_width(self):
+        # a 2 x 5 checks beside a 3-column h used to be accepted, and ranking
+        # the dual pair built on it failed with an IndexError
+        code = codes.from_parity_check(BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]]))
+        wide = BitMatrix.from_dense([[1, 0, 0, 0, 1], [0, 1, 0, 1, 0]])
+        with pytest.raises(ValueError, match="checks has 5 columns, not n = 3"):
+            codes.LinearCode(code.h, code.g, wide, code.pivots)
+        with pytest.raises(ValueError, match="span has 5 columns, not n = 3"):
+            codes.LinearCode(code.h, code.g, code.checks, code.pivots, span=wide)
+        narrow = BitMatrix.from_dense([[1, 1], [0, 1]])
+        with pytest.raises(ValueError, match="checks has 2 columns"):
+            codes.LinearCode(code.h, code.g, narrow, code.pivots)
+
 
 class TestRegularLdpc:
     def test_small_ensemble_weights(self):
@@ -417,9 +430,7 @@ class TestAlist:
 
 
 # sha256 of every stored matrix of two code pairs, recorded before the blocked
-# elimination, the packed transpose and the packed null-space basis.  The
-# n=4002 checks (2668 x 63 words) are reduced by the blocked step, the n=2000
-# ones (1000 x 32 words) pivot by pivot.
+# elimination, the packed transpose and the packed null-space basis.
 PINNED_COARSE = {
     "ldpc4002": lambda: codes.regular_ldpc(4002, 4, 6, seed=8),
     "dual-ldpc2000": lambda: codes.dual(codes.regular_ldpc(2000, 3, 6, seed=101)),
@@ -451,6 +462,26 @@ def test_construction_is_bit_identical(label):
         "d": sha(pair.d), "_h1_columns": sha(pair._h1_columns),
     }
     assert got == CONSTRUCTION_PINS[label]
+
+
+# sha256 of the criterion-10 code (n=10002, 6667 x 157 words of checks),
+# recorded with the word-stripe elimination that the byte-aligned one with
+# back-substitution replaced.
+LDPC10002_PINS = {
+    "checks": "08a5561cb75e766707f406ae8d88127e4e5b6bd6c8086cb2291325055056563d",
+    "h": "eb7399651d99b5f7a031ed4eb25be233296cd8bab1cc0617a40233c5c40ad12a",
+    "g": "c75e35a9ef93ddec4698bf5bffbab60d1ef387603b92a15b42f32b3fe22c4927",
+    "pivots": "98da6fddf0e32ee195673e790e594f38ffb27e774deecf614cbd5cc8b1f2f439",
+}
+
+
+def test_ldpc10002_construction_is_bit_identical():
+    code = codes.regular_ldpc(10002, 4, 6, seed=8)
+    got = {
+        "checks": sha(code.checks), "h": sha(code.h), "g": sha(code.g),
+        "pivots": hashlib.sha256(code.pivots.astype("<i8").tobytes()).hexdigest(),
+    }
+    assert got == LDPC10002_PINS
 
 
 def test_construction_holds_no_dense_check_sized_array():
