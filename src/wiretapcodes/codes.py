@@ -25,6 +25,14 @@ from .bitlinalg import BitMatrix
 _LDPC_FIXUP_ROUNDS = 1000
 
 
+def _edge_polynomial(terms, x):
+    """The sum of ``f * x**e`` over ``terms``, added left to right from 0."""
+    s = 0
+    for f, e in terms:
+        s += f * x ** e
+    return s
+
+
 @dataclass(frozen=True)
 class DegreeDistribution:
     """Edge-perspective degree distribution pair (variable, check).
@@ -48,6 +56,10 @@ class DegreeDistribution:
         r = self.design_rate
         if not -1e-9 <= r <= 1 + 1e-9:
             raise ValueError(f"design rate {r} outside [0, 1]")
+        # (coefficient, exponent) terms of lam and rho, in dict order; density
+        # evolution evaluates both thousands of times per threshold.
+        for name, dist in (("_lam_terms", self.var_edge), ("_rho_terms", self.chk_edge)):
+            object.__setattr__(self, name, tuple((f, d - 1) for d, f in dist.items()))
 
     @classmethod
     def regular(cls, dv: int, dc: int) -> "DegreeDistribution":
@@ -55,11 +67,11 @@ class DegreeDistribution:
 
     def lam(self, x):
         """Variable-edge polynomial: sum of var_edge[i] * x**(i-1)."""
-        return sum(f * x ** (d - 1) for d, f in self.var_edge.items())
+        return _edge_polynomial(self._lam_terms, x)
 
     def rho(self, x):
         """Check-edge polynomial: sum of chk_edge[i] * x**(i-1)."""
-        return sum(f * x ** (d - 1) for d, f in self.chk_edge.items())
+        return _edge_polynomial(self._rho_terms, x)
 
     @property
     def design_rate(self) -> float:

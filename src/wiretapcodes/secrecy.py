@@ -61,13 +61,17 @@ _BRUTE_FORCE_BEC_LIMIT = 12
 _BRUTE_FORCE_BSC_LIMIT = 10
 # Work rule of _erased_rank: the stopping-set core (``e`` edges) is ranked
 # when _CORE_WORK * e < s**2, ``s`` the smaller side of the dense rest.
-# Break-even on the n=2000 (3,6)-dual pair: the two paths tie at about 3 ms
-# per rank where s**2 / e is about 25, near erasure rate 0.32.  Summed over
-# 24 patterns at each of 13 erasure rates 0.25-0.527 (best of 5 per rank;
-# numpy 2.4, Python 3.11, one core of a 2-vCPU x86-64 host), the rank time
-# was 476-549 ms at 25, 485-553 at 20, 485-559 at 30, 574-671 at 50 and
-# 716-799 for the dense rest alone.
-_CORE_WORK = 25
+# Break-even on the n=2000 (3,6)-dual pair: the two paths tie at about
+# 3.4 ms per rank where s**2 / e is about 30, near erasure rate 0.34.  Summed
+# over 24 patterns at each of 13 erasure rates 0.25-0.527 (best of 5 per
+# rank; two pattern sets, 8 repeats; numpy 2.4, Python 3.11, one core of a
+# 2-vCPU x86-64 host), the rank time was 707-833 ms at 30, 715-837 at 25,
+# 731-853 at 20, 764-891 at 50 and 1160-1394 for the dense rest alone; 30
+# won every repeat.
+_CORE_WORK = 30
+# How _erased_rank finds a rank: nothing erased (or no message), peeling
+# alone (an empty core), the ranked core, or the ranked dense rest.
+_RANK_PATHS = ("none", "empty_core", "core", "dense_rest")
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,9 @@ def _core_rank(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> in
     return int(rank_words(_pack_edges(rows, cols, *shape).words[order], shape[1]))
 
 
-def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
-    """rank(h1_E) for the distinct erased positions ``E``.
+def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> tuple[int, str]:
+    """``(rank(h1_E), path)`` for the distinct erased positions ``E``, with
+    ``path`` the way the rank was found, one of ``_RANK_PATHS``.
 
     An erased pivot column of ``h1`` (an identity column) is a pivot on
     its own, and so is the row holding its one; the other erased columns
@@ -178,12 +183,13 @@ def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
     eliminations is less work runs: the sparse core costs about its edge
     count, the dense rest about ``s**2`` for its smaller side ``s``, and the
     core runs when ``_CORE_WORK * edges < s**2`` (the two break even near
-    erasure rate 0.32 on the n=2000 (3,6)-dual pair).  The dense rest ranks rows of ``h1`` or of its
-    transpose, whichever side is smaller, masked to the other side.
+    erasure rate 0.34 on the n=2000 (3,6)-dual pair).  The dense rest ranks
+    rows of ``h1`` or of its transpose, whichever side is smaller, masked to
+    the other side.
     """
     m = pair.m
     if erased_idx.size == 0 or m == 0:
-        return 0
+        return 0, "none"
     unit_rows = pair._unit_rows[erased_idx]
     pivoted = np.zeros(m, dtype=bool)
     pivoted[unit_rows[unit_rows >= 0]] = True
@@ -193,10 +199,10 @@ def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
         peeled, rows, cols, shape = _peel(pair, erased_idx)
         rank = m - (pair.n - erased_idx.size) + peeled
         if not rows.size:  # empty core: peeling found the whole rank
-            return rank
+            return rank, "empty_core"
         s = min(other_cols.size, other_rows.size)
         if _CORE_WORK * rows.size < s * s:
-            return rank + _core_rank(rows, cols, shape)
+            return rank + _core_rank(rows, cols, shape), "core"
     if other_cols.size <= other_rows.size:
         words, ncols, keep = pair._h1_columns.words[other_cols], m, ~pivoted
     else:
@@ -204,7 +210,7 @@ def _erased_rank(pair: NestedCodePair, erased_idx: np.ndarray) -> int:
         keep = np.zeros(ncols, dtype=bool)
         keep[other_cols] = True
     words &= bitlinalg.pack_vector(keep, ncols)
-    return m - other_rows.size + int(rank_words(words, ncols))
+    return m - other_rows.size + int(rank_words(words, ncols)), "dense_rest"
 
 
 def exact_equivocation_bec(pair: NestedCodePair, erased) -> int:
@@ -216,7 +222,7 @@ def exact_equivocation_bec(pair: NestedCodePair, erased) -> int:
     idx = np.asarray(sorted(set(int(i) for i in erased)), dtype=np.int64)
     if idx.size and (idx[0] < 0 or idx[-1] >= pair.n):
         raise ValueError(f"erased positions must lie in 0..{pair.n - 1}")
-    return _erased_rank(pair, idx)
+    return _erased_rank(pair, idx)[0]
 
 
 def mc_equivocation_bec(
@@ -230,15 +236,19 @@ def mc_equivocation_bec(
     Each trial's conditional entropy is exact (rank identity); only the
     pattern average is sampled.  The half-width is the 95% normal interval
     of the per-trial ranks, normalized by the block length.
+    ``detail["rank_paths"]`` counts the trials that took each path of
+    ``_RANK_PATHS``.
     """
     if not 0.0 <= erasure_prob <= 1.0:
         raise ValueError(f"erasure probability {erasure_prob} outside [0, 1]")
     if trials < 1:
         raise ValueError("trials must be positive")
     ranks = np.empty(trials, dtype=np.float64)
+    paths = dict.fromkeys(_RANK_PATHS, 0)
     for t in range(trials):
         erased = np.nonzero(rng.random(pair.n) < erasure_prob)[0]
-        ranks[t] = _erased_rank(pair, erased)
+        ranks[t], path = _erased_rank(pair, erased)
+        paths[path] += 1
     mean = float(ranks.mean())
     sd = float(ranks.std(ddof=1)) if trials > 1 else 0.0
     return EquivocationEstimate(
@@ -246,7 +256,9 @@ def mc_equivocation_bec(
         half_width=Z95 * sd / math.sqrt(trials) / pair.n,
         trials=trials,
         method="exact-rank",
-        detail={"erasure_prob": erasure_prob, "n": pair.n, "m": pair.m},
+        detail={
+            "erasure_prob": erasure_prob, "n": pair.n, "m": pair.m, "rank_paths": paths,
+        },
     )
 
 

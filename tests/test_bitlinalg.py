@@ -117,6 +117,68 @@ class TestRank:
             assert _rank_words_numpy(m.words.copy(), m.cols) == dense_rank(m.to_dense())
 
 
+def junk_past(words, ncols, rng) -> np.ndarray:
+    """``words`` with random bits set past column ``ncols``."""
+    width = words.shape[1]
+    inside = bitlinalg.pack_vector(np.arange(64 * width) < ncols, 64 * width)
+    return words | rng.integers(0, 2**64, size=words.shape, dtype=np.uint64) & ~inside
+
+
+class TestNarrowRank:
+    """The list-indexed XOR basis on the shapes of the per-trial ranks."""
+
+    def test_rank_words_is_the_numpy_kernel(self):
+        # the benchmark reads this identity and wraps rank_words by name
+        assert _kernels.rank_words is _kernels._rank_words_numpy
+
+    @pytest.mark.parametrize("rows,cols", [(700, 760), (850, 1100), (1000, 1300), (1000, 900)])
+    def test_core_like(self, rows, cols):
+        # weight-3 columns like a stopping-set core, lightest rows first as
+        # _core_rank orders them, with the last 40 rows sums of two others
+        rng = np.random.default_rng(rows + cols)
+        dense = np.zeros((rows, cols), dtype=np.uint8)
+        for c in range(cols):
+            dense[rng.choice(rows - 40, size=3, replace=False), c] = 1
+        pairs = rng.integers(0, rows - 40, size=(40, 2))
+        dense[rows - 40 :] = dense[pairs[:, 0]] ^ dense[pairs[:, 1]]
+        dense = dense[np.argsort(dense.sum(axis=1), kind="stable")]
+        want = dense_rank(dense)
+        assert want < rows
+        words = BitMatrix.from_dense(dense).words
+        assert words.shape[1] < _kernels._BLOCKED_MIN_WORDS
+        assert _rank_words_numpy(words.copy(), cols) == want
+        assert _rank_words_numpy(junk_past(words, cols, rng), cols) == want
+
+    @pytest.mark.parametrize("rows,rank", [(190, None), (240, 200), (290, None), (290, 150)])
+    def test_dense_rest_like(self, rows, rank):
+        # dense rows of h1 (or of its transpose) masked to the kept columns
+        rng = np.random.default_rng(rows)
+        cols = 1000
+        if rank is None:
+            dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+        else:
+            dense = low_rank_dense(rng, rows, cols, rank)
+        dense[:, rng.random(cols) < 0.3] = 0
+        want = dense_rank(dense)
+        assert want == (min(rows, rank) if rank else rows)
+        words = BitMatrix.from_dense(dense).words
+        assert _rank_words_numpy(junk_past(words, cols, rng), cols) == want
+
+    @pytest.mark.parametrize("ncols", [
+        0, 1, 63, 64, 65, 64 * (_kernels._BLOCKED_MIN_WORDS - 1),
+        64 * (_kernels._BLOCKED_MIN_WORDS - 1) + 1,
+    ])
+    def test_widths(self, ncols):
+        # ncols at word boundaries and on both sides of the width rule; a
+        # trailing junk word moves the first boundary case to the wide path
+        rng = np.random.default_rng(ncols)
+        dense = low_rank_dense(rng, 70, ncols, min(50, ncols))
+        want = dense_rank(dense)
+        words = BitMatrix.from_dense(dense).words
+        for w in (words, np.hstack([words, np.zeros((70, 1), dtype=np.uint64)])):
+            assert _rank_words_numpy(junk_past(w, ncols, rng), ncols) == want
+
+
 class TestRref:
     def test_identity(self):
         r, piv = bitlinalg.rref(BitMatrix.identity(3))
@@ -464,10 +526,9 @@ def test_numpy_rank_equals_oracle(seed, rows, ncols, extra_words, rank):
         dense = rng.integers(0, 2, size=(rows, ncols), dtype=np.uint8)
     else:
         dense = low_rank_dense(rng, rows, ncols, min(rank, rows, ncols))
-    width = bitlinalg._nwords(ncols) + extra_words
-    inside = bitlinalg.pack_vector(np.arange(64 * width) < ncols, 64 * width)
-    words = rng.integers(0, 2**64, size=(rows, width), dtype=np.uint64) & ~inside
-    words[:, : bitlinalg._nwords(ncols)] |= BitMatrix.from_dense(dense).words
+    words = np.zeros((rows, bitlinalg._nwords(ncols) + extra_words), dtype=np.uint64)
+    words[:, : bitlinalg._nwords(ncols)] = BitMatrix.from_dense(dense).words
+    words = junk_past(words, ncols, rng)
     want = dense_rank(dense)
     assert _rank_words_numpy(words.copy(), ncols) == want
 

@@ -2,7 +2,7 @@
 
 The demos are narrative scripts, not tests of numbers; running them here
 keeps a rename in the library from breaking one silently.  Together they
-take about half a minute, most of it in ``05``.
+take about 10 s, most of it in ``05``.
 """
 
 import runpy

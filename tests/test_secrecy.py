@@ -280,6 +280,38 @@ class TestRankPathChoice:
             assert secrecy.exact_equivocation_bec(pair, erased) == dense_rank(pair, erased)
         assert ncols_seen == []
 
+    @pytest.mark.parametrize("eps,counts", [
+        (0.20, {"dense_rest": 200}),
+        (0.45, {"core": 200}),
+        (0.60, {"empty_core": 198, "core": 2}),
+    ])
+    def test_estimator_counts_the_paths(self, ldpc_dual_pair, monkeypatch, eps, counts):
+        # the estimator's counters against the same patterns classified from
+        # outside: no rank call is an empty core, a call as wide as the core
+        # ranks the core, and any other width is the dense rest
+        pair = ldpc_dual_pair
+        est = secrecy.mc_equivocation_bec(pair, eps, 200, np.random.default_rng(14))
+        assert est.detail["rank_paths"] == {**dict.fromkeys(secrecy._RANK_PATHS, 0), **counts}
+        ncols_seen = spy_rank_ncols(monkeypatch)
+        rng = np.random.default_rng(14)
+        seen = dict.fromkeys(secrecy._RANK_PATHS, 0)
+        for _ in range(200):
+            erased = np.nonzero(rng.random(pair.n) < eps)[0]
+            width = secrecy._peel(pair, erased)[3][1]
+            ncols_seen.clear()
+            secrecy.exact_equivocation_bec(pair, erased)
+            if not ncols_seen:
+                seen["empty_core"] += 1
+            else:
+                seen["core" if ncols_seen == [width] else "dense_rest"] += 1
+        assert seen == est.detail["rank_paths"]
+
+    def test_nothing_to_rank(self):
+        est = secrecy.mc_equivocation_bec(repetition_pair(), 0.0, 20, np.random.default_rng(0))
+        assert est.detail["rank_paths"] == {
+            "none": 20, "empty_core": 0, "core": 0, "dense_rest": 0,
+        }
+
 
 class TestMonteCarloBec:
     def test_certain_erasure(self):

@@ -50,6 +50,46 @@ class TestDeResidual:
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def generator_sum_polynomials(dd):
+    """lam and rho as generator sums over the degree dicts (the reference
+    formula the precomputed terms must reproduce bit for bit)."""
+
+    def lam(x):
+        return sum(f * x ** (d - 1) for d, f in dd.var_edge.items())
+
+    def rho(x):
+        return sum(f * x ** (d - 1) for d, f in dd.chk_edge.items())
+
+    return lam, rho
+
+
+def reference_de_residual(eps, lam, rho):
+    x = eps
+    for _ in range(thresholds.DE_MAX_ITER):
+        x_next = eps * lam(1.0 - rho(1.0 - x))
+        if abs(x_next - x) < thresholds.DE_TOL:
+            return x_next
+        x = x_next
+    return x
+
+
+class TestPolynomialTerms:
+    @pytest.mark.parametrize("dd", [
+        REGULAR_36,
+        DegreeDistribution.regular(4, 6),
+        DegreeDistribution.regular(2, 4),
+        DegreeDistribution({2: 0.3, 3: 0.45, 7: 0.25}, {5: 0.4, 6: 0.6}),
+    ], ids=["3,6", "4,6", "2,4", "irregular"])
+    def test_bit_identical_to_generator_sums(self, dd):
+        lam, rho = generator_sum_polynomials(dd)
+        xs = [float(x) for x in np.linspace(0.0, 1.0, 201)] + [1 / 3, 0.4294, 1e-300]
+        assert [dd.lam(x) for x in xs] == [lam(x) for x in xs]
+        assert [dd.rho(x) for x in xs] == [rho(x) for x in xs]
+        eps = [float(e) for e in np.linspace(0.0, 1.0, 401)]
+        got = [thresholds.de_residual(e, dd) for e in eps]
+        assert got == [reference_de_residual(e, lam, rho) for e in eps]
+
+
 class TestBecBpThreshold:
     def test_regular_36(self):
         res = thresholds.bec_bp_threshold(REGULAR_36)
