@@ -6,32 +6,30 @@ single hottest loop in the package.
 
 The kernels work on bit-packed uint64 words (64 matrix columns per word,
 column j stored at bit j % 64 of word j // 64), with one routine per job.
-Every reduction (a wide rank, ``rref``, ``nullspace_basis``,
-``right_inverse``) is ``_eliminate``, the Method of Four Russians (Albrecht,
-Bard and Hart, ACM TOMS 2010, the "M4RI" library) on byte-aligned blocks:
-the pivots of each 8-column byte come from the distinct byte values of the
-unreduced rows, and every row below them is fixed by one gather from the
-table of all XOR combinations of the pivot rows.  Full reduction is a
-second pass that back-substitutes the bytes from last to first, so rows
-above a pivot are cleared once, after later pivots have been removed from
-the pivot rows.  Every rank narrower than ``_BLOCKED_MIN_WORDS`` words (each
-per-trial erasure rank of an n=2000 pair) is an XOR basis of Python ints,
-one per row, in a list indexed by bit length: each reduction step is one
-list lookup and one big-int XOR, and no numpy call runs per pivot.  Wider
-ranks count the pivots of ``_eliminate``, since on dense rows the int basis
-loses there (212-215 against 112-142 ms on a dense 2000 x 5000 matrix,
-1.4-1.8x at 40, 48, 64 and 79 words; numpy 2.4.6, Python 3.11, 2 vCPUs).
+Every rank is ``rank_words``: an XOR basis of Python ints, one per row, in
+a list indexed by bit length, so each reduction step is one list lookup and
+one big-int XOR and no numpy call runs per pivot.
+Every reduction (``rref``, ``nullspace_basis``, ``right_inverse``) is
+``_eliminate``, the Method of Four Russians (Albrecht, Bard and Hart, ACM
+TOMS 2010, the "M4RI" library) on byte-aligned blocks: the pivots of each
+8-column byte come from the distinct byte values of the unreduced rows, and
+every row below them is fixed by one gather from the table of all XOR
+combinations of the pivot rows.  A second pass back-substitutes the bytes
+from last to first, so rows above a pivot are cleared once, after later
+pivots have been removed from the pivot rows.
+
+On the per-trial erasure ranks the basis beats ``_eliminate`` at every
+width: on each rank of 40 words or more that ``mc_equivocation_bec`` makes
+on (3,6) pairs at n=5004 and n=10002 (218-4 995 rows, 40-125 words) it was
+1.2-6.0x faster, 1.4-68 ms against 4.7-165 ms (best of 9 per rank; numpy
+2.4.6, Python 3.11, 2 vCPUs).  ``_eliminate`` wins only on dense, full-rank
+rows (109 against 157 ms on a dense 2000 x 5000 matrix), which no rank in
+the package has.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Width rule for ranks: a words array at least this many uint64 words wide is
-# ranked by _eliminate, a narrower one on a Python-int XOR basis.  The rule is
-# set by dense rows: on sparse rows with weight-3 columns the basis is 4-6x
-# faster than _eliminate at every width from 32 to 79 words.
-_BLOCKED_MIN_WORDS = 40
 
 
 def _bit_extract_table() -> np.ndarray:
@@ -60,20 +58,19 @@ def _combinations(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _eliminate(words: np.ndarray, ncols: int, clear_above: bool) -> list[int]:
-    """In-place (reduced, with ``clear_above``) row echelon form over the
-    first ``ncols`` columns, one byte (8 columns) at a time.  Returns pivot
-    columns.
+def _eliminate(words: np.ndarray, ncols: int) -> list[int]:
+    """In-place reduced row echelon form over the first ``ncols`` columns,
+    one byte (8 columns) at a time.  Returns pivot columns.
 
     The forward pass clears each byte below its pivot rows.  Rows at and
     below ``r`` are zero left of the byte, so their distinct byte values
     decide its pivots: an XOR basis of them keyed by lowest bit, with one
     row per basis value.  Every row below then XORs the entry of the table
     of all combinations of those rows that has its pivot bits, which zeroes
-    the byte, and the reduced pivot rows are table entries too.  With
-    ``clear_above`` a second pass walks the bytes from last to first and
-    clears each byte's pivot columns in the rows above its pivot rows, which
-    later bytes have already freed of later pivots.
+    the byte, and the reduced pivot rows are table entries too.  A second
+    pass walks the bytes from last to first and clears each byte's pivot
+    columns in the rows above its pivot rows, which later bytes have already
+    freed of later pivots.
     """
     rows = words.shape[0]
     octets = words.view(np.uint8)
@@ -123,22 +120,21 @@ def _eliminate(words: np.ndarray, ncols: int, clear_above: bool) -> list[int]:
         pivots.extend(8 * byte + b for b in range(8) if mask >> b & 1)
         blocks.append((byte, r, mask))
         r += k
-    if clear_above:
-        for byte, a, mask in reversed(blocks):
-            sel = _EXTRACT[mask][octets[:a, byte]]
-            nz = np.flatnonzero(sel)
-            if not nz.size:
-                continue
-            w = byte // 8
-            table = _combinations(words[a : a + mask.bit_count(), w:])
-            sub = words[:a, w:]
-            sub[nz] ^= table[sel[nz]]
+    for byte, a, mask in reversed(blocks):
+        sel = _EXTRACT[mask][octets[:a, byte]]
+        nz = np.flatnonzero(sel)
+        if not nz.size:
+            continue
+        w = byte // 8
+        table = _combinations(words[a : a + mask.bit_count(), w:])
+        sub = words[:a, w:]
+        sub[nz] ^= table[sel[nz]]
     return pivots
 
 
 def _rank_words_numpy(words: np.ndarray, ncols: int) -> int:
-    if words.shape[1] >= _BLOCKED_MIN_WORDS:
-        return len(_eliminate(words, ncols, clear_above=False))
+    """GF(2) rank of the first ``ncols`` columns of the packed rows ``words``
+    (bits past ``ncols`` are ignored); ``words`` is not modified."""
     mask = (1 << ncols) - 1
     # basis[b]: the basis row whose bit length is b, or 0 for none; basis[0]
     # stays 0, so a row reduced to zero ends the loop with the same lookup.

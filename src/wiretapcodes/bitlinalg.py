@@ -173,9 +173,7 @@ class BitMatrix:
 
 def rank(m: BitMatrix) -> int:
     """GF(2) rank (dimension of the row space)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return int(rank_words(m.words.copy(), m.cols))
+    return rank_words(m.words, m.cols)
 
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
@@ -185,7 +183,7 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     pivots equals ``rank(m)`` and all non-pivot rows are zero.
     """
     words = m.words.copy()
-    pivots = _eliminate(words, m.cols, clear_above=True)
+    pivots = _eliminate(words, m.cols)
     return BitMatrix(m.rows, m.cols, words), pivots
 
 
@@ -267,7 +265,7 @@ def right_inverse(m: BitMatrix) -> BitMatrix:
     i = np.arange(m.rows)
     words[i, mw + i // 64] = np.uint64(1) << (i % 64).astype(np.uint64)
     # Restrict pivot search to the original columns.
-    pivots = _eliminate(words, m.cols, clear_above=True)
+    pivots = _eliminate(words, m.cols)
     if len(pivots) < m.rows:
         raise ValueError(
             f"matrix is rank-deficient: rank {len(pivots)} < {m.rows} rows; "

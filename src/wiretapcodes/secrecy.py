@@ -114,9 +114,17 @@ def coset_word(pair: NestedCodePair, message, dither) -> np.ndarray:
     dith = np.asarray(dither, dtype=np.uint8)
     if dith.shape != (pair.coarse.k,):
         raise ValueError(f"dither must have {pair.coarse.k} bits, got {dith.shape}")
-    x = bitlinalg.mat_vec(pair.d, w)
+    x = _coset_leader(pair, w)
     if pair.coarse.k:
         x ^= bitlinalg.vec_mat(dith, pair.coarse.g)
+    return x
+
+
+def _coset_leader(pair: NestedCodePair, w: np.ndarray) -> np.ndarray:
+    """``d @ w``: ``d`` is the unit rows at the coarse code's pivots, so the
+    product is ``w`` written at the pivots."""
+    x = np.zeros(pair.n, dtype=np.uint8)
+    x[pair.coarse.pivots] = w
     return x
 
 
@@ -318,7 +326,7 @@ def approach1_equivocation_bound(
     for _ in range(trials):
         w = rng.integers(0, 2, size=pair.m, dtype=np.uint8)
         sent = encode(pair, w, rng)
-        leader = bitlinalg.mat_vec(pair.d, w)
+        leader = _coset_leader(pair, w)
         z = biawgn_transmit(modulate(sent.word), snr, rng)
         # Translating by the known coset leader turns in-coset decoding
         # into decoding the coarse codeword dither @ g1.

@@ -84,7 +84,7 @@ class TestRank:
     def test_identity(self):
         assert bitlinalg.rank(BitMatrix.identity(3)) == 3
 
-    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (4, 70)])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (4, 70), (0, 0), (0, 5), (5, 0)])
     def test_zero_matrix(self, shape):
         assert bitlinalg.rank(BitMatrix.zeros(*shape)) == 0
 
@@ -95,10 +95,12 @@ class TestRank:
         assert bitlinalg.rank(BitMatrix.from_dense(rows)) == 2
 
     def test_input_unchanged(self):
-        m = BitMatrix.from_dense([[1, 1], [1, 1]])
-        before = m.words.copy()
-        bitlinalg.rank(m)
-        assert np.array_equal(m.words, before)
+        # rank works on the caller's words, at the per-trial widths too
+        wide = random_bitmatrix(np.random.default_rng(5), 70, 64 * 40 + 3)
+        for m in (BitMatrix.from_dense([[1, 1], [1, 1]]), wide):
+            before = m.words.copy()
+            assert bitlinalg.rank(m) == dense_rank(m.to_dense())
+            assert np.array_equal(m.words, before)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_against_dense_oracle(self, seed):
@@ -145,7 +147,6 @@ class TestNarrowRank:
         want = dense_rank(dense)
         assert want < rows
         words = BitMatrix.from_dense(dense).words
-        assert words.shape[1] < _kernels._BLOCKED_MIN_WORDS
         assert _rank_words_numpy(words.copy(), cols) == want
         assert _rank_words_numpy(junk_past(words, cols, rng), cols) == want
 
@@ -164,13 +165,10 @@ class TestNarrowRank:
         words = BitMatrix.from_dense(dense).words
         assert _rank_words_numpy(junk_past(words, cols, rng), cols) == want
 
-    @pytest.mark.parametrize("ncols", [
-        0, 1, 63, 64, 65, 64 * (_kernels._BLOCKED_MIN_WORDS - 1),
-        64 * (_kernels._BLOCKED_MIN_WORDS - 1) + 1,
-    ])
+    @pytest.mark.parametrize("ncols", [0, 1, 63, 64, 65, 64 * 39, 64 * 39 + 1])
     def test_widths(self, ncols):
-        # ncols at word boundaries and on both sides of the width rule; a
-        # trailing junk word moves the first boundary case to the wide path
+        # ncols at word boundaries, up to the 40 words of the n=5004 ranks,
+        # with and without a trailing junk word
         rng = np.random.default_rng(ncols)
         dense = low_rank_dense(rng, 70, ncols, min(50, ncols))
         want = dense_rank(dense)
@@ -337,13 +335,14 @@ class TestRightInverse:
 class TestBlockedElimination:
     """The blocked step against the dense oracle and the per-pivot step."""
 
-    # wide enough for the blocked step; no row or column count is a multiple of 64
+    # 40 words or wider, as the per-trial ranks of n >= 5004 pairs are; no
+    # row or column count is a multiple of 64
     @pytest.mark.parametrize("rows,cols,rank", [
         (70, 3000, None), (70, 3000, 41), (130, 2600, None), (201, 2700, 150),
         (65, 2561, 64), (3, 2600, None),
     ])
     def test_rref_and_rank_against_dense_oracle(self, rows, cols, rank):
-        assert bitlinalg._nwords(cols) >= _kernels._BLOCKED_MIN_WORDS
+        assert bitlinalg._nwords(cols) >= 40
         rng = np.random.default_rng(rows * 1000 + cols)
         if rank is None:
             dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
@@ -368,27 +367,21 @@ class TestBlockedElimination:
 
     @staticmethod
     def assert_matches_oracle(words, ncols, width):
-        """``_eliminate`` in both modes against the dense oracle, on packed
-        rows ``width`` bits wide whose pivots are searched in ``ncols``."""
+        """``_eliminate`` against the dense oracle, on packed rows ``width``
+        bits wide whose pivots are searched in ``ncols``."""
         dense = bitlinalg._unpack_rows(words, width)
         expect, expect_piv = dense_rref(dense, ncols)
         r = len(expect_piv)
-        for clear_above in (True, False):
-            reduced = words.copy()
-            assert _kernels._eliminate(reduced, ncols, clear_above) == expect_piv
-            got = bitlinalg._unpack_rows(reduced, width)
-            assert not got[r:, :ncols].any()
-            if clear_above and r == words.shape[0]:
-                # rref is unique, and at full rank so is the row-operation
-                # record past ncols (the right inverse, for [m | I])
-                assert np.array_equal(got, expect)
-            elif clear_above:
-                assert np.array_equal(got[:r, :ncols], expect[:r, :ncols])
-            else:
-                # echelon rows: row i starts at pivot i and spans the oracle's rows
-                lead = [int(np.flatnonzero(row)[0]) for row in got[:r, :ncols]]
-                assert lead == expect_piv
-                assert dense_rank(np.vstack([got[:r, :ncols], expect[:r, :ncols]])) == r
+        reduced = words.copy()
+        assert _kernels._eliminate(reduced, ncols) == expect_piv
+        got = bitlinalg._unpack_rows(reduced, width)
+        assert not got[r:, :ncols].any()
+        if r == words.shape[0]:
+            # rref is unique, and at full rank so is the row-operation
+            # record past ncols (the right inverse, for [m | I])
+            assert np.array_equal(got, expect)
+        else:
+            assert np.array_equal(got[:r, :ncols], expect[:r, :ncols])
 
     @pytest.mark.parametrize("seed", range(40))
     def test_blocked_step_equals_per_pivot_step(self, seed):
@@ -405,7 +398,6 @@ class TestBlockedElimination:
             dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
         with_eye = np.hstack([dense, np.eye(rows, dtype=np.uint8)])
         words = BitMatrix.from_dense(with_eye).words
-        assert words.shape[1] < _kernels._BLOCKED_MIN_WORDS
         self.assert_matches_oracle(words, cols, with_eye.shape[1])
 
     @pytest.mark.parametrize("args", [(600, 3, 6, 2), (600, 4, 6, 3)])
@@ -434,28 +426,26 @@ class TestBlockedElimination:
         assert dense[:, ncols : ncols + 8 - ncols % 8].any()
         self.assert_matches_oracle(BitMatrix.from_dense(dense).words, ncols, width)
 
-    def test_width_rule(self, monkeypatch):
-        # rref takes the block step at any width; only ranks have a width rule
+    def test_rank_never_eliminates(self, monkeypatch):
+        # rref takes the block step and rank the XOR basis, at every width
         calls = []
         eliminate = _kernels._eliminate
 
-        def spy(words, ncols, clear_above):
+        def spy(words, ncols):
             calls.append(words.shape)
-            return eliminate(words, ncols, clear_above)
+            return eliminate(words, ncols)
 
         monkeypatch.setattr(_kernels, "_eliminate", spy)
         monkeypatch.setattr(bitlinalg, "_eliminate", spy)
-        narrow = BitMatrix.zeros(3, 64 * (_kernels._BLOCKED_MIN_WORDS - 1))
-        wide = BitMatrix.zeros(3, 64 * (_kernels._BLOCKED_MIN_WORDS - 1) + 1)
-        tiny = BitMatrix.identity(2)
-        for m in (tiny, narrow, wide):
-            bitlinalg.rref(m)
-        assert calls == [tiny.words.shape, narrow.words.shape, wide.words.shape]
+        rng = np.random.default_rng(39)
+        shapes = [(2, 2), (3, 64 * 39), (3, 64 * 39 + 1), (40, 64 * 125)]
+        mats = [random_bitmatrix(rng, rows, cols) for rows, cols in shapes]
+        pivots = [bitlinalg.rref(m)[1] for m in mats]
+        assert calls == [m.words.shape for m in mats]
         calls.clear()
-        assert _rank_words_numpy(narrow.words.copy(), narrow.cols) == 0
+        for m, piv in zip(mats, pivots):
+            assert bitlinalg.rank(m) == _rank_words_numpy(m.words, m.cols) == len(piv)
         assert calls == []
-        assert _rank_words_numpy(wide.words.copy(), wide.cols) == 0
-        assert calls == [wide.words.shape]
 
 
 class TestTranspose:
@@ -510,14 +500,14 @@ def test_rank_nullity(seed, rows, cols):
     rows=st.integers(0, 48),
     ncols=st.one_of(
         st.integers(0, 200),
-        st.integers(64 * (_kernels._BLOCKED_MIN_WORDS - 2), 64 * _kernels._BLOCKED_MIN_WORDS + 70),
+        st.integers(64 * 38, 64 * 40 + 70),
     ),
     extra_words=st.integers(0, 2),
     rank=st.none() | st.integers(0, 48),
 )
 @example(seed=0, rows=3, ncols=0, extra_words=0, rank=None)  # a 0-word array
 @example(seed=0, rows=0, ncols=130, extra_words=1, rank=None)
-@example(seed=1, rows=40, ncols=64 * _kernels._BLOCKED_MIN_WORDS - 1, extra_words=1, rank=20)
+@example(seed=1, rows=40, ncols=64 * 40 - 1, extra_words=1, rank=20)
 def test_numpy_rank_equals_oracle(seed, rows, ncols, extra_words, rank):
     # junk bits past ncols, in the last word and in extra trailing words
     # (like right_inverse's identity tail), must not count

@@ -21,6 +21,17 @@ def random_pair(rng, n):
     return codes.nested_pair_from_coarse(codes.from_parity_check(h))
 
 
+def rank_deficient_pair(rng):
+    # 8 checks of rank 6 on 14 columns, none on column 1, so the pivots
+    # are not the leading columns
+    checks = rng.integers(0, 2, size=(8, 14), dtype=np.uint8)
+    checks[:, 1] = 0
+    checks[6:] = checks[:2] ^ checks[2:4]
+    pair = codes.nested_pair_from_coarse(codes.from_parity_check(BitMatrix.from_dense(checks)))
+    assert pair.m == 6
+    return pair
+
+
 def message(pair, idx):
     return np.array([(idx >> i) & 1 for i in range(pair.m)], dtype=np.uint8)
 
@@ -79,6 +90,22 @@ class TestEncodeDecode:
                 )
                 word = secrecy.coset_word(pair, w, dither)
                 assert np.array_equal(secrecy.main_decode(pair, word), w)
+
+    @pytest.mark.parametrize("build", [
+        lambda: rank_deficient_pair(np.random.default_rng(5)),
+        lambda: codes.nested_pair_from_coarse(codes.dual(codes.regular_ldpc(150, 3, 6, seed=4))),
+        lambda: codes.nested_pair_from_coarse(codes.regular_ldpc(150, 3, 6, seed=4)),
+    ], ids=["random", "dual", "ldpc"])
+    def test_coset_leader_is_d_times_message(self, build):
+        # coset_word writes the message at the pivots instead of multiplying by d
+        pair = build()
+        pivots = pair.coarse.pivots
+        assert not np.array_equal(pivots, np.arange(pivots.size))
+        rng = np.random.default_rng(9)
+        zeros = np.zeros(pair.coarse.k, dtype=np.uint8)
+        for _ in range(4):
+            w = rng.integers(0, 2, size=pair.m, dtype=np.uint8)
+            assert np.array_equal(secrecy.coset_word(pair, w, zeros), bitlinalg.mat_vec(pair.d, w))
 
     def test_full_space_coarse_has_empty_message(self):
         pair = codes.nested_pair_from_coarse(codes.from_parity_check(BitMatrix.zeros(1, 4)))
@@ -311,6 +338,27 @@ class TestRankPathChoice:
         assert est.detail["rank_paths"] == {
             "none": 20, "empty_core": 0, "core": 0, "dense_rest": 0,
         }
+
+
+@pytest.fixture(scope="module")
+def wide_dual_pair():
+    # a (3,6)-dual pair whose per-trial ranks are 40 words or wider
+    code = codes.regular_ldpc(5004, 3, 6, seed=101)
+    return codes.nested_pair_from_coarse(codes.dual(code))
+
+
+class TestWideRanks:
+    @pytest.mark.parametrize("eps,path", [(0.206, "dense_rest"), (0.30, "core"), (0.44, "core")])
+    def test_equals_rref_pivots(self, wide_dual_pair, monkeypatch, eps, path):
+        # the XOR basis against the pivots of the other engine, _eliminate
+        pair = wide_dual_pair
+        ncols_seen = spy_rank_ncols(monkeypatch)
+        erased = np.nonzero(np.random.default_rng(int(1000 * eps)).random(pair.n) < eps)[0]
+        got = secrecy._erased_rank(pair, erased)
+        assert got[1] == path
+        assert len(ncols_seen) == 1 and bitlinalg._nwords(ncols_seen[0]) >= 40
+        columns = BitMatrix(erased.size, pair.m, pair._h1_columns.words[erased])
+        assert got[0] == len(bitlinalg.rref(columns)[1])
 
 
 class TestMonteCarloBec:
