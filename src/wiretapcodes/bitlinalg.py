@@ -36,9 +36,6 @@ def _pack_rows(dense: np.ndarray, cols: int) -> np.ndarray:
 
 
 def _unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
-    rows = words.shape[0]
-    if cols == 0 or rows == 0:
-        return np.zeros((rows, cols), dtype=np.uint8)
     bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
     return np.ascontiguousarray(bits[:, :cols])
 
@@ -230,10 +227,6 @@ def mat_vec(m: BitMatrix, v) -> np.ndarray:
     vec = np.asarray(v, dtype=np.uint8)
     if vec.ndim != 1 or vec.shape[0] != m.cols:
         raise ValueError(f"vector length {vec.shape} does not match {m.cols} columns")
-    if m.rows == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if m.cols == 0:
-        return np.zeros(m.rows, dtype=np.uint8)
     packed = pack_vector(vec, m.cols)
     counts = np.bitwise_count(m.words & packed[None, :]).sum(axis=1)
     return (counts & 1).astype(np.uint8)
@@ -244,10 +237,7 @@ def vec_mat(v, m: BitMatrix) -> np.ndarray:
     vec = np.asarray(v, dtype=np.uint8)
     if vec.ndim != 1 or vec.shape[0] != m.rows:
         raise ValueError(f"vector length {vec.shape} does not match {m.rows} rows")
-    idx = np.nonzero(vec)[0]
-    if idx.size == 0:
-        return np.zeros(m.cols, dtype=np.uint8)
-    acc = np.bitwise_xor.reduce(m.words[idx], axis=0)
+    acc = np.bitwise_xor.reduce(m.words[np.nonzero(vec)[0]], axis=0)
     return _unpack_rows(acc[None, :], m.cols)[0]
 
 

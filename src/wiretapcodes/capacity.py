@@ -116,16 +116,6 @@ class RegionPolygon:
     def contains_polygon(self, other: "RegionPolygon") -> bool:
         return all(self.contains(v.rate, v.equivocation) for v in other.vertices)
 
-    def is_convex(self) -> bool:
-        verts = [(v.rate, v.equivocation) for v in self.vertices]
-        if len(verts) < 3:
-            return True
-        return all(
-            _cross(verts[i], verts[(i + 1) % len(verts)], verts[(i + 2) % len(verts)])
-            >= -_GEOM_TOL
-            for i in range(len(verts))
-        )
-
 
 def achievable_region(snr: float, r1: float) -> RegionPolygon:
     """Rate-equivocation region achieved by time-sharing the coset schemes.

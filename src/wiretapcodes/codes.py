@@ -147,10 +147,6 @@ class LinearCode:
             msg = np.array([(idx >> i) & 1 for i in range(self.k)], dtype=np.uint8)
             yield bitlinalg.vec_mat(msg, self.g)
 
-    def random_codeword(self, rng: np.random.Generator) -> np.ndarray:
-        msg = rng.integers(0, 2, size=self.k, dtype=np.uint8)
-        return bitlinalg.vec_mat(msg, self.g)
-
     def edge_lists(self) -> tuple[np.ndarray, np.ndarray]:
         """(check_index, var_index) arrays for the edges of ``checks``.
 
@@ -305,19 +301,16 @@ class NestedCodePair:
     """Fine code {0,1}^n partitioned by a coarse code and its cosets.
 
     Messages are ``m = n - k1`` bits; message ``w`` indexes the coset
-    ``{x : h1 @ x = w}`` of the coarse code.  The coset-leader map ``d``
-    satisfies ``h1 @ d = I`` so that ``d @ w`` lands in coset ``w`` and
-    decoding is the single multiply ``h1 @ y``; ``h1`` holds the identity
-    at the coarse code's pivots, so ``d`` is the unit rows there.
+    ``{x : h1 @ x = w}`` of the coarse code.  ``h1`` holds the identity at
+    the coarse code's pivots, so ``w`` written at the pivots lands in coset
+    ``w`` and decoding is the single multiply ``h1 @ y``.
     """
 
-    __slots__ = ("coarse", "h1", "d", "_h1_columns_cache", "_unit_rows", "_span_edges")
+    __slots__ = ("coarse", "h1", "_h1_columns_cache", "_unit_rows", "_span_edges")
 
     def __init__(self, coarse: LinearCode):
         self.coarse = coarse
         self.h1 = coarse.h
-        r = coarse.pivots.size
-        self.d = _pack_edges(coarse.pivots, np.arange(r), coarse.n, r)
         self._h1_columns_cache = None
         # Per column of h1, the row its identity puts there, or -1 off the pivots.
         self._unit_rows = np.full(self.n, -1, dtype=np.int64)

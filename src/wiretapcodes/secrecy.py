@@ -106,8 +106,8 @@ class EquivocationEstimate:
 
 
 def coset_word(pair: NestedCodePair, message, dither) -> np.ndarray:
-    """The codeword selected inside coset ``message`` by ``dither``:
-    ``d @ w  xor  dither @ g1``."""
+    """The codeword selected inside coset ``message`` by ``dither``: ``w``
+    written at the coarse code's pivots, xor ``dither @ g1``."""
     w = np.asarray(message, dtype=np.uint8)
     if w.shape != (pair.m,):
         raise ValueError(f"message must have {pair.m} bits, got {w.shape}")
@@ -121,8 +121,8 @@ def coset_word(pair: NestedCodePair, message, dither) -> np.ndarray:
 
 
 def _coset_leader(pair: NestedCodePair, w: np.ndarray) -> np.ndarray:
-    """``d @ w``: ``d`` is the unit rows at the coarse code's pivots, so the
-    product is ``w`` written at the pivots."""
+    """The leader of coset ``w``: ``w`` written at the coarse code's pivots,
+    where ``h1`` holds the identity, so ``h1 @ x = w``."""
     x = np.zeros(pair.n, dtype=np.uint8)
     x[pair.coarse.pivots] = w
     return x

@@ -286,6 +286,17 @@ class TestMatVec:
         expect_l = (w @ m.to_dense()) % 2
         assert np.array_equal(bitlinalg.vec_mat(w, m), expect_l)
 
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (0, 70), (2, 0), (3, 0)])
+    def test_empty_shapes_against_dense(self, rows, cols):
+        dense = np.zeros((rows, cols), dtype=np.uint8)
+        m = BitMatrix.from_dense(dense)
+        v = np.ones(cols, dtype=np.uint8)
+        w = np.ones(rows, dtype=np.uint8)
+        for got, want in ((m.to_dense(), dense), (bitlinalg.mat_vec(m, v), dense @ v % 2),
+                          (bitlinalg.vec_mat(w, m), w @ dense % 2)):
+            assert got.shape == want.shape and got.dtype == want.dtype == np.uint8
+            assert np.array_equal(got, want)
+
 
 class TestRightInverse:
     def test_identity(self):

@@ -132,9 +132,14 @@ class TestRegions:
         assert len(poly.vertices) == 5
 
     def test_achievable_is_convex_and_below_diagonal(self):
-        poly = capacity.achievable_region(0.32, 1 / 3)
-        assert poly.is_convex()
-        assert all(v.equivocation <= v.rate + 1e-12 for v in poly.vertices)
+        for snr, r1 in ((0.32, 1 / 3), (0.32, 0.0), (1.0, 0.5), (0.1, 0.05)):
+            poly = capacity.achievable_region(snr, r1)
+            # convex: the hull of its own vertices drops none of them
+            hull = capacity.RegionPolygon.from_points(
+                [(v.rate, v.equivocation) for v in poly.vertices]
+            )
+            assert hull == poly
+            assert all(v.equivocation <= v.rate + 1e-12 for v in poly.vertices)
 
     def test_full_rate_message_degenerates(self):
         # coarse rate 0: the dual-corner coincides with the capacity corner

@@ -13,6 +13,14 @@ def sha(m: BitMatrix) -> str:
     return hashlib.sha256(m.words.tobytes() + f"{m.rows}x{m.cols}".encode()).hexdigest()
 
 
+def unit_map(pivots, n) -> BitMatrix:
+    """The coset map ``d`` as a matrix: n x len(pivots), a 1 at
+    ``(pivots[i], i)``, so ``d @ w`` writes ``w`` at the pivots."""
+    d = np.zeros((n, len(pivots)), dtype=np.uint8)
+    d[pivots, np.arange(len(pivots))] = 1
+    return BitMatrix.from_dense(d)
+
+
 def codeword_set(code) -> set[bytes]:
     return {bytes(c) for c in code.codewords()}
 
@@ -137,15 +145,15 @@ class TestDual:
 
 def assert_systematic(code):
     """``h`` holds the identity at ``pivots`` and ``g`` on the other columns,
-    so the pair's coset map from the pivots is a right inverse of ``h``."""
+    so the coset map from the pivots is a right inverse of ``h``."""
     others = np.setdiff1d(np.arange(code.n), code.pivots)
     assert np.all(np.diff(code.pivots) > 0)
     assert code.pivots.size == code.h.rows == code.n - code.k
     h, g = code.h.to_dense(), code.g.to_dense()
     assert np.array_equal(h[:, code.pivots], np.eye(code.h.rows))
     assert np.array_equal(g[:, others], np.eye(code.k))
-    pair = codes.nested_pair_from_coarse(code)
-    assert np.array_equal(h @ pair.d.to_dense() % 2, np.eye(pair.m))
+    d = unit_map(code.pivots, code.n).to_dense()
+    assert np.array_equal(h @ d % 2, np.eye(code.h.rows))
 
 
 def random_rank_deficient(seed):
@@ -184,7 +192,7 @@ class TestSystematicForm:
     def test_constructor_rejects_codes_off_their_pivots(self):
         h = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
         g = BitMatrix.from_dense([[1, 1, 1]])
-        # h[:, [0, 1]] is [[1, 1], [0, 1]], not I: the pair's h1 @ d would not be I
+        # h[:, [0, 1]] is [[1, 1], [0, 1]], not I: h @ d would not be I
         with pytest.raises(ValueError, match="identity"):
             codes.LinearCode(h, g, h, [0, 1])
         # g must hold the identity on the column off the pivots
@@ -279,7 +287,7 @@ class TestNestedPair:
         assert pair.m == 5
         # every message is its own codeword under the identity coset map
         w = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        assert np.array_equal(bitlinalg.mat_vec(pair.d, w), w)
+        assert np.array_equal(bitlinalg.mat_vec(unit_map(zero.pivots, 5), w), w)
 
     def test_full_space_coarse(self):
         full = codes.from_parity_check(BitMatrix.zeros(1, 4))
@@ -290,33 +298,33 @@ class TestNestedPair:
     def test_repetition_cosets_partition(self):
         pair = codes.nested_pair_from_coarse(repetition_code(3))
         assert pair.m == 2
+        d = unit_map(pair.coarse.pivots, pair.n)
         seen = set()
         for widx in range(4):
             w = np.array([(widx >> i) & 1 for i in range(2)], dtype=np.uint8)
-            leader = bitlinalg.mat_vec(pair.d, w)
+            leader = bitlinalg.mat_vec(d, w)
             for cw in pair.coarse.codewords():
                 seen.add(bytes(leader ^ cw))
         assert len(seen) == 8
 
     def test_coset_map_identity(self):
         pair = codes.nested_pair_from_coarse(repetition_code(4))
-        prod = (pair.h1.to_dense() @ pair.d.to_dense()) % 2
+        prod = (pair.h1.to_dense() @ unit_map(pair.coarse.pivots, pair.n).to_dense()) % 2
         assert np.array_equal(prod, np.eye(pair.m))
 
-    def test_coset_map_comes_from_pivots_without_elimination(self, monkeypatch):
-        calls = []
-        right_inverse = bitlinalg.right_inverse
-
-        def counting_right_inverse(m):
-            calls.append(m.shape)
-            return right_inverse(m)
-
-        monkeypatch.setattr(bitlinalg, "right_inverse", counting_right_inverse)
-        code = codes.regular_ldpc(120, 3, 6, seed=4)
-        codes.nested_pair_from_coarse(code)
-        # a dual's h is the parent's generator, systematic on the free columns
-        codes.nested_pair_from_coarse(codes.dual(code))
-        assert calls == []
+    def test_pair_allocates_no_coset_matrix(self):
+        # the pair keeps no n x m coset matrix: building it from a built code
+        # allocates under a quarter of one packed n x m matrix
+        code = codes.regular_ldpc(4002, 4, 6, seed=8)
+        m = code.n - code.k
+        packed = code.n * -(-m // 64) * 8
+        tracemalloc.start()
+        try:
+            codes.nested_pair_from_coarse(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < packed / 4
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pivot_coset_map_is_the_right_inverse(self, seed):
@@ -328,8 +336,7 @@ class TestNestedPair:
         cases = [dense, np.zeros((rows, n)), np.eye(n)]
         for h in cases:
             code = codes.from_parity_check(BitMatrix.from_dense(h.astype(np.uint8)))
-            pair = codes.nested_pair_from_coarse(code)
-            assert pair.d == bitlinalg.right_inverse(code.h)
+            assert unit_map(code.pivots, code.n) == bitlinalg.right_inverse(code.h)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_pairs_partition(self, seed):
@@ -337,10 +344,11 @@ class TestNestedPair:
         n = int(rng.integers(3, 11))
         h = BitMatrix.from_dense(rng.integers(0, 2, size=(rng.integers(1, n + 1), n), dtype=np.uint8))
         pair = codes.nested_pair_from_coarse(codes.from_parity_check(h))
+        d = unit_map(pair.coarse.pivots, pair.n)
         seen = set()
         for widx in range(pair.num_messages):
             w = np.array([(widx >> i) & 1 for i in range(pair.m)], dtype=np.uint8)
-            leader = bitlinalg.mat_vec(pair.d, w)
+            leader = bitlinalg.mat_vec(d, w)
             coset = {bytes(leader ^ cw) for cw in pair.coarse.codewords()}
             assert not (seen & coset)
             seen |= coset
@@ -429,8 +437,9 @@ class TestAlist:
         assert code.checks.to_dense().tolist() == [[0, 1, 1], [1, 1, 0]]
 
 
-# sha256 of every stored matrix of two code pairs, recorded before the blocked
-# elimination, the packed transpose and the packed null-space basis.
+# sha256 of every stored matrix of two code pairs, and of the coset map ``d``
+# built from their pivots, recorded before the blocked elimination, the packed
+# transpose and the packed null-space basis.
 PINNED_COARSE = {
     "ldpc4002": lambda: codes.regular_ldpc(4002, 4, 6, seed=8),
     "dual-ldpc2000": lambda: codes.dual(codes.regular_ldpc(2000, 3, 6, seed=101)),
@@ -459,7 +468,7 @@ def test_construction_is_bit_identical(label):
     pair = codes.nested_pair_from_coarse(coarse)
     got = {
         "checks": sha(coarse.checks), "h": sha(coarse.h), "g": sha(coarse.g),
-        "d": sha(pair.d), "_h1_columns": sha(pair._h1_columns),
+        "d": sha(unit_map(coarse.pivots, coarse.n)), "_h1_columns": sha(pair._h1_columns),
     }
     assert got == CONSTRUCTION_PINS[label]
 

@@ -36,6 +36,18 @@ def message(pair, idx):
     return np.array([(idx >> i) & 1 for i in range(pair.m)], dtype=np.uint8)
 
 
+def unit_map(pivots, n) -> BitMatrix:
+    """The coset map ``d`` as a matrix: n x len(pivots), a 1 at
+    ``(pivots[i], i)``, so ``d @ w`` writes ``w`` at the pivots."""
+    d = np.zeros((n, len(pivots)), dtype=np.uint8)
+    d[pivots, np.arange(len(pivots))] = 1
+    return BitMatrix.from_dense(d)
+
+
+def random_codeword(code, rng):
+    return bitlinalg.vec_mat(rng.integers(0, 2, size=code.k, dtype=np.uint8), code.g)
+
+
 class TestEncodeDecode:
     def test_zero_coarse_code_is_identity_map(self):
         zero = codes.from_parity_check(BitMatrix.identity(4))
@@ -43,7 +55,7 @@ class TestEncodeDecode:
         w = np.array([1, 0, 1, 1], dtype=np.uint8)
         cw = secrecy.encode(pair, w, np.random.default_rng(0))
         assert cw.dither.size == 0
-        assert np.array_equal(cw.word, bitlinalg.mat_vec(pair.d, w))
+        assert np.array_equal(cw.word, bitlinalg.mat_vec(unit_map(zero.pivots, 4), w))
 
     def test_zero_message_zero_dither(self):
         pair = repetition_pair()
@@ -100,12 +112,13 @@ class TestEncodeDecode:
         # coset_word writes the message at the pivots instead of multiplying by d
         pair = build()
         pivots = pair.coarse.pivots
+        d = unit_map(pivots, pair.n)
         assert not np.array_equal(pivots, np.arange(pivots.size))
         rng = np.random.default_rng(9)
         zeros = np.zeros(pair.coarse.k, dtype=np.uint8)
         for _ in range(4):
             w = rng.integers(0, 2, size=pair.m, dtype=np.uint8)
-            assert np.array_equal(secrecy.coset_word(pair, w, zeros), bitlinalg.mat_vec(pair.d, w))
+            assert np.array_equal(secrecy.coset_word(pair, w, zeros), bitlinalg.mat_vec(d, w))
 
     def test_full_space_coarse_has_empty_message(self):
         pair = codes.nested_pair_from_coarse(codes.from_parity_check(BitMatrix.zeros(1, 4)))
@@ -493,7 +506,7 @@ class TestPeeling:
 
     def test_single_erasure_forced_by_parity(self):
         code = codes.regular_ldpc(6, 2, 3, seed=0)
-        cw = code.random_codeword(np.random.default_rng(11))
+        cw = random_codeword(code, np.random.default_rng(11))
         z = modulate(cw).astype(np.int8)
         z[3] = 0
         word, ok = secrecy.peeling_decode_bec(code, z)
@@ -536,7 +549,7 @@ class TestPeeling:
         outcomes = set()
         for trial in range(60):
             # every other input is a random word, not a codeword: inconsistent
-            cw = code.random_codeword(rng) if trial % 2 else rng.integers(0, 2, n, dtype=np.uint8)
+            cw = random_codeword(code, rng) if trial % 2 else rng.integers(0, 2, n, dtype=np.uint8)
             z = bec_transmit(modulate(cw), eps, rng)
             word, ok = secrecy.peeling_decode_bec(code, z)
             want, want_ok = reference(code, z)
@@ -556,7 +569,7 @@ class TestPeeling:
         rng = np.random.default_rng(int(100 * eps))
         successes = partial = 0
         for _ in range(40):
-            cw = code.random_codeword(rng)
+            cw = random_codeword(code, rng)
             z = bec_transmit(modulate(cw), eps, rng)
             word, ok = secrecy.peeling_decode_bec(code, z)
             resolved = word >= 0
@@ -586,7 +599,7 @@ class TestPeeling:
 class TestBpDecode:
     def test_noiseless_llrs_succeed_instantly(self):
         code = codes.regular_ldpc(30, 3, 6, seed=1)
-        cw = code.random_codeword(np.random.default_rng(0))
+        cw = random_codeword(code, np.random.default_rng(0))
         llr = 50.0 * (1.0 - 2.0 * cw)
         bits, ok = secrecy.bp_decode_awgn(code, llr, 0)
         assert ok and np.array_equal(bits, cw)
