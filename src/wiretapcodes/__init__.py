@@ -52,18 +52,17 @@ from .codes import (
     regular_ldpc,
     write_alist,
 )
+from .decoders import bp_decode_awgn, peeling_decode_bec
 from .secrecy import (
     CosetCodeword,
     EquivocationEstimate,
     approach1_equivocation_bound,
-    bp_decode_awgn,
     coset_word,
     encode,
     equivocation_lb,
     exact_equivocation_bec,
     main_decode,
     mc_equivocation_bec,
-    peeling_decode_bec,
 )
 from .thresholds import (
     ThresholdResult,

@@ -30,8 +30,7 @@ def _pack_rows(dense: np.ndarray, cols: int) -> np.ndarray:
     """Pack a (rows, cols) 0/1 array into (rows, nwords) uint64 words."""
     rows = dense.shape[0]
     padded = np.zeros((rows, _nwords(cols) * 64), dtype=np.uint8)
-    if cols:
-        padded[:, :cols] = dense
+    padded[:, :cols] = dense
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
@@ -160,9 +159,6 @@ class BitMatrix:
             and self.shape == other.shape
             and np.array_equal(self.words, other.words)
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.words.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"

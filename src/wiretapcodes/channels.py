@@ -128,7 +128,8 @@ class _Channel:
     perfect-secrecy rate of the dual-of-good-code construction; it is
     ``erasures_per_error`` times the channel's own error probability (the
     erasure probability of a BEC, the crossover probability of a BSC and of
-    hard decisions on BI-AWGN).  ``secrecy_capacity`` is the secrecy
+    hard decisions on BI-AWGN); a BSC with no such BEC raises ValueError
+    through :meth:`check_degradable`.  ``secrecy_capacity`` is the secrecy
     capacity with this eavesdropper and a noiseless main channel, and
     ``capacity`` the channel's own capacity.
     """
@@ -178,6 +179,7 @@ class BSC(_Channel):
 
     @property
     def erasure_rate(self) -> float:
+        self.check_degradable()
         return 2.0 * self.crossover_prob
 
     @property

@@ -106,10 +106,7 @@ class LinearCode:
         constructor raises ``ValueError`` otherwise.
     """
 
-    __slots__ = (
-        "n", "k", "h", "g", "checks", "span", "pivots",
-        "_edge_cache", "_variable_cache",
-    )
+    __slots__ = ("n", "k", "h", "g", "checks", "span", "pivots", "_edge_cache")
 
     def __init__(self, h, g, checks, pivots, span=None):
         n, k = h.cols, g.rows
@@ -133,7 +130,6 @@ class LinearCode:
         self.span = span
         self.pivots = pivots
         self._edge_cache = None
-        self._variable_cache = None
 
     @property
     def rate(self) -> float:
@@ -155,17 +151,6 @@ class LinearCode:
         if self._edge_cache is None:
             self._edge_cache = _edges(self.checks)
         return self._edge_cache
-
-    def variable_checks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(start, chk)``: the checks of variable ``v`` in ``checks`` are
-        ``chk[start[v]:start[v + 1]]``.  Cached beside :meth:`edge_lists`."""
-        if self._variable_cache is None:
-            edge_chk, edge_var = self.edge_lists()
-            order = np.argsort(edge_var, kind="stable")
-            start = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(edge_var, minlength=self.n), out=start[1:])
-            self._variable_cache = start, edge_chk[order]
-        return self._variable_cache
 
     def degree_distribution(self) -> DegreeDistribution:
         """Empirical edge-perspective degree distribution of ``checks``."""
@@ -407,11 +392,15 @@ def read_alist(path) -> LinearCode:
                     f"line {lineno}: expected {degs[i]} indices, got {len(entries)}"
                 )
             idx = entries[: degs[i]]
+            seen = set()
             for v in idx:
                 if v < 1 or v > limit:
                     raise AlistParseError(
                         f"line {lineno}: {what} index {v} outside 1..{limit}"
                     )
+                if v in seen:
+                    raise AlistParseError(f"line {lineno}: {what} index {v} repeated")
+                seen.add(v)
             if any(v != 0 for v in entries[degs[i] :]):
                 raise AlistParseError(f"line {lineno}: nonzero padding entries")
             own += [i] * len(idx)

@@ -59,31 +59,22 @@ def peeling_decode_bec(code: LinearCode, zprime) -> tuple[np.ndarray, bool]:
     if z.shape != (code.n,):
         raise ValueError(f"expected {code.n} symbols, got {z.shape}")
     edge_chk, edge_var = code.edge_lists()
-    start, var_chk = code.variable_checks()
     m = code.checks.rows
 
     bits = (z < 0).astype(np.int8)  # +1 -> 0, -1 -> 1, and 0 (no parity) while erased
     unknown = z == 0
-    parity = _check_parity(edge_chk, edge_var, bits, m)
     for chk, var in _peel_edges(edge_chk, edge_var, m, unknown)[0]:
         # A variable may be forced by several checks at once; take the first
         # listed, any later conflict surfaces as an unsatisfied check below.
         var, first = np.unique(var, return_index=True)
-        bits[var] = parity[chk[first]]
-        # Each variable set to one flips the parity of its checks.
-        ones = var[bits[var] == 1]
-        lo, count = start[ones], start[ones + 1] - start[ones]
-        edges = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        np.bitwise_xor.at(parity, var_chk[edges], 1)
+        bits[var] = _check_parity(edge_chk, edge_var, bits, m)[chk[first]]
 
     success = not unknown.any() and not _check_parity(edge_chk, edge_var, bits, m).any()
     bits[unknown] = ERASED_BIT
     return bits, success
 
 
-def bp_decode_awgn(
-    code: LinearCode, llrs, max_iters: int = 200
-) -> tuple[np.ndarray, bool]:
+def bp_decode_awgn(code: LinearCode, llrs, max_iters: int) -> tuple[np.ndarray, bool]:
     """Log-domain sum-product decoding with a flooding schedule.
 
     ``llrs`` are channel log-likelihood ratios (positive favours bit 0).

@@ -37,7 +37,7 @@ from . import bitlinalg
 from ._kernels import rank_words
 from .channels import ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
 from .codes import NestedCodePair, _pack_edges
-from .decoders import _peel_edges, bp_decode_awgn, peeling_decode_bec  # decoders re-exported
+from .decoders import _peel_edges, bp_decode_awgn
 from .thresholds import Z95, wilson_interval
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "approach1_equivocation_bound",
     "brute_force_equivocation_bec",
     "brute_force_equivocation_bsc",
-    "peeling_decode_bec",
-    "bp_decode_awgn",
 ]
 
 _BRUTE_FORCE_BEC_LIMIT = 12

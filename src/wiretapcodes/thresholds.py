@@ -127,7 +127,7 @@ def bp_word_error_rate(
     snr: float,
     trials: int,
     rng: np.random.Generator,
-    max_iters: int = 200,
+    max_iters: int,
 ) -> tuple[int, int]:
     """(word errors, trials) for all-zero transmission through BIAWGN(snr).
 

@@ -16,7 +16,6 @@ DEFAULTED = {
     "LinearCode": {"span": "None"},
     "ThresholdResult": {"detail": "<factory>"},
     "bec_bp_threshold": {"tol": "1e-06"},
-    "bp_decode_awgn": {"max_iters": "200"},
     "empirical_bp_threshold_awgn": {"max_iters": "200"},
 }
 

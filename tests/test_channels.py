@@ -30,7 +30,11 @@ class TestModels:
     @pytest.mark.parametrize("q", [0.0, 0.11, 0.5, 0.75])
     def test_bsc_facts(self, q):
         ch = BSC(q)
-        assert ch.erasure_rate == 2.0 * q
+        if q <= 0.5:
+            assert ch.erasure_rate == 2.0 * q
+        else:  # no BEC with erasure probability 2q > 1 exists
+            with pytest.raises(ValueError, match=r"outside \[0, 1/2\]"):
+                ch.erasure_rate
         assert ch.secrecy_capacity == channels.binary_entropy(q)
         assert ch.capacity == 1.0 - channels.binary_entropy(q)
 

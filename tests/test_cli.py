@@ -48,6 +48,15 @@ class TestCapacityCommand:
         _, rows = read_report(out)
         assert float(rows[0]["Cs"]) == 1.0
 
+    def test_bsc_above_half_is_computation_error(self, tmp_path, capsys):
+        # a BEC with erasure probability 2q > 1 does not exist
+        out = tmp_path / "cap.csv"
+        assert run(
+            "capacity", "--channel", "bsc", "--grid", "0.4,0.6,0.9", "--out", str(out)
+        ) == 2
+        assert not out.exists()
+        assert "crossover probability 0.6 outside [0, 1/2]" in capsys.readouterr().err
+
     def test_approach2_rate_column(self, tmp_path):
         out = tmp_path / "cap.csv"
         assert run("capacity", "--channel", "biawgn", "--param", "0.32", "--out", str(out)) == 0

@@ -400,6 +400,13 @@ class TestAlist:
         with pytest.raises(AlistParseError, match="outside"):
             codes.read_alist(path)
 
+    def test_repeated_index(self, tmp_path):
+        # column 1 is declared with degree 2 but lists row 1 twice
+        path = tmp_path / "bad5.alist"
+        path.write_text("3 2\n2 2\n2 1 1\n2 2\n1 1\n2\n2\n1 1\n2 3\n")
+        with pytest.raises(AlistParseError, match="line 5: row index 1 repeated"):
+            codes.read_alist(path)
+
     def test_row_list_disagreeing_with_column_lists_names_its_line(self, tmp_path):
         # columns say row 2 is {1, 3}; its row list (line 9) says {1, 2}
         path = tmp_path / "bad4.alist"

@@ -496,12 +496,12 @@ class TestApproach1:
 class TestPeeling:
     def test_no_erasures_valid_word(self):
         pair = repetition_pair()
-        word, ok = secrecy.peeling_decode_bec(pair.coarse, modulate([1, 1, 1]))
+        word, ok = decoders.peeling_decode_bec(pair.coarse, modulate([1, 1, 1]))
         assert ok and word.tolist() == [1, 1, 1]
 
     def test_all_erased_fails(self):
         pair = repetition_pair()
-        word, ok = secrecy.peeling_decode_bec(pair.coarse, np.zeros(3, dtype=np.int8))
+        word, ok = decoders.peeling_decode_bec(pair.coarse, np.zeros(3, dtype=np.int8))
         assert not ok and (word == -1).all()
 
     def test_single_erasure_forced_by_parity(self):
@@ -509,20 +509,20 @@ class TestPeeling:
         cw = random_codeword(code, np.random.default_rng(11))
         z = modulate(cw).astype(np.int8)
         z[3] = 0
-        word, ok = secrecy.peeling_decode_bec(code, z)
+        word, ok = decoders.peeling_decode_bec(code, z)
         assert ok and np.array_equal(word, cw)
 
     def test_inconsistent_input_reported(self):
         pair = repetition_pair()
         # 010 is not a repetition codeword and nothing is erased
-        word, ok = secrecy.peeling_decode_bec(pair.coarse, modulate([0, 1, 0]))
+        word, ok = decoders.peeling_decode_bec(pair.coarse, modulate([0, 1, 0]))
         assert not ok
         assert word.tolist() == [0, 1, 0]  # unerased positions untouched
 
     def test_same_round_conflict_first_check_wins_and_is_reported(self):
         # both checks force variable 0 in the first round, to 0 and to 1
         code = codes.from_parity_check(BitMatrix.from_dense([[1, 1, 0], [1, 0, 1]]))
-        word, ok = secrecy.peeling_decode_bec(code, np.array([0, 1, -1], dtype=np.int8))
+        word, ok = decoders.peeling_decode_bec(code, np.array([0, 1, -1], dtype=np.int8))
         assert word.tolist() == [0, 0, 1]
         assert not ok
 
@@ -551,7 +551,7 @@ class TestPeeling:
             # every other input is a random word, not a codeword: inconsistent
             cw = random_codeword(code, rng) if trial % 2 else rng.integers(0, 2, n, dtype=np.uint8)
             z = bec_transmit(modulate(cw), eps, rng)
-            word, ok = secrecy.peeling_decode_bec(code, z)
+            word, ok = decoders.peeling_decode_bec(code, z)
             want, want_ok = reference(code, z)
             assert np.array_equal(word, want) and ok == want_ok
             outcomes.add((trial % 2, ok))
@@ -571,7 +571,7 @@ class TestPeeling:
         for _ in range(40):
             cw = random_codeword(code, rng)
             z = bec_transmit(modulate(cw), eps, rng)
-            word, ok = secrecy.peeling_decode_bec(code, z)
+            word, ok = decoders.peeling_decode_bec(code, z)
             resolved = word >= 0
             assert np.array_equal(word[resolved], cw[resolved])
             assert ok == bool(resolved.all())
@@ -589,7 +589,7 @@ class TestPeeling:
             rng = np.random.default_rng(77)
             ok_count = 0
             for _ in range(200):
-                _, ok = secrecy.peeling_decode_bec(code, bec_transmit(x, eps, rng))
+                _, ok = decoders.peeling_decode_bec(code, bec_transmit(x, eps, rng))
                 ok_count += ok
             outcomes[eps] = ok_count / 200
         assert outcomes[0.40] >= 0.99  # below threshold 0.4294
@@ -601,18 +601,18 @@ class TestBpDecode:
         code = codes.regular_ldpc(30, 3, 6, seed=1)
         cw = random_codeword(code, np.random.default_rng(0))
         llr = 50.0 * (1.0 - 2.0 * cw)
-        bits, ok = secrecy.bp_decode_awgn(code, llr, 0)
+        bits, ok = decoders.bp_decode_awgn(code, llr, 0)
         assert ok and np.array_equal(bits, cw)
 
     def test_all_zero_llrs_fail(self):
         code = codes.regular_ldpc(30, 3, 6, seed=1)
-        bits, ok = secrecy.bp_decode_awgn(code, np.zeros(30), 50)
+        bits, ok = decoders.bp_decode_awgn(code, np.zeros(30), 50)
         assert not ok
 
     def test_negative_iterations_rejected(self):
         code = codes.regular_ldpc(30, 3, 6, seed=1)
         with pytest.raises(ValueError, match="max_iters"):
-            secrecy.bp_decode_awgn(code, np.ones(30), -1)
+            decoders.bp_decode_awgn(code, np.ones(30), -1)
 
     def test_high_snr_ensemble_success(self):
         from wiretapcodes.channels import awgn_llr, biawgn_transmit
@@ -623,7 +623,7 @@ class TestBpDecode:
         successes = 0
         for _ in range(100):
             z = biawgn_transmit(x, 2.0, rng)
-            bits, ok = secrecy.bp_decode_awgn(code, awgn_llr(z, 2.0), 200)
+            bits, ok = decoders.bp_decode_awgn(code, awgn_llr(z, 2.0), 200)
             successes += ok and not bits.any()
         assert successes >= 99
 
