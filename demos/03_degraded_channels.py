@@ -16,7 +16,7 @@ from wiretapcodes import channels
 rng = np.random.default_rng(2024)
 snr = 0.465
 
-eps = channels.erasure_rate_for_snr(snr)
+eps = channels.BIAWGN(snr).erasure_rate
 mu = channels.signal_amplitude(snr)
 print(f"snr = {snr}: signal amplitude {mu:.4f}, embedded erasure rate {eps:.4f}")
 

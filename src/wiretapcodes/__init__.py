@@ -20,10 +20,7 @@ from .capacity import (
     RateEquivocationPoint,
     RegionPolygon,
     achievable_region,
-    binary_entropy,
-    c_biawgn,
     capacity_equivocation_region,
-    q_function,
     secrecy_gap,
     thangaraj_baseline,
 )
@@ -35,11 +32,13 @@ from .channels import (
     awgn_degraded_transmit,
     awgn_llr,
     bec_transmit,
+    binary_entropy,
     biawgn_transmit,
     bsc_degraded_transmit,
     bsc_transmit,
-    erasure_rate_for_snr,
+    c_biawgn,
     modulate,
+    q_function,
 )
 from .codes import (
     DegreeDistribution,

@@ -94,10 +94,10 @@ def pack_vector(v: np.ndarray, cols: int) -> np.ndarray:
 class BitMatrix:
     """Dense GF(2) matrix stored as bit-packed rows.
 
-    Use the constructors :meth:`from_dense`, :meth:`zeros`, and
-    :meth:`identity`; the raw ``words`` array is part of the public layout
-    (shape ``(rows, ceil(cols / 64))``, column ``j`` at bit ``j % 64`` of
-    word ``j // 64``) but should be treated as read-only.
+    Use the constructors :meth:`from_dense` and :meth:`identity`; the raw
+    ``words`` array is part of the public layout (shape
+    ``(rows, ceil(cols / 64))``, column ``j`` at bit ``j % 64`` of word
+    ``j // 64``) but should be treated as read-only.
     """
 
     __slots__ = ("rows", "cols", "words")
@@ -123,10 +123,6 @@ class BitMatrix:
             raise ValueError("entries must be 0 or 1")
         rows, cols = dense.shape
         return cls(rows, cols, _pack_rows(dense, cols))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, np.zeros((rows, _nwords(cols)), dtype=np.uint64))
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":

@@ -5,8 +5,7 @@ between the AWGN secrecy capacity and the perfect-secrecy rate of the
 dual-of-good-code coset construction, and the rate-equivocation region
 polygons.  The per-channel quantities (capacity, secrecy capacity, and that
 perfect-secrecy rate, ``erasure_rate``) are properties of the channel
-models in ``channels``, which also defines the Gaussian tail function,
-binary entropy and binary-input AWGN capacity re-exported here.
+models in ``channels``.
 
 Everything here is a pure function; rates and equivocations are in bits
 per channel use.
@@ -18,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .channels import BIAWGN, c_biawgn
-from .channels import binary_entropy, q_function  # re-exported
 
 _GEOM_TOL = 1e-9
 

@@ -8,10 +8,12 @@ symbol -1; the AWGN channel is output-symmetric, so every capacity,
 threshold, and equivocation quantity is independent of this sign choice,
 but it fixes the LLR convention: positive LLR favours bit 0.
 
-Each model class carries its own per-channel facts (CLI name, capacity,
-secrecy capacity, embedded erasure rate), so no other module branches on
-the channel type; the Gaussian tail, the binary entropy and the BI-AWGN
-capacity they need are defined here as well.
+Each model class carries its own per-channel facts (CLI name, parameter
+range, capacity, secrecy capacity, embedded erasure rate), so no other
+module branches on the channel type or restates a range check: functions
+that take a bare parameter build the model to check it.  The Gaussian tail,
+the binary entropy and the BI-AWGN capacity the models need are defined
+here as well.
 
 The two ``*_degraded_transmit`` functions realize each noisy channel as a
 BEC followed by a memoryless post-processor, which is what turns a BEC
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import erfc, ndtr, ndtri
@@ -99,8 +101,7 @@ def c_biawgn(snr: float) -> float:
     dominated by the 1e-8 panel tolerance.  Monotone nondecreasing in the
     SNR and clamped to [0, 1].
     """
-    if snr < 0:
-        raise ValueError("SNR must be nonnegative")
+    BIAWGN(snr)  # the model checks the range
     s = math.sqrt(snr)
 
     def integrand(y: float) -> float:
@@ -115,23 +116,19 @@ def signal_amplitude(snr: float) -> float:
     return float(np.sqrt(2.0 * snr))
 
 
-def erasure_rate_for_snr(snr: float) -> float:
-    """Erasure probability 2*Q(sqrt(2*snr)) of the embedded BEC."""
-    return float(2.0 * q_function(signal_amplitude(snr)))
-
-
-class _Channel:
+class ChannelModel:
     """Per-channel facts shared by the three eavesdropper models.
 
-    ``name`` is the channel's CLI name.  ``erasure_rate`` is the erasure
-    probability of the BEC the channel is degraded from, which is also the
-    perfect-secrecy rate of the dual-of-good-code construction; it is
-    ``erasures_per_error`` times the channel's own error probability (the
-    erasure probability of a BEC, the crossover probability of a BSC and of
-    hard decisions on BI-AWGN); a BSC with no such BEC raises ValueError
-    through :meth:`check_degradable`.  ``secrecy_capacity`` is the secrecy
-    capacity with this eavesdropper and a noiseless main channel, and
-    ``capacity`` the channel's own capacity.
+    Building a model rejects an out-of-range parameter.  ``name`` is the
+    channel's CLI name.  ``erasure_rate`` is the erasure probability of the
+    BEC the channel is degraded from, which is also the perfect-secrecy rate
+    of the dual-of-good-code construction; it is ``erasures_per_error``
+    times the channel's own error probability (the erasure probability of a
+    BEC, the crossover probability of a BSC and of hard decisions on
+    BI-AWGN); a BSC with no such BEC raises ValueError through
+    :meth:`check_degradable`.  ``secrecy_capacity`` is the secrecy capacity
+    with this eavesdropper and a noiseless main channel, and ``capacity``
+    the channel's own capacity.
     """
 
     name: ClassVar[str]
@@ -146,7 +143,7 @@ class _Channel:
 
 
 @dataclass(frozen=True)
-class BEC(_Channel):
+class BEC(ChannelModel):
     """Binary erasure channel with erasure probability ``erasure_prob``."""
 
     erasure_prob: float
@@ -167,7 +164,7 @@ class BEC(_Channel):
 
 
 @dataclass(frozen=True)
-class BSC(_Channel):
+class BSC(ChannelModel):
     """Binary symmetric channel with crossover probability ``crossover_prob``."""
 
     crossover_prob: float
@@ -194,7 +191,7 @@ class BSC(_Channel):
 
 
 @dataclass(frozen=True)
-class BIAWGN(_Channel):
+class BIAWGN(ChannelModel):
     """Binary-input AWGN channel with SNR ``snr = Es/N0`` (dimensionless)."""
 
     snr: float
@@ -206,7 +203,7 @@ class BIAWGN(_Channel):
 
     @property
     def erasure_rate(self) -> float:
-        return erasure_rate_for_snr(self.snr)
+        return float(2.0 * q_function(signal_amplitude(self.snr)))
 
     @property
     def capacity(self) -> float:
@@ -221,7 +218,6 @@ class BIAWGN(_Channel):
             raise ValueError("snr must be positive")
 
 
-ChannelModel = Union[BEC, BSC, BIAWGN]
 CHANNELS = {cls.name: cls for cls in (BEC, BSC, BIAWGN)}
 
 
@@ -233,8 +229,7 @@ def modulate(bits) -> np.ndarray:
 
 def bec_transmit(symbols, erasure_prob: float, rng: np.random.Generator) -> np.ndarray:
     """Erase each +-1 symbol independently (erasures become 0)."""
-    if not 0.0 <= erasure_prob <= 1.0:
-        raise ValueError(f"erasure probability {erasure_prob} outside [0, 1]")
+    BEC(erasure_prob)  # the model checks the range
     x = np.asarray(symbols, dtype=np.int8)
     out = x.copy()
     out[rng.random(x.shape) < erasure_prob] = ERASED
@@ -243,8 +238,7 @@ def bec_transmit(symbols, erasure_prob: float, rng: np.random.Generator) -> np.n
 
 def bsc_transmit(bits, crossover_prob: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each bit independently with the given probability."""
-    if not 0.0 <= crossover_prob <= 1.0:
-        raise ValueError(f"crossover probability {crossover_prob} outside [0, 1]")
+    BSC(crossover_prob)  # the model checks the range
     b = np.asarray(bits, dtype=np.uint8)
     flips = (rng.random(b.shape) < crossover_prob).astype(np.uint8)
     return b ^ flips
@@ -252,16 +246,14 @@ def bsc_transmit(bits, crossover_prob: float, rng: np.random.Generator) -> np.nd
 
 def biawgn_transmit(symbols, snr: float, rng: np.random.Generator) -> np.ndarray:
     """y = x * sqrt(2*snr) + n with n standard normal."""
-    if snr < 0:
-        raise ValueError("SNR must be nonnegative")
+    BIAWGN(snr)  # the model checks the range
     x = np.asarray(symbols, dtype=np.float64)
     return x * signal_amplitude(snr) + rng.standard_normal(x.shape)
 
 
 def awgn_llr(z, snr: float) -> np.ndarray:
     """Per-symbol LLR log[p(z|bit 0)/p(z|bit 1)] = 2*sqrt(2*snr)*z."""
-    if snr < 0:
-        raise ValueError("SNR must be nonnegative")
+    BIAWGN(snr)  # the model checks the range
     return 2.0 * signal_amplitude(snr) * np.asarray(z, dtype=np.float64)
 
 
@@ -283,9 +275,10 @@ def degraded_conditional_density(z, zprime: int, snr: float) -> np.ndarray:
     the BEC transition probabilities reproduces the direct channel density
     exactly.
     """
-    BIAWGN(snr).check_degradable()
+    channel = BIAWGN(snr)
+    channel.check_degradable()
     zz = np.asarray(z, dtype=np.float64)
-    eps = erasure_rate_for_snr(snr)
+    eps = channel.erasure_rate
     g_pos = biawgn_density(zz, +1, snr)
     g_neg = biawgn_density(zz, -1, snr)
     if zprime == +1:
@@ -335,10 +328,11 @@ def awgn_degraded_transmit(
     ``zprime``.  Rejects ``snr <= 0``, where the erasure rate reaches one
     and the unerased conditional densities are undefined.
     """
-    BIAWGN(snr).check_degradable()
+    channel = BIAWGN(snr)
+    channel.check_degradable()
     x = np.asarray(symbols, dtype=np.int8)
     mu = signal_amplitude(snr)
-    eps = erasure_rate_for_snr(snr)
+    eps = channel.erasure_rate
     zprime = bec_transmit(x, eps, rng)
     z = np.empty(x.shape, dtype=np.float64)
 
@@ -360,9 +354,8 @@ def bsc_degraded_transmit(
     through, erased ones are replaced by independent fair coin flips, making
     the marginal a BSC(q).
     """
-    BSC(crossover_prob).check_degradable()
     b = np.asarray(bits, dtype=np.uint8)
-    zprime = bec_transmit(modulate(b), 2.0 * crossover_prob, rng)
+    zprime = bec_transmit(modulate(b), BSC(crossover_prob).erasure_rate, rng)
     z = b.copy()
     erased = zprime == ERASED
     z[erased] = rng.integers(0, 2, size=int(erased.sum()), dtype=np.uint8)

@@ -135,14 +135,6 @@ class LinearCode:
     def rate(self) -> float:
         return self.k / self.n
 
-    def codewords(self):
-        """Yield all 2**k codewords (small codes only)."""
-        if self.k > 20:
-            raise ValueError(f"refusing to enumerate 2^{self.k} codewords")
-        for idx in range(1 << self.k):
-            msg = np.array([(idx >> i) & 1 for i in range(self.k)], dtype=np.uint8)
-            yield bitlinalg.vec_mat(msg, self.g)
-
     def edge_lists(self) -> tuple[np.ndarray, np.ndarray]:
         """(check_index, var_index) arrays for the edges of ``checks``.
 

@@ -29,13 +29,13 @@ generators; estimates aggregate by pure reduction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import bitlinalg
 from ._kernels import rank_words
-from .channels import ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
+from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
 from .codes import NestedCodePair, _pack_edges
 from .decoders import _peel_edges, bp_decode_awgn
 from .thresholds import Z95, wilson_interval
@@ -103,15 +103,20 @@ class EquivocationEstimate:
             )
 
 
+def _bits(v, size: int, what: str) -> np.ndarray:
+    """``v`` as a uint8 vector of ``size`` bits; ValueError unless every
+    entry is 0 or 1."""
+    a = np.asarray(v)
+    if a.shape != (size,) or not ((a == 0) | (a == 1)).all():
+        raise ValueError(f"{what} must be {size} bits, each 0 or 1")
+    return a.astype(np.uint8)
+
+
 def coset_word(pair: NestedCodePair, message, dither) -> np.ndarray:
     """The codeword selected inside coset ``message`` by ``dither``: ``w``
     written at the coarse code's pivots, xor ``dither @ g1``."""
-    w = np.asarray(message, dtype=np.uint8)
-    if w.shape != (pair.m,):
-        raise ValueError(f"message must have {pair.m} bits, got {w.shape}")
-    dith = np.asarray(dither, dtype=np.uint8)
-    if dith.shape != (pair.coarse.k,):
-        raise ValueError(f"dither must have {pair.coarse.k} bits, got {dith.shape}")
+    w = _bits(message, pair.m, "message")
+    dith = _bits(dither, pair.coarse.k, "dither")
     x = _coset_leader(pair, w)
     if pair.coarse.k:
         x ^= bitlinalg.vec_mat(dith, pair.coarse.g)
@@ -128,19 +133,14 @@ def _coset_leader(pair: NestedCodePair, w: np.ndarray) -> np.ndarray:
 
 def encode(pair: NestedCodePair, message, rng: np.random.Generator) -> CosetCodeword:
     """Encode a message as a uniformly random member of its coset."""
-    w = np.asarray(message, dtype=np.uint8)
-    if w.shape != (pair.m,):
-        raise ValueError(f"message must have {pair.m} bits, got {w.shape}")
+    w = _bits(message, pair.m, "message")
     dither = rng.integers(0, 2, size=pair.coarse.k, dtype=np.uint8)
-    return CosetCodeword(w.copy(), dither, coset_word(pair, w, dither))
+    return CosetCodeword(w, dither, coset_word(pair, w, dither))
 
 
 def main_decode(pair: NestedCodePair, received) -> np.ndarray:
     """Recover the message from a noiseless observation: ``h1 @ y``."""
-    y = np.asarray(received, dtype=np.uint8)
-    if y.shape != (pair.n,):
-        raise ValueError(f"received word must have {pair.n} bits, got {y.shape}")
-    return bitlinalg.mat_vec(pair.h1, y)
+    return bitlinalg.mat_vec(pair.h1, _bits(received, pair.n, "received word"))
 
 
 def _compact(idx: np.ndarray) -> tuple[np.ndarray, int]:
@@ -245,8 +245,7 @@ def mc_equivocation_bec(
     ``detail["rank_paths"]`` counts the trials that took each path of
     ``_RANK_PATHS``.
     """
-    if not 0.0 <= erasure_prob <= 1.0:
-        raise ValueError(f"erasure probability {erasure_prob} outside [0, 1]")
+    BEC(erasure_prob)  # the model checks the range
     if trials < 1:
         raise ValueError("trials must be positive")
     ranks = np.empty(trials, dtype=np.float64)
@@ -285,13 +284,7 @@ def equivocation_lb(
     """
     channel.check_degradable()
     base = mc_equivocation_bec(pair, channel.erasure_rate, trials, rng)
-    return EquivocationEstimate(
-        value=base.value,
-        half_width=base.half_width,
-        trials=trials,
-        method="degradation-rank",
-        detail={**base.detail, **asdict(channel)},
-    )
+    return replace(base, method="degradation-rank", detail={**base.detail, **asdict(channel)})
 
 
 def approach1_equivocation_bound(
@@ -316,8 +309,7 @@ def approach1_equivocation_bound(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if snr < 0:
-        raise ValueError("snr must be nonnegative")
+    BIAWGN(snr)  # the model checks the range
     n = pair.n
     r1 = pair.coarse.rate
     errors = 0
@@ -407,8 +399,7 @@ def brute_force_equivocation_bec(
         raise ValueError(
             f"exhaustive BEC enumeration limited to n <= {_BRUTE_FORCE_BEC_LIMIT}"
         )
-    if not 0.0 <= erasure_prob <= 1.0:
-        raise ValueError(f"erasure probability {erasure_prob} outside [0, 1]")
+    BEC(erasure_prob)  # the model checks the range
     w_int = _message_table(pair)
     xs = np.arange(1 << n, dtype=np.int64)
     per_pattern = np.empty(1 << n, dtype=np.float64)
@@ -440,9 +431,8 @@ def brute_force_equivocation_bsc(pair: NestedCodePair, crossover_prob: float) ->
         raise ValueError(
             f"exhaustive BSC enumeration limited to n <= {_BRUTE_FORCE_BSC_LIMIT}"
         )
+    BSC(crossover_prob)  # the model checks the range
     q = crossover_prob
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"crossover probability {q} outside [0, 1]")
     w_int = _message_table(pair)
     xs = np.arange(1 << n, dtype=np.int64)
     m = pair.m

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChannelModel, awgn_llr, biawgn_transmit, modulate
+from .channels import BEC, ChannelModel, awgn_llr, biawgn_transmit, modulate
 from .codes import DegreeDistribution, LinearCode
 from .decoders import bp_decode_awgn
 
@@ -62,8 +62,7 @@ def de_residual(eps: float, dd: DegreeDistribution) -> float:
     ``DE_MAX_ITER`` iterations have run, and returns the last iterate.
     Monotone nondecreasing in ``eps`` up to the stopping resolution.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"erasure probability {eps} outside [0, 1]")
+    BEC(eps)  # the model checks the range
     x = eps
     for _ in range(DE_MAX_ITER):
         x_next = eps * dd.lam(1.0 - dd.rho(1.0 - x))

@@ -33,7 +33,7 @@ def c_biawgn_oracle(snr: float) -> float:
 
 def test_criterion_01_capacity_reproduction():
     t0 = time.perf_counter()
-    value = 1.0 - capacity.c_biawgn(0.302)
+    value = 1.0 - channels.c_biawgn(0.302)
     elapsed = time.perf_counter() - t0
     assert value == pytest.approx(0.663, abs=0.001)
     assert elapsed < 1.0
@@ -42,14 +42,14 @@ def test_criterion_01_capacity_reproduction():
 
 def test_criterion_02_degradation_constant():
     t0 = time.perf_counter()
-    value = 2.0 * float(capacity.q_function(math.sqrt(2.0 * 0.465)))
+    value = 2.0 * float(channels.q_function(math.sqrt(2.0 * 0.465)))
     assert value == pytest.approx(0.335, abs=0.001)
     report(2, t0, f"2Q(sqrt(2*0.465)) = {value:.6f} within 0.335 +- 0.001")
 
 
 def test_criterion_03_gap_claim():
     t0 = time.perf_counter()
-    gap = 1.0 - capacity.c_biawgn(0.302) - (1.0 - 1.0 / 3.0)
+    gap = 1.0 - channels.c_biawgn(0.302) - (1.0 - 1.0 / 3.0)
     assert gap <= 0.004
     assert abs(gap) <= 0.004
     report(3, t0, f"rate/equivocation gap at the example point = {abs(gap):.6f} <= 0.004")
@@ -59,7 +59,7 @@ def test_criterion_04_mixture_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for snr in (0.302, 0.465, 1.0):
-        eps = channels.erasure_rate_for_snr(snr)
+        eps = channels.BIAWGN(snr).erasure_rate
         mu = channels.signal_amplitude(snr)
         zs = np.linspace(-6 * mu - 6, 6 * mu + 6, 2000)
         for x in (+1, -1):
@@ -146,7 +146,7 @@ def test_criterion_08_bsc_rate_improvement():
     for q in qs:
         rate = 2.0 * q
         assert rate >= capacity.thangaraj_baseline(float(q)) - 1e-12
-        assert rate <= float(capacity.binary_entropy(float(q))) + 1e-12
+        assert rate <= float(channels.binary_entropy(float(q))) + 1e-12
     report(8, t0, "2q >= -log2(1-q) and 2q <= h(q) on all 50 grid points")
 
 
@@ -198,7 +198,7 @@ def test_criterion_10_fano_pipeline():
     p_hat = est.detail["word_error_rate"]
     assert p_hat <= 0.01
 
-    ceiling = 1.0 - capacity.c_biawgn(snr)
+    ceiling = 1.0 - channels.c_biawgn(snr)
     floor = ceiling - 1.0 / n - 0.01 / 3.0 - est.half_width
     assert floor <= est.value <= ceiling
     t_end = time.perf_counter()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from wiretapcodes import capacity
+from wiretapcodes import capacity, channels
 from wiretapcodes.channels import BEC, BIAWGN, BSC
 
 
@@ -21,49 +21,49 @@ def c_biawgn_oracle(snr: float) -> float:
 
 class TestQFunction:
     def test_half_at_zero(self):
-        assert capacity.q_function(0.0) == pytest.approx(0.5)
+        assert channels.q_function(0.0) == pytest.approx(0.5)
 
     def test_limits(self):
-        assert capacity.q_function(-12.0) == pytest.approx(1.0, abs=1e-12)
-        assert capacity.q_function(12.0) == pytest.approx(0.0, abs=1e-12)
+        assert channels.q_function(-12.0) == pytest.approx(1.0, abs=1e-12)
+        assert channels.q_function(12.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_degradation_constant(self):
-        assert 2 * capacity.q_function(math.sqrt(2 * 0.465)) == pytest.approx(0.335, abs=0.001)
+        assert 2 * channels.q_function(math.sqrt(2 * 0.465)) == pytest.approx(0.335, abs=0.001)
 
 
 class TestBinaryEntropy:
     def test_known_values(self):
-        assert capacity.binary_entropy(0.5) == 1.0
-        assert capacity.binary_entropy(0.0) == 0.0
-        assert capacity.binary_entropy(1.0) == 0.0
-        assert capacity.binary_entropy(0.11) == pytest.approx(0.49999, abs=1e-4)
+        assert channels.binary_entropy(0.5) == 1.0
+        assert channels.binary_entropy(0.0) == 0.0
+        assert channels.binary_entropy(1.0) == 0.0
+        assert channels.binary_entropy(0.11) == pytest.approx(0.49999, abs=1e-4)
 
     def test_vectorized(self):
-        out = capacity.binary_entropy(np.array([0.0, 0.5, 1.0]))
+        out = channels.binary_entropy(np.array([0.0, 0.5, 1.0]))
         assert out.tolist() == [0.0, 1.0, 0.0]
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            capacity.binary_entropy(1.2)
+            channels.binary_entropy(1.2)
 
 
 class TestCBiawgn:
     def test_zero_snr(self):
-        assert capacity.c_biawgn(0.0) == pytest.approx(0.0, abs=1e-8)
+        assert channels.c_biawgn(0.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_approaches_one(self):
-        assert capacity.c_biawgn(20.0) >= 0.9999
+        assert channels.c_biawgn(20.0) >= 0.9999
 
     def test_operating_point(self):
-        assert 1 - capacity.c_biawgn(0.302) == pytest.approx(0.663, abs=0.001)
+        assert 1 - channels.c_biawgn(0.302) == pytest.approx(0.663, abs=0.001)
 
     @pytest.mark.parametrize("snr", [0.05, 0.302, 0.32, 0.465, 1.0, 4.0])
     def test_against_quad_oracle(self, snr):
-        assert capacity.c_biawgn(snr) == pytest.approx(c_biawgn_oracle(snr), abs=1e-6)
+        assert channels.c_biawgn(snr) == pytest.approx(c_biawgn_oracle(snr), abs=1e-6)
 
     def test_monotone_and_bounded_on_grid(self):
         grid = np.linspace(0.0, 20.0, 100)
-        values = [capacity.c_biawgn(s) for s in grid]
+        values = [channels.c_biawgn(s) for s in grid]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
@@ -113,7 +113,7 @@ class TestSecrecyGap:
 
     def test_nonnegative_on_operating_range(self):
         for snr in np.linspace(0.3, 1.0, 30):
-            gap = 1 - c_biawgn_oracle(snr) - 2 * capacity.q_function(math.sqrt(2 * snr))
+            gap = 1 - c_biawgn_oracle(snr) - 2 * channels.q_function(math.sqrt(2 * snr))
             assert capacity.secrecy_gap(snr) == pytest.approx(gap, abs=2e-6)
             assert capacity.secrecy_gap(snr) >= 0.0
 
@@ -122,7 +122,7 @@ class TestRegions:
     def test_achievable_vertices(self):
         poly = capacity.achievable_region(0.32, 1 / 3)
         verts = {(round(v.rate, 4), round(v.equivocation, 4)) for v in poly.vertices}
-        cap_val = capacity.c_biawgn(0.32)
+        cap_val = channels.c_biawgn(0.32)
         r_dual = BIAWGN(0.32).erasure_rate
         assert (0.0, 0.0) in verts
         assert (1.0, 0.0) in verts
@@ -144,7 +144,7 @@ class TestRegions:
     def test_full_rate_message_degenerates(self):
         # coarse rate 0: the dual-corner coincides with the capacity corner
         poly = capacity.achievable_region(0.32, 0.0)
-        cap_val = capacity.c_biawgn(0.32)
+        cap_val = channels.c_biawgn(0.32)
         assert all(v.equivocation <= 1 - cap_val + 1e-12 for v in poly.vertices)
 
     def test_high_snr_collapses(self):

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.special import erfc
 
-from wiretapcodes import channels
+from wiretapcodes import channels, codes, secrecy, thresholds
+from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import BEC, BIAWGN, BSC
+from wiretapcodes.codes import DegreeDistribution
 
 
 class TestModels:
@@ -22,7 +26,6 @@ class TestModels:
     @pytest.mark.parametrize("snr", [0.0, 0.18, 0.465, 3.0])
     def test_awgn_facts(self, snr):
         ch = BIAWGN(snr)
-        assert ch.erasure_rate == channels.erasure_rate_for_snr(snr)
         assert ch.erasure_rate == float(2.0 * 0.5 * erfc(np.sqrt(2.0 * snr) / np.sqrt(2.0)))
         assert ch.capacity == channels.c_biawgn(snr)
         assert ch.secrecy_capacity == 1.0 - channels.c_biawgn(snr)
@@ -55,6 +58,43 @@ class TestModels:
         assert channels.modulate([0]).tolist() == [1]
         assert channels.modulate([1]).tolist() == [-1]
         assert channels.modulate([0, 1, 0]).tolist() == [1, -1, 1]
+
+
+def _pair():
+    return codes.nested_pair_from_coarse(codes.from_parity_check(BitMatrix.identity(3)))
+
+
+_X = np.ones(4)
+_RNG = np.random.default_rng
+
+
+# (function of the bad value, the model that owns the range, the bad value)
+OUT_OF_RANGE = {
+    "c_biawgn": (channels.c_biawgn, BIAWGN, -1.0),
+    "bec_transmit": (lambda v: channels.bec_transmit(_X, v, _RNG(0)), BEC, 1.5),
+    "bsc_transmit": (lambda v: channels.bsc_transmit(_X, v, _RNG(0)), BSC, -0.1),
+    "biawgn_transmit": (lambda v: channels.biawgn_transmit(_X, v, _RNG(0)), BIAWGN, -1.0),
+    "awgn_llr": (lambda v: channels.awgn_llr(_X, v), BIAWGN, -1.0),
+    "mc_equivocation_bec": (
+        lambda v: secrecy.mc_equivocation_bec(_pair(), v, 4, _RNG(0)), BEC, 1.5),
+    "approach1_equivocation_bound": (
+        lambda v: secrecy.approach1_equivocation_bound(_pair(), v, 4, 5, _RNG(0)), BIAWGN, -1.0),
+    "brute_force_equivocation_bec": (
+        lambda v: secrecy.brute_force_equivocation_bec(_pair(), v), BEC, 1.5),
+    "brute_force_equivocation_bsc": (
+        lambda v: secrecy.brute_force_equivocation_bsc(_pair(), v), BSC, -0.1),
+    "de_residual": (
+        lambda v: thresholds.de_residual(v, DegreeDistribution.regular(3, 6)), BEC, 1.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_parameter_raises_the_models_error(name):
+    call, model, value = OUT_OF_RANGE[name]
+    with pytest.raises(ValueError) as expected:
+        model(value)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        call(value)
 
 
 class TestBecTransmit:
@@ -154,7 +194,7 @@ class TestAwgnDegraded:
 class TestDegradedDensities:
     @pytest.mark.parametrize("snr", [0.302, 0.465, 1.0])
     def test_mixture_identity(self, snr):
-        eps = channels.erasure_rate_for_snr(snr)
+        eps = channels.BIAWGN(snr).erasure_rate
         mu = channels.signal_amplitude(snr)
         zs = np.linspace(-6 * mu - 6, 6 * mu + 6, 2000)
         for x in (+1, -1):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wiretapcodes import bitlinalg, capacity, codes, decoders, secrecy
+from wiretapcodes import bitlinalg, channels, codes, decoders, secrecy
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import BEC, BIAWGN, BSC, bec_transmit, modulate
 
@@ -121,13 +121,27 @@ class TestEncodeDecode:
             assert np.array_equal(secrecy.coset_word(pair, w, zeros), bitlinalg.mat_vec(d, w))
 
     def test_full_space_coarse_has_empty_message(self):
-        pair = codes.nested_pair_from_coarse(codes.from_parity_check(BitMatrix.zeros(1, 4)))
+        full = codes.from_parity_check(BitMatrix.from_dense(np.zeros((1, 4))))
+        pair = codes.nested_pair_from_coarse(full)
         cw = secrecy.encode(pair, np.zeros(0, dtype=np.uint8), np.random.default_rng(0))
         assert secrecy.main_decode(pair, cw.word).size == 0
 
     def test_wrong_message_length(self):
         with pytest.raises(ValueError, match="bits"):
             secrecy.encode(repetition_pair(), [1, 0, 1], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("call", [
+        lambda pair, rng: secrecy.coset_word(pair, [2, 0], [1]),
+        lambda pair, rng: secrecy.encode(pair, np.array([3, 0]), rng),
+        lambda pair, rng: secrecy.main_decode(pair, [3, 1, 1]),
+    ], ids=["coset_word", "encode", "main_decode"])
+    def test_non_binary_entry_rejected(self, call):
+        # a 2 or 3 used to pass the shape check and act as an odd bit or a
+        # stray one in the word; the generator is not drawn before the check
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="each 0 or 1"):
+            call(repetition_pair(), rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestExactEquivocation:
@@ -416,7 +430,7 @@ class TestDegradationBounds:
         rng = np.random.default_rng(7)
         pair = random_pair(rng, 12)
         snr = 0.465
-        eps = 2 * float(capacity.q_function(math.sqrt(2 * snr)))
+        eps = 2 * float(channels.q_function(math.sqrt(2 * snr)))
         a = secrecy.equivocation_lb(pair, BIAWGN(snr), 200, np.random.default_rng(123))
         b = secrecy.mc_equivocation_bec(pair, eps, 200, np.random.default_rng(123))
         assert a.value == b.value and a.half_width == b.half_width
@@ -471,7 +485,7 @@ class TestApproach1:
         pair = codes.nested_pair_from_coarse(code)
         est = secrecy.approach1_equivocation_bound(pair, 3.0, 60, 100, np.random.default_rng(3))
         assert est.detail["word_error_rate"] == 0.0
-        assert est.value == pytest.approx(1 - capacity.c_biawgn(3.0) - 1 / 510, abs=1e-12)
+        assert est.value == pytest.approx(1 - channels.c_biawgn(3.0) - 1 / 510, abs=1e-12)
         assert est.method == "fano-bound"
 
     def test_bound_within_capacity_band(self):
@@ -479,7 +493,7 @@ class TestApproach1:
         pair = codes.nested_pair_from_coarse(code)
         for snr in (0.4, 0.9, 2.0):
             est = secrecy.approach1_equivocation_bound(pair, snr, 40, 60, np.random.default_rng(4))
-            assert 0.0 <= est.value <= 1 - capacity.c_biawgn(snr) + 1e-12
+            assert 0.0 <= est.value <= 1 - channels.c_biawgn(snr) + 1e-12
 
     def test_clamps_at_zero(self):
         pair = repetition_pair(6)
@@ -529,32 +543,32 @@ class TestPeeling:
     @pytest.mark.parametrize(
         "n,dv,dc,eps", [(120, 3, 6, 0.35), (120, 3, 6, 0.50), (102, 4, 6, 0.45)]
     )
-    def test_matches_per_round_parity_reference(self, n, dv, dc, eps):
-        # the reference recomputes every check's parity each round
-        def reference(code, z):
-            edge_chk, edge_var = code.edge_lists()
-            m = code.checks.rows
-            bits = (z < 0).astype(np.int8)
-            unknown = z == 0
-            for chk, var in decoders._peel_edges(edge_chk, edge_var, m, unknown)[0]:
-                var, first = np.unique(var, return_index=True)
-                bits[var] = decoders._check_parity(edge_chk, edge_var, bits, m)[chk[first]]
-            parity = decoders._check_parity(edge_chk, edge_var, bits, m)
-            success = not unknown.any() and not parity.any()
-            bits[unknown] = decoders.ERASED_BIT
-            return bits, success
-
+    def test_leaves_a_stopping_set_and_resolves_only_determined_bits(self, n, dv, dc, eps):
         code = codes.regular_ldpc(n, dv, dc, seed=n + dv)
+        h = code.checks.to_dense()
         rng = np.random.default_rng(int(100 * eps))
         outcomes = set()
         for trial in range(60):
             # every other input is a random word, not a codeword: inconsistent
-            cw = random_codeword(code, rng) if trial % 2 else rng.integers(0, 2, n, dtype=np.uint8)
+            consistent = trial % 2
+            cw = random_codeword(code, rng) if consistent else rng.integers(0, 2, n, dtype=np.uint8)
             z = bec_transmit(modulate(cw), eps, rng)
             word, ok = decoders.peeling_decode_bec(code, z)
-            want, want_ok = reference(code, z)
-            assert np.array_equal(word, want) and ok == want_ok
-            outcomes.add((trial % 2, ok))
+            known, left = z != 0, word == decoders.ERASED_BIT
+            assert np.array_equal(word[known], cw[known])
+            # peeling stops only where no check sees exactly one unknown
+            assert (h[:, left].sum(axis=1) != 1).all()
+            assert ok == (not left.any() and not (h @ word % 2).any())
+            if consistent:
+                resolved = np.flatnonzero(~known & ~left)
+                assert np.array_equal(word[resolved], cw[resolved])
+                # each resolved bit is a function of the known bits: its
+                # column is outside the span of the other erased columns
+                erased = np.flatnonzero(~known)
+                full = uint8_rank(h[:, erased])
+                for i in resolved:
+                    assert full - uint8_rank(h[:, erased[erased != i]]) == 1
+            outcomes.add((consistent, ok))
         # consistent inputs decode at least once, inconsistent ones never
         assert (0, False) in outcomes and (0, True) not in outcomes
         assert eps > 0.45 or (1, True) in outcomes
@@ -630,7 +644,8 @@ class TestBpDecode:
 
 class TestBruteForce:
     def test_full_space_coarse_has_no_secret(self):
-        pair = codes.nested_pair_from_coarse(codes.from_parity_check(BitMatrix.zeros(1, 4)))
+        full = codes.from_parity_check(BitMatrix.from_dense(np.zeros((1, 4))))
+        pair = codes.nested_pair_from_coarse(full)
         table = secrecy.brute_force_equivocation_bec(pair, 0.7)
         assert table.average == 0.0
         assert not table.per_pattern.any()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wiretapcodes import capacity, codes, thresholds
+from wiretapcodes import channels, codes, thresholds
 from wiretapcodes.channels import BEC, BIAWGN, BSC
 from wiretapcodes.codes import DegreeDistribution
 
@@ -232,7 +232,7 @@ class TestSecrecyCondition:
     def test_margins_in_units_of_the_error_probability(self, delta):
         # exactly the per-channel formulas, to the last bit
         for snr in (0.05, 0.3, 0.465, 1.2):
-            q_tail = float(capacity.q_function(math.sqrt(2.0 * snr)))
+            q_tail = float(channels.q_function(math.sqrt(2.0 * snr)))
             _, margin = thresholds.check_secrecy_condition(BIAWGN(snr), delta)
             assert margin == q_tail - (1.0 - delta) / 2.0
         for q in (0.0, 0.1, 0.2, 0.37, 0.5):
