@@ -543,6 +543,49 @@ class TestPeeling:
     @pytest.mark.parametrize(
         "n,dv,dc,eps", [(120, 3, 6, 0.35), (120, 3, 6, 0.50), (102, 4, 6, 0.45)]
     )
+    def test_matches_per_round_parity_reference(self, n, dv, dc, eps):
+        # the reference peels the dense checks one check at a time: each round,
+        # every check with one unknown neighbour sets it to the parity of its
+        # known ones as they stood at the start of the round, and the
+        # lowest-index check wins a same-round conflict
+        def reference(h, z):
+            bits = (z < 0).astype(np.int64)
+            unknown = z == 0
+            while True:
+                single = np.flatnonzero(h[:, unknown].sum(axis=1) == 1)
+                if single.size == 0:
+                    break
+                start = bits.copy()
+                forced = set()
+                for c in single:
+                    (v,) = np.flatnonzero(h[c] & unknown)
+                    if v not in forced:
+                        forced.add(v)
+                        bits[v] = h[c] @ (start * ~unknown) % 2
+                unknown[list(forced)] = False
+            success = not unknown.any() and not (h @ bits % 2).any()
+            bits[unknown] = decoders.ERASED_BIT
+            return bits, success
+
+        code = codes.regular_ldpc(n, dv, dc, seed=n + dv)
+        h = code.checks.to_dense().astype(np.int64)
+        rng = np.random.default_rng(int(100 * eps))
+        outcomes = set()
+        for trial in range(60):
+            # every other input is a random word, not a codeword: inconsistent
+            consistent = trial % 2
+            cw = random_codeword(code, rng) if consistent else rng.integers(0, 2, n, dtype=np.uint8)
+            z = bec_transmit(modulate(cw), eps, rng)
+            word, ok = decoders.peeling_decode_bec(code, z)
+            want, want_ok = reference(h, z)
+            assert np.array_equal(word, want) and ok == want_ok
+            outcomes.add((consistent, ok))
+        assert (0, False) in outcomes and (0, True) not in outcomes
+        assert eps > 0.45 or (1, True) in outcomes
+
+    @pytest.mark.parametrize(
+        "n,dv,dc,eps", [(120, 3, 6, 0.35), (120, 3, 6, 0.50), (102, 4, 6, 0.45)]
+    )
     def test_leaves_a_stopping_set_and_resolves_only_determined_bits(self, n, dv, dc, eps):
         code = codes.regular_ldpc(n, dv, dc, seed=n + dv)
         h = code.checks.to_dense()
