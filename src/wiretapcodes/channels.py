@@ -198,8 +198,8 @@ class BIAWGN(ChannelModel):
     name: ClassVar[str] = "biawgn"
 
     def __post_init__(self):
-        if self.snr < 0.0:
-            raise ValueError(f"SNR {self.snr} must be nonnegative")
+        if not 0.0 <= self.snr < math.inf:
+            raise ValueError(f"SNR {self.snr} must be nonnegative and finite")
 
     @property
     def erasure_rate(self) -> float:

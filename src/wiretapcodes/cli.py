@@ -16,8 +16,9 @@ bodies regardless of execution order.  Reports start with a commented
 JSON form.
 
 One table, ``_COMMANDS``, gives each subcommand's function, the flags it
-reads, requires and defaults; the parser, the echo and hash, and the
-required-flag check are built from it.
+reads (on each channel, where the channel narrows them), requires and
+defaults; the parser, the echo and hash, and the required-flag check are
+built from it.
 
 Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure,
 3 I/O error.
@@ -103,7 +104,9 @@ def _parse_ensemble(spec: str) -> codes.DegreeDistribution:
 
 
 def _config_dict(args) -> dict:
-    cfg = {name: getattr(args, name) for name in _COMMANDS[args.command].reads}
+    command = _COMMANDS[args.command]
+    reads = command.channel_reads.get(getattr(args, "channel", None), command.reads)
+    cfg = {name: getattr(args, name) for name in reads}
     cfg["command"] = args.command
     canonical = json.dumps(cfg, sort_keys=True, default=str)
     cfg["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()[:12]
@@ -371,6 +374,7 @@ class _Command(NamedTuple):
     reads: tuple  # flags besides --out and --json; exactly these are echoed and hashed
     requires: tuple = ()
     defaults: dict = {}
+    channel_reads: dict = {}  # per --channel, the fewer flags a run on it reads, in place of reads
 
 
 _COMMANDS = {
@@ -379,7 +383,8 @@ _COMMANDS = {
     "threshold": _Command(cmd_threshold, "BEC DE threshold or empirical BP threshold",
                           ("channel", "code", "ensemble", "n", "grid", "trials",
                            "target_wer", "tol", "seed", "delta_star"),
-                          ("channel",), {"trials": 200, "target_wer": 0.1, "tol": 1e-6}),
+                          ("channel",), {"trials": 200, "target_wer": 0.1, "tol": 1e-6},
+                          {"bec": ("channel", "code", "ensemble", "tol", "delta_star")}),
     "simulate": _Command(cmd_simulate, "equivocation estimation campaign",
                          ("estimator", "code", "ensemble", "n", "param", "grid", "trials",
                           "seed", "delta_star", "lambda_star", "max_bp_iters"),

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -95,6 +96,14 @@ def test_out_of_range_parameter_raises_the_models_error(name):
         model(value)
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         call(value)
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf])
+def test_c_biawgn_rejects_nan_and_infinite_snr(snr):
+    # a NaN or infinite SNR used to pass the range check, and the quadrature
+    # then never returned
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        channels.c_biawgn(snr)
 
 
 class TestBecTransmit:

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,10 @@ def run(*argv):
 # A valid bec-exact simulate run on a small ensemble code.
 _SIM_BEC = ("simulate", "--estimator", "bec-exact", "--ensemble", "3,6", "--n", "60",
             "--param", "1.0", "--trials", "5", "--seed", "1")
+
+# A quick empirical threshold run, which reads --trials and --target-wer
+# (the BEC threshold reads neither).
+_THRESHOLD_AWGN = ("--ensemble", "3,6", "--n", "60", "--grid", "5.0", "--seed", "1")
 
 
 def read_report(path):
@@ -63,6 +70,20 @@ class TestCapacityCommand:
         _, rows = read_report(out)
         assert float(rows[0]["approach2_rate"]) == pytest.approx(0.4237, abs=5e-4)
 
+    def test_nan_snr_exits_2(self):
+        # the quadrature never returned on a NaN SNR, so run it where it can be stopped
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "wiretapcodes.cli", "capacity", "--channel", "biawgn",
+             "--param", "nan"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "SNR nan must be nonnegative and finite" in done.stderr
+
     def test_grid(self, tmp_path):
         out = tmp_path / "cap.csv"
         assert run("capacity", "--channel", "bec", "--grid", "0.1:0.5:5", "--out", str(out)) == 0
@@ -78,6 +99,21 @@ class TestThresholdCommand:
         _, rows = read_report(out)
         assert rows[0]["method"] == "DE-bisection"
         assert float(rows[0]["value"]) == pytest.approx(0.4294, abs=5e-4)
+
+    def test_bec_echoes_and_hashes_only_what_it_reads(self, tmp_path):
+        # density evolution takes no code length, seed, trials, grid or
+        # target word-error rate, so giving them changes nothing
+        reports = []
+        for extra in ((), ("--seed", "1", "--n", "60"), ("--seed", "2", "--trials", "5")):
+            out = tmp_path / "thr.csv"
+            assert run("threshold", "--channel", "bec", "--ensemble", "3,6", *extra,
+                       "--out", str(out)) == 0
+            reports.append(out.read_text())
+        assert reports[1] == reports[0] == reports[2]
+        header, _ = read_report(out)
+        assert set(header) == {
+            "channel", "code", "command", "config_hash", "delta_star", "ensemble", "tol",
+        }
 
     def test_user_override_echoed(self, tmp_path):
         out = tmp_path / "thr.csv"
@@ -316,7 +352,7 @@ class TestPlumbing:
         cfg.write_text(json.dumps({"trials": 300, "target_wer": 0.5, "tol": 1e-4}))
         out = tmp_path / "thr.csv"
         assert run(
-            "--config", str(cfg), "threshold", "--channel", "bec", "--ensemble", "3,6",
+            "--config", str(cfg), "threshold", "--channel", "biawgn", *_THRESHOLD_AWGN,
             "--out", str(out),
         ) == 0
         header, _ = read_report(out)
@@ -335,7 +371,7 @@ class TestPlumbing:
         assert [r["param"] for r in rows] == ["0"]
         out = tmp_path / "thr.csv"
         assert run(
-            "--config", str(cfg), "threshold", "--channel", "bec", "--ensemble", "3,6",
+            "--config", str(cfg), "threshold", "--channel", "biawgn", *_THRESHOLD_AWGN,
             "--trials", "150", "--out", str(out),
         ) == 0
         assert read_report(out)[0]["trials"] == "150"

@@ -178,10 +178,17 @@ def sparse_dual_pair(rng, n):
     return codes.nested_pair_from_coarse(codes.dual(codes.from_parity_check(checks)))
 
 
+def erasure_mask(pair, erased):
+    """The one-row erasure mask of the positions ``erased``."""
+    mask = np.zeros((1, pair.n), dtype=bool)
+    mask[0, erased] = True
+    return mask
+
+
 def peeled_identity_rank(pair, erased):
     """rank(h1_E) through peeling and the core, whatever its size."""
     erased = np.asarray(erased, dtype=np.int64)
-    peeled, rows, cols, shape = secrecy._peel(pair, erased)
+    peeled, rows, cols, shape = secrecy._peel_block(pair, erasure_mask(pair, erased))[0]
     return pair.m - (pair.n - erased.size) + peeled + secrecy._core_rank(rows, cols, shape)
 
 
@@ -221,7 +228,8 @@ class TestPeelPath:
                 want = dense_rank(pair, erased)
                 assert secrecy.exact_equivocation_bec(pair, erased) == want
                 assert peeled_identity_rank(pair, erased) == want
-                sizes.append(secrecy._peel(pair, erased)[3][1])  # core columns
+                core = secrecy._peel_block(pair, erasure_mask(pair, erased))[0]
+                sizes.append(core[3][1])  # core columns
             core_sizes[eps] = np.array(sizes)
         # the patterns reach empty cores, nonempty cores above the BP
         # threshold, and cores with more columns than h1 has rows
@@ -298,7 +306,7 @@ class TestRankPathChoice:
         rng = np.random.default_rng(int(1000 * eps))
         for _ in range(10):
             erased = np.nonzero(rng.random(pair.n) < eps)[0]
-            width = secrecy._peel(pair, erased)[3][1]
+            width = secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3][1]
             assert width not in (0, pair.m, pair.n)
             ncols_seen.clear()
             got = secrecy.exact_equivocation_bec(pair, erased)
@@ -313,7 +321,7 @@ class TestRankPathChoice:
         nonempty = 0
         for _ in range(200):
             erased = np.nonzero(rng.random(pair.n) < 0.60)[0]
-            rows, width = secrecy._peel(pair, erased)[3]
+            rows, width = secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3]
             ncols_seen.clear()
             got = secrecy.exact_equivocation_bec(pair, erased)
             if rows:
@@ -330,7 +338,7 @@ class TestRankPathChoice:
         rng = np.random.default_rng(65)
         for _ in range(50):
             erased = np.nonzero(rng.random(pair.n) < 0.65)[0]
-            assert secrecy._peel(pair, erased)[3] == (0, 0)
+            assert secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3] == (0, 0)
             assert secrecy.exact_equivocation_bec(pair, erased) == dense_rank(pair, erased)
         assert ncols_seen == []
 
@@ -351,7 +359,7 @@ class TestRankPathChoice:
         seen = dict.fromkeys(secrecy._RANK_PATHS, 0)
         for _ in range(200):
             erased = np.nonzero(rng.random(pair.n) < eps)[0]
-            width = secrecy._peel(pair, erased)[3][1]
+            width = secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3][1]
             ncols_seen.clear()
             secrecy.exact_equivocation_bec(pair, erased)
             if not ncols_seen:
@@ -365,6 +373,83 @@ class TestRankPathChoice:
         assert est.detail["rank_paths"] == {
             "none": 20, "empty_core": 0, "core": 0, "dense_rest": 0,
         }
+
+
+def peel_alone(pair, erased_row):
+    """``(peeled, rows, cols, shape)`` of one erasure mask row, from
+    ``_peel_edges`` on a single copy of the span."""
+    remaining = ~erased_row
+    _, ri, ci = decoders._peel_edges(*pair._span_edges, pair.coarse.span.rows, remaining)
+    rows_seen, rows = np.unique(ri, return_inverse=True)
+    cols_seen, cols = np.unique(ci, return_inverse=True)
+    peeled = int(np.count_nonzero(~erased_row) - np.count_nonzero(remaining))
+    return peeled, rows, cols, (rows_seen.size, cols_seen.size)
+
+
+@pytest.fixture(scope="module")
+def spanless_pair(ldpc_dual_pair):
+    # the criterion-7 h1 without its sparse span: every rank is the dense rest
+    c = ldpc_dual_pair.coarse
+    return codes.nested_pair_from_coarse(codes.LinearCode(c.h, c.g, c.checks, c.pivots))
+
+
+class TestBlockDriver:
+    def test_split_matches_peeling_each_pattern_alone(self, ldpc_dual_pair):
+        # one block mixing nothing erased, stopping-set cores, empty cores and
+        # everything erased, so unequal cores lie side by side
+        pair = ldpc_dual_pair
+        rng = np.random.default_rng(19)
+        erased = np.concatenate(
+            [rng.random((5, pair.n)) < eps for eps in (0.0, 0.3, 0.6, 1.0)]
+        )
+        peels = secrecy._peel_block(pair, erased)
+        assert len(peels) == len(erased)
+        for row, got in zip(erased, peels):
+            want = peel_alone(pair, row)
+            assert got[0] == want[0] and got[3] == want[3]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        shapes = [p[3] for p in peels]
+        assert shapes[0][0] == pair.coarse.span.rows  # nothing erased: the whole span
+        assert shapes[-1] == (0, 0) and peels[-1][0] == 0  # everything erased
+        assert all(s[0] > 0 for s in shapes[5:10])  # cores at 0.3
+        empty = [p for p in peels[10:15] if p[3] == (0, 0)]
+        assert empty and all(p[0] > 0 for p in empty)  # empty cores at 0.6
+
+    @pytest.mark.parametrize("which,eps", [
+        ("dual", 0.45), ("dual", 0.60), ("spanless", 0.30), ("spanless", 0.60),
+    ])
+    @pytest.mark.parametrize("trials", [1, 7, 9, 17])
+    def test_estimator_equals_one_pattern_at_a_time(
+        self, ldpc_dual_pair, spanless_pair, monkeypatch, which, eps, trials,
+    ):
+        # trial counts that do not divide the block; the reference draws one
+        # pattern per trial and ranks it on its own
+        pair = ldpc_dual_pair if which == "dual" else spanless_pair
+        drawn = np.random.default_rng(trials)
+        est = secrecy.mc_equivocation_bec(pair, eps, trials, drawn)
+        ncols_seen = spy_rank_ncols(monkeypatch)
+        rng = np.random.default_rng(trials)
+        ranks, paths = [], dict.fromkeys(secrecy._RANK_PATHS, 0)
+        for _ in range(trials):
+            erased = np.nonzero(rng.random(pair.n) < eps)[0]
+            ncols_seen.clear()
+            ranks.append(secrecy.exact_equivocation_bec(pair, erased))
+            if not erased.size:
+                paths["none"] += 1
+            elif not ncols_seen:
+                paths["empty_core"] += 1
+            elif which == "dual" and ncols_seen == [
+                secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3][1]
+            ]:
+                paths["core"] += 1
+            else:
+                paths["dense_rest"] += 1
+        ranks = np.array(ranks, dtype=np.float64)
+        sd = float(ranks.std(ddof=1)) if trials > 1 else 0.0
+        assert est.value == float(ranks.mean()) / pair.n
+        assert est.half_width == secrecy.Z95 * sd / math.sqrt(trials) / pair.n
+        assert est.detail["rank_paths"] == paths
+        assert drawn.random() == rng.random()  # both left at the same state
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +466,7 @@ class TestWideRanks:
         pair = wide_dual_pair
         ncols_seen = spy_rank_ncols(monkeypatch)
         erased = np.nonzero(np.random.default_rng(int(1000 * eps)).random(pair.n) < eps)[0]
-        got = secrecy._erased_rank(pair, erased)
+        got = secrecy._erased_ranks(pair, erasure_mask(pair, erased))[0]
         assert got[1] == path
         assert len(ncols_seen) == 1 and bitlinalg._nwords(ncols_seen[0]) >= 40
         columns = BitMatrix(erased.size, pair.m, pair._h1_columns.words[erased])
