@@ -48,6 +48,10 @@ _ESTIMATORS = {
     "approach1": BIAWGN,
 }
 
+# The default --tol; only --channel bec reads it, so the table below leaves
+# it unset and the empirical BIAWGN threshold can reject a given one.
+_DE_TOL = 1e-6
+
 
 class UsageError(Exception):
     pass
@@ -200,9 +204,13 @@ def cmd_threshold(args) -> None:
             dd = _load_code(args).degree_distribution()
         else:
             raise UsageError("BEC threshold needs --ensemble or --code")
+        if args.tol is None:
+            args.tol = _DE_TOL  # echoed and hashed like a given value
         res = thresholds.bec_bp_threshold(dd, tol=args.tol)
         rows.append((res.method, res.value, res.bracket[0], res.bracket[1], "", "", "", ""))
     elif args.channel == "biawgn":
+        if args.tol is not None:
+            raise UsageError("--tol classifies density evolution; only --channel bec reads it")
         if args.seed is None:
             raise UsageError("empirical threshold estimation requires --seed")
         if args.grid is None:
@@ -383,8 +391,10 @@ _COMMANDS = {
     "threshold": _Command(cmd_threshold, "BEC DE threshold or empirical BP threshold",
                           ("channel", "code", "ensemble", "n", "grid", "trials",
                            "target_wer", "tol", "seed", "delta_star"),
-                          ("channel",), {"trials": 200, "target_wer": 0.1, "tol": 1e-6},
-                          {"bec": ("channel", "code", "ensemble", "tol", "delta_star")}),
+                          ("channel",), {"trials": 200, "target_wer": 0.1},
+                          {"bec": ("channel", "code", "ensemble", "tol", "delta_star"),
+                           "biawgn": ("channel", "code", "ensemble", "n", "grid", "trials",
+                                      "target_wer", "seed", "delta_star")}),
     "simulate": _Command(cmd_simulate, "equivocation estimation campaign",
                          ("estimator", "code", "ensemble", "n", "param", "grid", "trials",
                           "seed", "delta_star", "lambda_star", "max_bp_iters"),

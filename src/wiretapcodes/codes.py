@@ -136,12 +136,33 @@ class LinearCode:
         return self.k / self.n
 
     def edge_lists(self) -> tuple[np.ndarray, np.ndarray]:
-        """(check_index, var_index) arrays for the edges of ``checks``.
+        """(check_index, var_index) arrays for the edges of ``checks``,
+        row-major.
 
-        Cached: the decoders call this once per decode.
+        Cached together with :meth:`check_layout`: the decoders call these
+        once per decode.
         """
+        return self._edge_layout()[:2]
+
+    def check_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of ``checks`` laid out check-major, for the decoders.
+
+        Returns ``(slot_var, var_slots)``.  ``slot_var`` is ``(d, m + 1)``,
+        ``d`` the largest check degree: column ``c < m`` holds check ``c``'s
+        variables in edge order, padded with ``n``; column ``m`` is all
+        padding.  ``var_slots`` is ``(dv, n + 1)``, ``dv`` the largest
+        variable degree: column ``v < n`` holds the flat indices into
+        ``slot_var`` of variable ``v``'s edges in edge order, padded with
+        ``m``, the first slot of column ``m``; column ``n`` is all padding.
+        Slots run down the rows, so a reduction over a check's or a
+        variable's edges adds whole contiguous rows.
+        """
+        return self._edge_layout()[2:]
+
+    def _edge_layout(self):
         if self._edge_cache is None:
-            self._edge_cache = _edges(self.checks)
+            chk, var = _edges(self.checks)
+            self._edge_cache = (chk, var, *_check_layout(chk, var, self.checks.rows, self.n))
         return self._edge_cache
 
     def degree_distribution(self) -> DegreeDistribution:
@@ -194,6 +215,27 @@ def _edges(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
     word_bytes = m.words[ri, wi].view(np.uint8).reshape(-1, 8)
     k, bit = np.nonzero(np.unpackbits(word_bytes, axis=1, bitorder="little"))
     return ri[k].astype(np.int64), (wi[k] * 64 + bit).astype(np.int64)
+
+
+def _check_layout(chk, var, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`LinearCode.check_layout` of the row-major edges ``(chk, var)``."""
+
+    def slots(rows, nrows):
+        # each edge's position among its row's edges, with the row width
+        deg = np.bincount(rows, minlength=nrows)
+        first = np.cumsum(deg) - deg
+        return np.arange(rows.size) - first[rows], int(deg.max(initial=0))
+
+    pos, d = slots(chk, m)
+    slot = pos * (m + 1) + chk
+    slot_var = np.full((d, m + 1), n, dtype=np.int64)
+    slot_var.flat[slot] = var
+    by_var = np.argsort(var, kind="stable")
+    var = var[by_var]
+    pos, dv = slots(var, n)
+    var_slots = np.full((dv, n + 1), m, dtype=np.int64)
+    var_slots[pos, var] = slot[by_var]
+    return slot_var, var_slots
 
 
 def _pack_edges(rows, cols, nrows: int, ncols: int) -> BitMatrix:

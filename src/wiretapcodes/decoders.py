@@ -2,9 +2,19 @@
 
 Both decoders run on ``code.checks`` (the check matrix as constructed, which
 for LDPC ensembles is the sparse low-density one, not the rank-normalized
-view) using flat edge arrays, so a decoding iteration is a handful of
-vectorized segment reductions.  The BEC decoder and the exact erasure ranks
-of :mod:`.secrecy` share one peeling routine, ``_peel_edges``.
+view).  The BEC decoder and the exact erasure ranks of :mod:`.secrecy`
+share one peeling routine, ``_peel_edges``, on the row-major edge lists.
+
+Sums and parities over each check's or each variable's edges run on the
+code's check-major layout (:meth:`.LinearCode.check_layout`): slot ``j`` of
+every check is one contiguous row, so a per-check sum is a handful of whole
+row adds, ``0.0 + a[0] + a[1] + ...``, and a per-variable sum is one gather
+followed by the same adds.  Each segment takes its edges in edge order,
+starting from ``0.0``, exactly as ``np.bincount`` would, so the float sums
+equal ``bincount``'s to the bit.  Lower-degree checks and variables are
+padded with terms that change no sum: a padding variable whose posterior
+is +inf, whose phi is -0.0, and a check-to-variable message pinned to 0.0.
+One path serves regular, irregular, dense and edgeless check matrices.
 """
 
 from __future__ import annotations
@@ -38,10 +48,21 @@ def _peel_edges(chk, var, num_checks, unknown):
     return rounds, chk, var
 
 
-def _check_parity(edge_chk, edge_var, bits, num_checks) -> np.ndarray:
-    """Per check, the parity of the 0/1 ``bits`` of its variables."""
-    weights = bits[edge_var].astype(np.float64)
-    return np.bincount(edge_chk, weights=weights, minlength=num_checks).astype(np.int64) & 1
+def _fold_rows(ufunc, a, start):
+    """``start`` combined with the rows of ``a`` top to bottom under
+    ``ufunc``: ``start + a[0] + a[1] + ...`` for ``np.add``."""
+    out = np.full(a.shape[1], start)
+    for row in a:
+        ufunc(out, row, out=out)
+    return out
+
+
+def _phi(x):
+    """phi(x) = -log(tanh(x/2)), its own inverse on magnitudes, in place."""
+    np.multiply(x, 0.5, out=x)
+    np.tanh(x, out=x)
+    np.log(x, out=x)
+    return np.negative(x, out=x)
 
 
 def peeling_decode_bec(code: LinearCode, zprime) -> tuple[np.ndarray, bool]:
@@ -59,17 +80,21 @@ def peeling_decode_bec(code: LinearCode, zprime) -> tuple[np.ndarray, bool]:
     if z.shape != (code.n,):
         raise ValueError(f"expected {code.n} symbols, got {z.shape}")
     edge_chk, edge_var = code.edge_lists()
-    m = code.checks.rows
+    slot_var = code.check_layout()[0]
 
-    bits = (z < 0).astype(np.int8)  # +1 -> 0, -1 -> 1, and 0 (no parity) while erased
+    # +1 -> 0, -1 -> 1, and 0 (no parity) while erased; the padding's
+    # variable n stays 0
+    bits = np.zeros(code.n + 1, dtype=np.int8)
+    bits[:-1] = z < 0
     unknown = z == 0
-    for chk, var in _peel_edges(edge_chk, edge_var, m, unknown)[0]:
+    for chk, var in _peel_edges(edge_chk, edge_var, code.checks.rows, unknown)[0]:
         # A variable may be forced by several checks at once; take the first
         # listed, any later conflict surfaces as an unsatisfied check below.
         var, first = np.unique(var, return_index=True)
-        bits[var] = _check_parity(edge_chk, edge_var, bits, m)[chk[first]]
+        bits[var] = _fold_rows(np.bitwise_xor, bits[slot_var[:, chk[first]]], 0)
 
-    success = not unknown.any() and not _check_parity(edge_chk, edge_var, bits, m).any()
+    success = not unknown.any() and not _fold_rows(np.bitwise_xor, bits[slot_var], 0).any()
+    bits = bits[:-1]
     bits[unknown] = ERASED_BIT
     return bits, success
 
@@ -83,48 +108,48 @@ def bp_decode_awgn(code: LinearCode, llrs, max_iters: int) -> tuple[np.ndarray, 
     iterations.  Success requires a zero syndrome with no zero-LLR
     (undecidable) posterior; deterministic given its inputs.
     """
+    posterior, ok, _ = _sum_product(code, llrs, max_iters)
+    return (posterior < 0).astype(np.uint8), ok
+
+
+def _sum_product(code: LinearCode, llrs, max_iters: int) -> tuple[np.ndarray, bool, int]:
+    """:func:`bp_decode_awgn` with its soft output: ``(posterior, ok,
+    rounds)``, ``rounds`` the message-passing rounds run, 0 when the channel
+    LLRs already decode and ``max_iters`` when decoding fails."""
     llr = np.asarray(llrs, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"expected {code.n} LLRs, got {llr.shape}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    edge_chk, edge_var = code.edge_lists()
-    m = code.checks.rows
+    slot_var, var_slots = code.check_layout()
     n = code.n
 
-    def decide(posterior):
-        bits = (posterior < 0).astype(np.uint8)
-        syndrome = _check_parity(edge_chk, edge_var, bits, m)
+    # The padding variable n has posterior +inf, so its messages to the
+    # checks have phi -0.0 and a positive sign; column m's messages, which
+    # the variables' padding reads, are zeroed.  Padding adds to no sum.
+    llr = np.append(llr, np.inf)
+    posterior, msg_cv = llr, None
+    for it in range(max_iters + 1):
+        at_edges = np.take(posterior, slot_var)
         # posteriors below the clip scale carry no information (e.g. all-zero
         # channel LLRs); refuse to call those decisions a success
-        ok = not syndrome.any() and bool(np.all(np.abs(posterior) >= 1e-9))
-        return bits, ok
+        ok = not _fold_rows(np.bitwise_xor, at_edges < 0, False).any() and bool(
+            np.all(np.abs(posterior) >= 1e-9)
+        )
+        if ok or it == max_iters:
+            return posterior[:n], ok, it
+        msg_vc = at_edges if msg_cv is None else np.subtract(at_edges, msg_cv, out=at_edges)
 
-    bits, ok = decide(llr)
-    if ok or max_iters == 0:
-        return bits, ok
-
-    msg_vc = llr[edge_var].copy()
-    for _ in range(max_iters):
-        # Check-to-variable update via the phi transform
-        # phi(x) = -log(tanh(x/2)), its own inverse on magnitudes.
-        mag = np.abs(msg_vc)
-        np.clip(mag, _PHI_CLIP, None, out=mag)
-        phi = -np.log(np.tanh(0.5 * mag))
-        phi_sum = np.bincount(edge_chk, weights=phi, minlength=m)
+        # Check-to-variable update via the phi transform.
         neg = msg_vc < 0
-        neg_cnt = np.bincount(edge_chk, weights=neg, minlength=m).astype(np.int64)
-        ext = phi_sum[edge_chk] - phi
+        mag = np.abs(msg_vc, out=msg_vc)
+        np.clip(mag, _PHI_CLIP, None, out=mag)
+        phi = _phi(mag)
+        ext = _fold_rows(np.add, phi, 0.0) - phi
         np.clip(ext, _PHI_CLIP, None, out=ext)
-        out_mag = -np.log(np.tanh(0.5 * ext))
-        out_sign = 1.0 - 2.0 * ((neg_cnt[edge_chk] - neg) & 1)
-        msg_cv = out_sign * out_mag
+        msg_cv = _phi(ext)
+        flip = neg ^ _fold_rows(np.bitwise_xor, neg, False)
+        np.multiply(msg_cv, 1.0 - 2.0 * flip, out=msg_cv)
+        msg_cv[:, -1] = 0.0
 
-        cv_sum = np.bincount(edge_var, weights=msg_cv, minlength=n)
-        posterior = llr + cv_sum
-        bits, ok = decide(posterior)
-        if ok:
-            return bits, True
-        msg_vc = posterior[edge_var] - msg_cv
-
-    return bits, False
+        posterior = llr + _fold_rows(np.add, np.take(msg_cv, var_slots), 0.0)

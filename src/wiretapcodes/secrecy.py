@@ -40,7 +40,7 @@ from . import bitlinalg
 from ._kernels import rank_words
 from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
 from .codes import NestedCodePair, _pack_edges
-from .decoders import _peel_edges, bp_decode_awgn
+from .decoders import _peel_edges, _sum_product
 from .thresholds import Z95, wilson_interval
 
 __all__ = [
@@ -353,7 +353,10 @@ def approach1_equivocation_bound(
         max(0, 1 - c_biawgn(snr) - 1/n - p * R1),
 
     keeping the finite-length 1/n Fano term explicit.  The half-width is
-    the Wilson half-width of ``p`` scaled by ``R1``.
+    the Wilson half-width of ``p`` scaled by ``R1``.  ``detail`` records,
+    per trial in trial order, the sum-product rounds run
+    (``bp_iterations``: 0 when the channel LLRs already decode,
+    ``max_bp_iters`` when decoding fails).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -361,6 +364,7 @@ def approach1_equivocation_bound(
     n = pair.n
     r1 = pair.coarse.rate
     errors = 0
+    iterations = []
     for _ in range(trials):
         w = rng.integers(0, 2, size=pair.m, dtype=np.uint8)
         sent = encode(pair, w, rng)
@@ -370,8 +374,9 @@ def approach1_equivocation_bound(
         # into decoding the coarse codeword dither @ g1.
         llr = awgn_llr(z, snr) * (1.0 - 2.0 * leader.astype(np.float64))
         target = sent.word ^ leader
-        bits, ok = bp_decode_awgn(pair.coarse, llr, max_bp_iters)
-        if not ok or not np.array_equal(bits, target):
+        posterior, ok, rounds = _sum_product(pair.coarse, llr, max_bp_iters)
+        iterations.append(rounds)
+        if not ok or not np.array_equal(posterior < 0, target):
             errors += 1
     p_hat = errors / trials
     w_lo, w_hi = wilson_interval(errors, trials)
@@ -389,6 +394,7 @@ def approach1_equivocation_bound(
             "wer_wilson": (w_lo, w_hi),
             "coarse_rate": r1,
             "n": n,
+            "bp_iterations": iterations,
         },
     )
 

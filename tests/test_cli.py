@@ -166,6 +166,22 @@ class TestThresholdCommand:
             "--grid", "5.0", "--trials", "100",
         ) == 1
 
+    @pytest.mark.parametrize("given", ["command-line", "config"])
+    def test_tol_on_biawgn_is_usage_error(self, given, tmp_path, capsys):
+        # the empirical BP threshold takes no tolerance, so it neither echoes
+        # nor hashes --tol and refuses one, from the command line or a file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-4} if given == "config" else {}))
+        argv = ("--tol", "1e-4") if given == "command-line" else ()
+        out = tmp_path / "thr.csv"
+        assert run("--config", str(cfg), "threshold", "--channel", "biawgn",
+                   *_THRESHOLD_AWGN, *argv, "--out", str(out)) == 1
+        assert not out.exists()
+        assert "only --channel bec reads it" in capsys.readouterr().err
+        assert run("threshold", "--channel", "biawgn", *_THRESHOLD_AWGN,
+                   "--out", str(out)) == 0
+        assert "tol" not in read_report(out)[0]
+
 
 class TestSimulateCommand:
     def test_bec_exact_certain_erasure(self, tmp_path):
@@ -349,14 +365,21 @@ class TestPlumbing:
 
     def test_config_file_overrides_built_in_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 300, "target_wer": 0.5, "tol": 1e-4}))
+        cfg.write_text(json.dumps({"trials": 300, "target_wer": 0.5}))
         out = tmp_path / "thr.csv"
         assert run(
             "--config", str(cfg), "threshold", "--channel", "biawgn", *_THRESHOLD_AWGN,
             "--out", str(out),
         ) == 0
         header, _ = read_report(out)
-        assert (header["trials"], header["target_wer"], header["tol"]) == ("300", "0.5", "0.0001")
+        assert (header["trials"], header["target_wer"]) == ("300", "0.5")
+        # only density evolution reads --tol
+        cfg.write_text(json.dumps({"tol": 1e-4}))
+        assert run(
+            "--config", str(cfg), "threshold", "--channel", "bec", "--ensemble", "3,6",
+            "--out", str(out),
+        ) == 0
+        assert read_report(out)[0]["tol"] == "0.0001"
 
     def test_command_line_beats_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -455,7 +478,7 @@ class TestFlagTable:
         for path in sorted(GOLDEN.glob("*.csv")):
             header, _ = read_report(path)
             command = header.pop("command")
-            echoed[command] = set(header) - {"config_hash"}
+            echoed.setdefault(command, set()).update(set(header) - {"config_hash"})
         _, commands = cli._build_parser()
         assert set(echoed) == set(commands)
         for name, parser in commands.items():

@@ -580,6 +580,25 @@ class TestApproach1:
             est = secrecy.approach1_equivocation_bound(pair, snr, 40, 60, np.random.default_rng(4))
             assert 0.0 <= est.value <= 1 - channels.c_biawgn(snr) + 1e-12
 
+    @pytest.mark.parametrize("snr,max_iters", [(0.4, 15), (2.0, 100), (30.0, 100)])
+    def test_records_the_bp_rounds_of_every_trial(self, snr, max_iters):
+        code = codes.regular_ldpc(510, 3, 6, seed=2)
+        pair = codes.nested_pair_from_coarse(code)
+        est = secrecy.approach1_equivocation_bound(
+            pair, snr, 12, max_iters, np.random.default_rng(7)
+        )
+        rounds = est.detail["bp_iterations"]
+        assert len(rounds) == 12 and all(0 <= r <= max_iters for r in rounds)
+        errors = round(est.detail["word_error_rate"] * 12)
+        # a decode that runs out of rounds fails; one that stops early may not
+        assert sum(r == max_iters for r in rounds) <= errors
+        if snr == 0.4:
+            assert errors == 12 and max(rounds) == max_iters
+        if snr == 2.0:
+            assert errors == 0 and 0 < max(rounds) < max_iters
+        if snr == 30.0:  # the channel LLRs decode before any round
+            assert rounds == [0] * 12
+
     def test_clamps_at_zero(self):
         pair = repetition_pair(6)
         est = secrecy.approach1_equivocation_bound(pair, 4.0, 10, 20, np.random.default_rng(5))
