@@ -217,6 +217,34 @@ def _edges(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
     return ri[k].astype(np.int64), (wi[k] * 64 + bit).astype(np.int64)
 
 
+_KEY_SHIFT = 32
+_KEY_LOW = (1 << _KEY_SHIFT) - 1
+
+
+def _edge_keys(chk, var, m: int, n: int, copies: int = 1) -> np.ndarray:
+    """One int64 key ``chk << 32 | var`` per edge of ``copies`` stacked copies
+    of the row-major edges ``(chk, var)`` of an ``m x n`` matrix, copy ``t``
+    offset by ``t * m`` checks and ``t * n`` variables.  The keys are sorted,
+    because the edges are row-major within a copy and the copies follow one
+    another.
+
+    ValueError unless every stacked check is below ``2**31`` and every
+    stacked variable below ``2**32``, so that the keys are nonnegative and
+    the variable bits never carry into the check bits.
+    """
+    chk = np.asarray(chk, dtype=np.int64)
+    var = np.asarray(var, dtype=np.int64)
+    last = copies - 1
+    if (np.max(chk, initial=-1) + last * m >= 1 << 31
+            or np.max(var, initial=-1) + last * n >= 1 << 32):
+        raise ValueError(
+            f"{copies} stacked copies of a {m} x {n} edge list do not fit edge keys:"
+            " checks must stay below 2**31 and variables below 2**32"
+        )
+    copy = np.arange(copies, dtype=np.int64)[:, None]
+    return ((chk + m * copy) << _KEY_SHIFT | (var + n * copy)).ravel()
+
+
 def _check_layout(chk, var, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`LinearCode.check_layout` of the row-major edges ``(chk, var)``."""
 
@@ -325,7 +353,9 @@ class NestedCodePair:
     ``w`` and decoding is the single multiply ``h1 @ y``.
     """
 
-    __slots__ = ("coarse", "h1", "_h1_columns_cache", "_unit_rows", "_span_edges")
+    __slots__ = (
+        "coarse", "h1", "_h1_columns_cache", "_unit_rows", "_span_edges", "_span_keys_cache",
+    )
 
     def __init__(self, coarse: LinearCode):
         self.coarse = coarse
@@ -336,6 +366,18 @@ class NestedCodePair:
         self._unit_rows[coarse.pivots] = np.arange(coarse.pivots.size)
         # Edges of the coarse code's sparse span, peeled per erasure pattern.
         self._span_edges = None if coarse.span is None else _edges(coarse.span)
+        self._span_keys_cache = np.empty(0, dtype=np.int64)
+
+    def _span_keys(self, copies: int) -> np.ndarray:
+        """The sorted edge keys (:func:`_edge_keys`) of ``copies`` stacked
+        copies of the span, peeled one erasure pattern per copy.  Built on
+        first use and rebuilt only for more copies than any call before; a
+        smaller block peels a prefix."""
+        chk, var = self._span_edges
+        size = copies * chk.size
+        if self._span_keys_cache.size < size:
+            self._span_keys_cache = _edge_keys(chk, var, self.coarse.span.rows, self.n, copies)
+        return self._span_keys_cache[:size]
 
     @property
     def _h1_columns(self) -> BitMatrix:

@@ -3,7 +3,12 @@
 Both decoders run on ``code.checks`` (the check matrix as constructed, which
 for LDPC ensembles is the sparse low-density one, not the rank-normalized
 view).  The BEC decoder and the exact erasure ranks of :mod:`.secrecy`
-share one peeling routine, ``_peel_edges``, on the row-major edge lists.
+share one peeling routine, ``_peel_edges``, on one sorted int64 key per
+edge, ``chk << 32 | var`` (:func:`.codes._edge_keys`).  Each round
+compresses the live keys once, which keeps them sorted by check, so a
+degree-one check shows as an edge whose neighbours both belong to other
+checks: one compare of adjacent checks replaces a count of edges per check,
+and the rounds and the stopping-set core are the ones the count gives.
 
 Sums and parities over each check's or each variable's edges run on the
 code's check-major layout (:meth:`.LinearCode.check_layout`): slot ``j`` of
@@ -21,31 +26,40 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import LinearCode
+from .codes import _KEY_LOW, _KEY_SHIFT, LinearCode, _edge_keys
 
 ERASED_BIT = -1
 _PHI_CLIP = 1e-12
 
 
-def _peel_edges(chk, var, num_checks, unknown):
-    """Peel the Tanner graph ``(chk[i], var[i])``: each round resolves every
-    variable that is the only ``unknown`` one at some check, clearing it in
-    ``unknown`` in place.  Returns ``(rounds, core_chk, core_var)``: per round
-    its resolving ``(chk, var)`` edges in edge order, then the core's edges.
+def _peel_edges(keys, unknown):
+    """Peel the Tanner graph whose edges are the sorted keys ``chk << 32 |
+    var`` (:func:`.codes._edge_keys`): each round resolves every variable
+    that is the only ``unknown`` one at some check, clearing it in
+    ``unknown`` in place.  Returns ``(rounds, core)``: per round the keys of
+    its resolving edges in edge order, then the keys of the core's edges.
+
+    Only edges to ``unknown`` variables are kept, and each round compresses
+    them once, so the live keys stay sorted by check: an edge is the only
+    live one of its check exactly when the checks of both its neighbours
+    differ from its own (``border`` marks where the check changes, the two
+    ends included).  That is a count of one live edge per check, so each
+    round resolves the edges a count would, in the same order, and the core
+    is the largest stopping set inside ``unknown``, as for any peel.
     """
     rounds = []
-    keep = unknown[var]
-    chk, var = chk[keep], var[keep]
-    while chk.size:
-        single = np.bincount(chk, minlength=num_checks)[chk] == 1
-        if not single.any():
+    edges = keys[unknown[keys & _KEY_LOW]]
+    while edges.size:
+        chk = edges >> _KEY_SHIFT
+        border = np.ones(edges.size + 1, dtype=bool)
+        np.not_equal(chk[1:], chk[:-1], out=border[1:-1])
+        resolving = edges[border[1:] & border[:-1]]
+        if not resolving.size:
             break
-        resolved = var[single]
-        rounds.append((chk[single], resolved))
-        unknown[resolved] = False
-        keep = unknown[var]
-        chk, var = chk[keep], var[keep]
-    return rounds, chk, var
+        rounds.append(resolving)
+        unknown[resolving & _KEY_LOW] = False
+        edges = edges[unknown[edges & _KEY_LOW]]
+    return rounds, edges
 
 
 def _fold_rows(ufunc, a, start):
@@ -79,7 +93,7 @@ def peeling_decode_bec(code: LinearCode, zprime) -> tuple[np.ndarray, bool]:
     z = np.asarray(zprime, dtype=np.int8)
     if z.shape != (code.n,):
         raise ValueError(f"expected {code.n} symbols, got {z.shape}")
-    edge_chk, edge_var = code.edge_lists()
+    keys = _edge_keys(*code.edge_lists(), code.checks.rows, code.n)
     slot_var = code.check_layout()[0]
 
     # +1 -> 0, -1 -> 1, and 0 (no parity) while erased; the padding's
@@ -87,11 +101,12 @@ def peeling_decode_bec(code: LinearCode, zprime) -> tuple[np.ndarray, bool]:
     bits = np.zeros(code.n + 1, dtype=np.int8)
     bits[:-1] = z < 0
     unknown = z == 0
-    for chk, var in _peel_edges(edge_chk, edge_var, code.checks.rows, unknown)[0]:
+    for resolving in _peel_edges(keys, unknown)[0]:
         # A variable may be forced by several checks at once; take the first
         # listed, any later conflict surfaces as an unsatisfied check below.
-        var, first = np.unique(var, return_index=True)
-        bits[var] = _fold_rows(np.bitwise_xor, bits[slot_var[:, chk[first]]], 0)
+        var, first = np.unique(resolving & _KEY_LOW, return_index=True)
+        chk = resolving[first] >> _KEY_SHIFT
+        bits[var] = _fold_rows(np.bitwise_xor, bits[slot_var[:, chk]], 0)
 
     success = not unknown.any() and not _fold_rows(np.bitwise_xor, bits[slot_var], 0).any()
     bits = bits[:-1]

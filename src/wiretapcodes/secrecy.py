@@ -39,7 +39,7 @@ import numpy as np
 from . import bitlinalg
 from ._kernels import rank_words
 from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
-from .codes import NestedCodePair, _pack_edges
+from .codes import _KEY_LOW, _KEY_SHIFT, NestedCodePair, _pack_edges
 from .decoders import _peel_edges, _sum_product
 from .thresholds import Z95, wilson_interval
 
@@ -78,8 +78,11 @@ _RANK_PATHS = ("none", "empty_core", "core", "dense_rest")
 # Median per trial on the n=2000 (3,6)-dual pair over block sizes 1, 4, 8,
 # 16 and 32 (alternated; 40 calls of 64 trials at erasure rate 0.60, 12 of 32
 # at 0.45 and 0.30; numpy 2.4, Python 3.11, one core of a 2-vCPU x86-64
-# host): 0.50, 0.39, 0.39, 0.39, 0.45 ms at 0.60; 1.93, 1.90, 1.84, 1.88,
-# 2.05 ms at 0.45; 2.69, 2.69, 2.73, 2.75, 2.76 ms at 0.30.
+# host), in one of three runs: 0.41, 0.27, 0.25, 0.21, 0.21 ms at 0.60;
+# 1.62, 1.61, 1.50, 1.59, 1.54 ms at 0.45; 1.45, 1.42, 1.44, 1.47, 1.44 ms at
+# 0.30.  The host's speed drifted up to 1.8x between runs.  Blocks of 32 won
+# at 0.60 in all three runs and at 0.30 in none; no size won at all three
+# rates in any run.
 _BLOCK = 8
 
 
@@ -163,36 +166,34 @@ def _compact(idx: np.ndarray) -> tuple[np.ndarray, int]:
 def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> list:
     """Peel the coarse code's sparse span ``S`` on the unerased positions of
     each pattern (row) of the ``(T, n)`` erasure mask ``erased``, in one
-    ``_peel_edges`` call on ``T`` copies of ``S`` (copy ``t`` offset by ``t``
-    blocks of checks and of variables), which peel as they would alone.
+    ``_peel_edges`` call on the stacked keys of ``T`` copies of ``S`` (copy
+    ``t`` offset by ``t`` blocks of checks and of variables), which peel as
+    they would alone: no check or variable is shared between copies.
 
     A column of a restriction that is the only one left in some row adds
     exactly one to its rank: the rank is the number peeled plus that of the
     stopping-set core left, returned per pattern as ``(peeled, rows, cols,
     shape)``, the ``shape`` matrix with its ones at ``(rows[i], cols[i])``.
+    The core is the largest stopping set of the pattern, whatever order the
+    peel resolves in, and its edges keep their order in the keys, so each
+    copy's core is one sorted run.
     """
     trials, n = erased.shape
     num_checks = pair.coarse.span.rows
-    chk, var = pair._span_edges
-    copy = np.arange(trials)[:, None]
     remaining = ~erased
     unerased = np.count_nonzero(remaining, axis=1)
-    _, core_chk, core_var = _peel_edges(
-        (chk + num_checks * copy).ravel(), (var + n * copy).ravel(),
-        trials * num_checks, remaining.reshape(-1),
-    )
+    core = _peel_edges(pair._span_keys(trials), remaining.reshape(-1))[1]
     peeled = (unerased - np.count_nonzero(remaining, axis=1)).tolist()
-    # The core keeps the copies in order, so it is partitioned at each
-    # copy's first check even though its checks are not sorted within one.
+    core_chk, core_var = core >> _KEY_SHIFT, core & _KEY_LOW
     bounds = np.searchsorted(core_chk, num_checks * np.arange(trials + 1)).tolist()
     peels = []
     for t in range(trials):
-        core = slice(bounds[t], bounds[t + 1])
-        if core.start == core.stop:
-            peels.append((peeled[t], core_chk[core], core_var[core], (0, 0)))
+        run = slice(bounds[t], bounds[t + 1])
+        if run.start == run.stop:
+            peels.append((peeled[t], core_chk[run], core_var[run], (0, 0)))
             continue
-        rows, nr = _compact(core_chk[core] - t * num_checks)
-        cols, nc = _compact(core_var[core] - t * n)
+        rows, nr = _compact(core_chk[run] - t * num_checks)
+        cols, nc = _compact(core_var[run] - t * n)
         peels.append((peeled[t], rows, cols, (nr, nc)))
     return peels
 

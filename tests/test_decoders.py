@@ -1,7 +1,9 @@
 """The decoders on the check-major layout against flat-edge references.
 
 The references below are the decoders as they were written on the row-major
-edge lists, with one ``np.bincount`` per segment sum.  The layout's sums add
+edge lists, with one ``np.bincount`` per segment sum, and the peel as it was
+written on parallel ``(chk, var)`` arrays, with one ``np.bincount`` of each
+check's live edges per round.  The layout's sums add
 the same terms in the same order from the same ``0.0``, so every case here
 must agree bit for bit: the posterior LLRs (so the hard decision), the
 success flag and the number of sum-product rounds.
@@ -52,11 +54,32 @@ def reference_bp(code, llr, max_iters):
     return posterior, False, max_iters
 
 
+def reference_peel_edges(chk, var, num_checks, unknown):
+    """Peel the Tanner graph ``(chk[i], var[i])`` with one ``np.bincount``
+    of the live edges per check each round, clearing resolved variables in
+    ``unknown`` in place.  Returns ``(rounds, core_chk, core_var)``: per
+    round its resolving ``(chk, var)`` edges in edge order, then the core's
+    edges."""
+    rounds = []
+    keep = unknown[var]
+    chk, var = chk[keep], var[keep]
+    while chk.size:
+        single = np.bincount(chk, minlength=num_checks)[chk] == 1
+        if not single.any():
+            break
+        resolved = var[single]
+        rounds.append((chk[single], resolved))
+        unknown[resolved] = False
+        keep = unknown[var]
+        chk, var = chk[keep], var[keep]
+    return rounds, chk, var
+
+
 def reference_peeling(code, z):
     edge_chk, edge_var = code.edge_lists()
     bits = (z < 0).astype(np.int8)
     unknown = z == 0
-    for chk, var in decoders._peel_edges(edge_chk, edge_var, code.checks.rows, unknown)[0]:
+    for chk, var in reference_peel_edges(edge_chk, edge_var, code.checks.rows, unknown)[0]:
         var, first = np.unique(var, return_index=True)
         bits[var] = check_parity(code, bits)[chk[first]]
     success = not unknown.any() and not check_parity(code, bits).any()
@@ -155,3 +178,120 @@ def test_peeling_matches_reference_on_padded_layouts():
                 got, ok = decoders.peeling_decode_bec(code, z)
                 want, want_ok = reference_peeling(code, z)
                 assert np.array_equal(got, want) and ok == want_ok
+
+
+def assert_peel_matches_reference(chk, var, m, n, unknown, copies=1):
+    """The keyed peel of ``copies`` stacked copies against the reference:
+    every round's ``(chk, var)`` in order, the core's edges and the final
+    ``unknown``.  Returns the number of rounds."""
+    chk, var = np.asarray(chk, dtype=np.int64), np.asarray(var, dtype=np.int64)
+    keys = codes._edge_keys(chk, var, m, n, copies)
+    # copy t offset by t * m checks and t * n variables
+    chk = np.concatenate([chk + t * m for t in range(copies)])
+    var = np.concatenate([var + t * n for t in range(copies)])
+    assert np.array_equal(keys >> 32, chk) and np.array_equal(keys & 0xFFFFFFFF, var)
+    assert (np.diff(keys) > 0).all()
+    got_unknown, want_unknown = unknown.copy(), unknown.copy()
+    rounds, core = decoders._peel_edges(keys, got_unknown)
+    want_rounds, core_chk, core_var = reference_peel_edges(chk, var, m * copies, want_unknown)
+    assert len(rounds) == len(want_rounds)
+    for got, (want_chk, want_var) in zip(rounds, want_rounds):
+        assert np.array_equal(got >> 32, want_chk) and np.array_equal(got & 0xFFFFFFFF, want_var)
+    assert np.array_equal(core >> 32, core_chk) and np.array_equal(core & 0xFFFFFFFF, core_var)
+    assert np.array_equal(got_unknown, want_unknown)
+    return len(rounds)
+
+
+@pytest.fixture(scope="module")
+def criterion7_span():
+    # the sparse span of the (3,6)-dual pair of acceptance criterion 7
+    span = codes.dual(codes.regular_ldpc(2000, 3, 6, seed=101)).span
+    return (*codes._edges(span), span.rows, span.cols)
+
+
+class TestKeyedPeel:
+    @pytest.mark.parametrize("eps", [0.30, 0.45, 0.60])
+    def test_criterion7_span_matches_reference(self, criterion7_span, eps):
+        chk, var, m, n = criterion7_span
+        # peeling runs on the unerased positions, as in the rank estimator
+        rng = np.random.default_rng(int(100 * eps))
+        rounds = [assert_peel_matches_reference(chk, var, m, n, rng.random(n) >= eps)
+                  for _ in range(6)]
+        assert min(rounds) >= 1 and (eps < 0.6 or min(rounds) > 10)
+
+    def test_stacked_block_of_eight_matches_reference(self, criterion7_span):
+        chk, var, m, n = criterion7_span
+        rng = np.random.default_rng(21)
+        for eps in (0.30, 0.45, 0.60):
+            assert_peel_matches_reference(chk, var, m, n, rng.random(8 * n) >= eps, copies=8)
+
+    def test_irregular_code_with_degree_one_checks_at_both_ends(self):
+        # check 0 is degree one at the first edge, check 3 has no edges and
+        # the last check is degree one at the last edge
+        h = np.array([
+            [1, 0, 0, 0, 0, 0, 0],
+            [0, 1, 1, 0, 1, 0, 0],
+            [1, 1, 0, 1, 0, 1, 0],
+            [0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 1, 1, 1, 0, 1],
+            [0, 0, 0, 0, 0, 0, 1],
+        ], dtype=np.uint8)
+        chk, var = codes._edges(BitMatrix.from_dense(h))
+        assert (chk[0], chk[-1]) == (0, 5) and chk[1] != 0 and chk[-2] != 5
+        m, n = h.shape
+        for pattern in range(1 << n):
+            unknown = np.array([(pattern >> i) & 1 for i in range(n)], dtype=bool)
+            assert_peel_matches_reference(chk, var, m, n, unknown)
+            assert_peel_matches_reference(chk, var, m, n, np.tile(unknown, 3), copies=3)
+        code = irregular_code()
+        chk, var = code.edge_lists()
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            assert_peel_matches_reference(chk, var, code.checks.rows, code.n,
+                                          rng.random(code.n) < 0.5)
+
+    def test_all_and_none_unknown(self, criterion7_span):
+        chk, var, m, n = criterion7_span
+        # everything unknown leaves the whole span as its core; nothing
+        # unknown leaves no edge at all
+        assert assert_peel_matches_reference(chk, var, m, n, np.ones(n, dtype=bool)) == 0
+        assert assert_peel_matches_reference(chk, var, m, n, np.zeros(n, dtype=bool)) == 0
+        unknown = np.ones(n, dtype=bool)
+        assert decoders._peel_edges(codes._edge_keys(chk, var, m, n), unknown)[1].size == chk.size
+        h = BitMatrix.from_dense(np.eye(4, 6, dtype=np.uint8))
+        chk, var = codes._edges(h)
+        for unknown in (np.ones(6, dtype=bool), np.zeros(6, dtype=bool)):
+            assert assert_peel_matches_reference(chk, var, 4, 6, np.tile(unknown, 2), copies=2) \
+                == unknown.all()
+
+    def test_edgeless_code(self):
+        empty = np.empty(0, dtype=np.int64)
+        for unknown in (np.ones(5, dtype=bool), np.zeros(5, dtype=bool)):
+            assert assert_peel_matches_reference(empty, empty, 2, 5, unknown) == 0
+
+    def test_span_keys_are_a_prefix_of_the_largest_block(self):
+        pair = codes.nested_pair_from_coarse(codes.dual(codes.regular_ldpc(60, 3, 6, seed=2)))
+        chk, var = pair._span_edges
+        m, n = pair.coarse.span.rows, pair.n
+        for copies in (3, 8, 1, 8, 5, 11):
+            assert np.array_equal(pair._span_keys(copies), codes._edge_keys(chk, var, m, n, copies))
+
+
+class TestKeyWidth:
+    def test_largest_keys_fit(self):
+        keys = codes._edge_keys(np.array([0, 2**31 - 1]), np.array([2**32 - 1, 0]), 2**31, 2**32)
+        assert (keys >= 0).all()
+        assert keys[1] >> 32 == 2**31 - 1 and keys[0] & 0xFFFFFFFF == 2**32 - 1
+        stacked_keys = codes._edge_keys(np.array([0]), np.array([1]), 2**30, 2**31, 2)
+        assert (stacked_keys >> 32).tolist() == [0, 2**30]
+        assert (stacked_keys & 0xFFFFFFFF).tolist() == [1, 2**31 + 1]
+
+    @pytest.mark.parametrize("chk,var,m,n,copies", [
+        ([2**31], [0], 2**31 + 1, 1, 1),
+        ([0], [2**32], 1, 2**32 + 1, 1),
+        ([0], [0], 2**30, 1, 3),  # the third copy's check is 2**31
+        ([0], [0], 1, 2**31, 3),  # the third copy's variable is 2**32
+    ])
+    def test_wider_edges_are_refused(self, chk, var, m, n, copies):
+        with pytest.raises(ValueError, match=r"2\*\*31.*2\*\*32"):
+            codes._edge_keys(np.array(chk), np.array(var), m, n, copies)

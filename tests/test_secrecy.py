@@ -7,6 +7,8 @@ from wiretapcodes import bitlinalg, channels, codes, decoders, secrecy
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import BEC, BIAWGN, BSC, bec_transmit, modulate
 
+from test_decoders import reference_peel_edges
+
 
 def repetition_pair(n=3):
     h = np.zeros((n - 1, n), dtype=np.uint8)
@@ -376,10 +378,10 @@ class TestRankPathChoice:
 
 
 def peel_alone(pair, erased_row):
-    """``(peeled, rows, cols, shape)`` of one erasure mask row, from
-    ``_peel_edges`` on a single copy of the span."""
+    """``(peeled, rows, cols, shape)`` of one erasure mask row, from the
+    reference peel on a single copy of the span."""
     remaining = ~erased_row
-    _, ri, ci = decoders._peel_edges(*pair._span_edges, pair.coarse.span.rows, remaining)
+    _, ri, ci = reference_peel_edges(*pair._span_edges, pair.coarse.span.rows, remaining)
     rows_seen, rows = np.unique(ri, return_inverse=True)
     cols_seen, cols = np.unique(ci, return_inverse=True)
     peeled = int(np.count_nonzero(~erased_row) - np.count_nonzero(remaining))
