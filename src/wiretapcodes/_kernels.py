@@ -134,19 +134,35 @@ def _eliminate(words: np.ndarray, ncols: int) -> list[int]:
 
 def _rank_words_numpy(words: np.ndarray, ncols: int) -> int:
     """GF(2) rank of the first ``ncols`` columns of the packed rows ``words``
-    (bits past ``ncols`` are ignored); ``words`` is not modified."""
-    mask = (1 << ncols) - 1
+    (bits past ``ncols`` are ignored); ``words`` is not modified.
+
+    The bits past ``ncols`` are masked off once, in the last word column of
+    a copy, and the rows are read from one ``tobytes()``, one bytes slice
+    per row.  The loop stops once the rank reaches ``ncols``, when every
+    later row is dependent.
+    """
+    if not ncols:
+        return 0
+    nwords = -(-ncols // 64)
+    block = words[:, :nwords]
+    if ncols % 64:
+        block = block.copy()
+        block[:, -1] &= np.uint64((1 << ncols % 64) - 1)
+    data = block.tobytes()
+    step = 8 * nwords
     # basis[b]: the basis row whose bit length is b, or 0 for none; basis[0]
     # stays 0, so a row reduced to zero ends the loop with the same lookup.
     basis = [0] * (ncols + 1)
     rank = 0
-    for row in words:
-        v = int.from_bytes(row.tobytes(), "little") & mask
+    for start in range(0, len(data), step):
+        v = int.from_bytes(data[start : start + step], "little")
         while u := basis[v.bit_length()]:
             v ^= u
         if v:
             basis[v.bit_length()] = v
             rank += 1
+            if rank == ncols:
+                break
     return rank
 
 

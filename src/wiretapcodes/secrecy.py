@@ -78,11 +78,11 @@ _RANK_PATHS = ("none", "empty_core", "core", "dense_rest")
 # Median per trial on the n=2000 (3,6)-dual pair over block sizes 1, 4, 8,
 # 16 and 32 (alternated; 40 calls of 64 trials at erasure rate 0.60, 12 of 32
 # at 0.45 and 0.30; numpy 2.4, Python 3.11, one core of a 2-vCPU x86-64
-# host), in one of three runs: 0.41, 0.27, 0.25, 0.21, 0.21 ms at 0.60;
-# 1.62, 1.61, 1.50, 1.59, 1.54 ms at 0.45; 1.45, 1.42, 1.44, 1.47, 1.44 ms at
-# 0.30.  The host's speed drifted up to 1.8x between runs.  Blocks of 32 won
-# at 0.60 in all three runs and at 0.30 in none; no size won at all three
-# rates in any run.
+# host), with the compress peel, in one of three runs: 0.55, 0.30, 0.25,
+# 0.22, 0.21 ms at 0.60; 2.62, 2.29, 2.29, 2.39, 2.35 ms at 0.45; 2.67, 2.69,
+# 2.64, 2.70, 2.62 ms at 0.30.  Blocks of 32 won at 0.60 in all three runs
+# and at 0.30 in two, but at 0.45 they won in none (8, 4 and 1 won there);
+# no size won at all three rates in any run.
 _BLOCK = 8
 
 
@@ -163,7 +163,7 @@ def _compact(idx: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.cumsum(present) - 1)[idx], int(np.count_nonzero(present))
 
 
-def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> list:
+def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int]:
     """Peel the coarse code's sparse span ``S`` on the unerased positions of
     each pattern (row) of the ``(T, n)`` erasure mask ``erased``, in one
     ``_peel_edges`` call on the stacked keys of ``T`` copies of ``S`` (copy
@@ -173,7 +173,8 @@ def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> list:
     A column of a restriction that is the only one left in some row adds
     exactly one to its rank: the rank is the number peeled plus that of the
     stopping-set core left, returned per pattern as ``(peeled, rows, cols,
-    shape)``, the ``shape`` matrix with its ones at ``(rows[i], cols[i])``.
+    shape)``, the ``shape`` matrix with its ones at ``(rows[i], cols[i])``,
+    together with the number of rounds the peel ran.
     The core is the largest stopping set of the pattern, whatever order the
     peel resolves in, and its edges keep their order in the keys, so each
     copy's core is one sorted run.
@@ -182,7 +183,7 @@ def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> list:
     num_checks = pair.coarse.span.rows
     remaining = ~erased
     unerased = np.count_nonzero(remaining, axis=1)
-    core = _peel_edges(pair._span_keys(trials), remaining.reshape(-1))[1]
+    rounds, core = _peel_edges(pair._span_keys(trials), remaining.reshape(-1))
     peeled = (unerased - np.count_nonzero(remaining, axis=1)).tolist()
     core_chk, core_var = core >> _KEY_SHIFT, core & _KEY_LOW
     bounds = np.searchsorted(core_chk, num_checks * np.arange(trials + 1)).tolist()
@@ -195,7 +196,7 @@ def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> list:
         rows, nr = _compact(core_chk[run] - t * num_checks)
         cols, nc = _compact(core_var[run] - t * n)
         peels.append((peeled[t], rows, cols, (nr, nc)))
-    return peels
+    return peels, len(rounds)
 
 
 def _core_rank(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> int:
@@ -208,10 +209,11 @@ def _core_rank(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> in
     return int(rank_words(_pack_edges(rows, cols, *shape).words[order], shape[1]))
 
 
-def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> list:
-    """``(rank(h1_E), path)`` for each row ``E`` of the ``(T, n)`` erasure
-    mask ``erased``, with ``path`` the way the rank was found, one of
-    ``_RANK_PATHS``.
+def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int | None]:
+    """``(ranks, rounds)``: ``(rank(h1_E), path)`` for each row ``E`` of the
+    ``(T, n)`` erasure mask ``erased``, with ``path`` the way the rank was
+    found, one of ``_RANK_PATHS``, and the rounds the block's peel ran (0
+    when no pattern needed one, None when the pair has no sparse span).
 
     An erased pivot column of ``h1`` (an identity column) is a pivot on
     its own, and so is the row holding its one; the other erased columns
@@ -232,9 +234,9 @@ def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> list:
     unerased = (pair.n - np.count_nonzero(erased, axis=1)).tolist()
     live = [t for t, u in enumerate(unerased) if m and u < pair.n]
     ranks = [(0, "none")] * len(unerased)  # nothing erased, or no message
-    peels = [None] * len(live)
-    if pair._span_edges is not None and live:
-        peels = _peel_block(pair, erased[live])
+    peels, rounds = [None] * len(live), None
+    if pair._span_edges is not None:
+        peels, rounds = _peel_block(pair, erased[live])
     for t, peel in zip(live, peels):
         if peel is not None:
             peeled, rows, cols, shape = peel
@@ -261,7 +263,7 @@ def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> list:
             keep[other_cols] = True
         words &= bitlinalg.pack_vector(keep, ncols)
         ranks[t] = m - other_rows.size + int(rank_words(words, ncols)), "dense_rest"
-    return ranks
+    return ranks, rounds
 
 
 def exact_equivocation_bec(pair: NestedCodePair, erased) -> int:
@@ -275,7 +277,7 @@ def exact_equivocation_bec(pair: NestedCodePair, erased) -> int:
         raise ValueError(f"erased positions must lie in 0..{pair.n - 1}")
     pattern = np.zeros((1, pair.n), dtype=bool)
     pattern[0, idx] = True
-    return _erased_ranks(pair, pattern)[0][0]
+    return _erased_ranks(pair, pattern)[0][0][0]
 
 
 def mc_equivocation_bec(
@@ -291,18 +293,24 @@ def mc_equivocation_bec(
     blocks of ``_BLOCK``.  The half-width is the 95% normal interval
     of the per-trial ranks, normalized by the block length.
     ``detail["rank_paths"]`` counts the trials that took each path of
-    ``_RANK_PATHS``.
+    ``_RANK_PATHS``, and ``detail["peel_rounds"]`` lists, per block, the
+    rounds its peel ran (0 when no pattern of the block needed one); it is
+    empty when the pair has no sparse span to peel.
     """
     BEC(erasure_prob)  # the model checks the range
     if trials < 1:
         raise ValueError("trials must be positive")
     ranks = np.empty(trials, dtype=np.float64)
     paths = dict.fromkeys(_RANK_PATHS, 0)
+    peel_rounds = []
     for start in range(0, trials, _BLOCK):
         erased = rng.random((min(_BLOCK, trials - start), pair.n)) < erasure_prob
-        for t, (rank, path) in enumerate(_erased_ranks(pair, erased), start):
+        block, rounds = _erased_ranks(pair, erased)
+        for t, (rank, path) in enumerate(block, start):
             ranks[t] = rank
             paths[path] += 1
+        if rounds is not None:
+            peel_rounds.append(rounds)
     mean = float(ranks.mean())
     sd = float(ranks.std(ddof=1)) if trials > 1 else 0.0
     return EquivocationEstimate(
@@ -312,6 +320,7 @@ def mc_equivocation_bec(
         method="exact-rank",
         detail={
             "erasure_prob": erasure_prob, "n": pair.n, "m": pair.m, "rank_paths": paths,
+            "peel_rounds": peel_rounds,
         },
     )
 

@@ -176,6 +176,45 @@ class TestNarrowRank:
         for w in (words, np.hstack([words, np.zeros((70, 1), dtype=np.uint64)])):
             assert _rank_words_numpy(junk_past(w, ncols, rng), ncols) == want
 
+    def test_no_columns(self):
+        rng = np.random.default_rng(0)
+        for width in (0, 1, 2):
+            words = rng.integers(0, 2**64, size=(5, width), dtype=np.uint64)
+            assert _rank_words_numpy(words, 0) == 0
+
+    @pytest.mark.parametrize("ncols", [1, 64, 130])
+    def test_no_rows(self, ncols):
+        words = np.zeros((0, bitlinalg._nwords(ncols) + 1), dtype=np.uint64)
+        assert _rank_words_numpy(words, ncols) == 0
+
+    @pytest.mark.parametrize("ncols", [64, 128, 64 * 5])
+    def test_ncols_a_multiple_of_64(self, ncols):
+        # the last word is whole; a trailing word of junk must not count
+        rng = np.random.default_rng(ncols)
+        dense = low_rank_dense(rng, 90, ncols, 40)
+        words = BitMatrix.from_dense(dense).words
+        wide = np.hstack([words, rng.integers(0, 2**64, size=(90, 1), dtype=np.uint64)])
+        assert _rank_words_numpy(wide, ncols) == dense_rank(dense) == 40
+
+    def test_junk_past_ncols(self):
+        # rows whose only bits lie past ncols are zero rows
+        words = np.array([[1 << 5 | 1 << 63], [1 << 7], [1 << 5]], dtype=np.uint64)
+        before = words.copy()
+        assert _rank_words_numpy(words, 6) == 1
+        assert _rank_words_numpy(words, 7) == 1
+        assert _rank_words_numpy(words, 8) == 2
+        assert np.array_equal(words, before)
+
+    @pytest.mark.parametrize("ncols", [5, 64, 100])
+    def test_dependent_rows_after_full_column_rank(self, ncols):
+        # the rank stops at ncols however many rows follow, junk included
+        rng = np.random.default_rng(ncols)
+        dense = np.vstack([np.eye(ncols, dtype=np.uint8),
+                           rng.integers(0, 2, size=(30, ncols), dtype=np.uint8)])
+        words = junk_past(BitMatrix.from_dense(dense).words, ncols, rng)
+        assert _rank_words_numpy(words, ncols) == ncols
+        assert _rank_words_numpy(words[::-1].copy(), ncols) == ncols
+
 
 class TestRref:
     def test_identity(self):

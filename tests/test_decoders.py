@@ -11,6 +11,8 @@ success flag and the number of sum-product rounds.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretapcodes import codes, decoders
 from wiretapcodes.bitlinalg import BitMatrix
@@ -275,6 +277,31 @@ class TestKeyedPeel:
         m, n = pair.coarse.span.rows, pair.n
         for copies in (3, 8, 1, 8, 5, 11):
             assert np.array_equal(pair._span_keys(copies), codes._edge_keys(chk, var, m, n, copies))
+
+
+@st.composite
+def sparse_graphs_and_masks(draw):
+    """A random Tanner graph of up to 12 checks on up to 16 variables, each
+    check on 0-5 distinct variables, with 1-4 stacked copies and an unknown
+    mask of any density over all of them."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(1, 16))
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=5))) for _ in range(m)]
+    chk = [c for c, row in enumerate(rows) for _ in row]
+    var = [v for row in rows for v in row]
+    copies = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    unknown = np.random.default_rng(seed).random(copies * n) < density
+    return chk, var, m, n, unknown, copies
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs_and_masks())
+def test_peel_matches_reference_on_random_sparse_graphs(case):
+    # the mask buffers of one call are reused across its rounds, so an end
+    # flag left stale by a longer round would resolve a wrong edge here
+    chk, var, m, n, unknown, copies = case
+    assert_peel_matches_reference(chk, var, m, n, unknown, copies)
 
 
 class TestKeyWidth:

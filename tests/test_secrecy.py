@@ -187,10 +187,15 @@ def erasure_mask(pair, erased):
     return mask
 
 
+def peel_one(pair, erased):
+    """``(peeled, rows, cols, shape)`` of the one-pattern block ``erased``."""
+    return secrecy._peel_block(pair, erasure_mask(pair, erased))[0][0]
+
+
 def peeled_identity_rank(pair, erased):
     """rank(h1_E) through peeling and the core, whatever its size."""
     erased = np.asarray(erased, dtype=np.int64)
-    peeled, rows, cols, shape = secrecy._peel_block(pair, erasure_mask(pair, erased))[0]
+    peeled, rows, cols, shape = peel_one(pair, erased)
     return pair.m - (pair.n - erased.size) + peeled + secrecy._core_rank(rows, cols, shape)
 
 
@@ -230,7 +235,7 @@ class TestPeelPath:
                 want = dense_rank(pair, erased)
                 assert secrecy.exact_equivocation_bec(pair, erased) == want
                 assert peeled_identity_rank(pair, erased) == want
-                core = secrecy._peel_block(pair, erasure_mask(pair, erased))[0]
+                core = peel_one(pair, erased)
                 sizes.append(core[3][1])  # core columns
             core_sizes[eps] = np.array(sizes)
         # the patterns reach empty cores, nonempty cores above the BP
@@ -308,7 +313,7 @@ class TestRankPathChoice:
         rng = np.random.default_rng(int(1000 * eps))
         for _ in range(10):
             erased = np.nonzero(rng.random(pair.n) < eps)[0]
-            width = secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3][1]
+            width = peel_one(pair, erased)[3][1]
             assert width not in (0, pair.m, pair.n)
             ncols_seen.clear()
             got = secrecy.exact_equivocation_bec(pair, erased)
@@ -323,7 +328,7 @@ class TestRankPathChoice:
         nonempty = 0
         for _ in range(200):
             erased = np.nonzero(rng.random(pair.n) < 0.60)[0]
-            rows, width = secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3]
+            rows, width = peel_one(pair, erased)[3]
             ncols_seen.clear()
             got = secrecy.exact_equivocation_bec(pair, erased)
             if rows:
@@ -340,7 +345,7 @@ class TestRankPathChoice:
         rng = np.random.default_rng(65)
         for _ in range(50):
             erased = np.nonzero(rng.random(pair.n) < 0.65)[0]
-            assert secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3] == (0, 0)
+            assert peel_one(pair, erased)[3] == (0, 0)
             assert secrecy.exact_equivocation_bec(pair, erased) == dense_rank(pair, erased)
         assert ncols_seen == []
 
@@ -361,7 +366,7 @@ class TestRankPathChoice:
         seen = dict.fromkeys(secrecy._RANK_PATHS, 0)
         for _ in range(200):
             erased = np.nonzero(rng.random(pair.n) < eps)[0]
-            width = secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3][1]
+            width = peel_one(pair, erased)[3][1]
             ncols_seen.clear()
             secrecy.exact_equivocation_bec(pair, erased)
             if not ncols_seen:
@@ -404,8 +409,13 @@ class TestBlockDriver:
         erased = np.concatenate(
             [rng.random((5, pair.n)) < eps for eps in (0.0, 0.3, 0.6, 1.0)]
         )
-        peels = secrecy._peel_block(pair, erased)
+        peels, rounds = secrecy._peel_block(pair, erased)
         assert len(peels) == len(erased)
+        # the block peels for as many rounds as its slowest pattern
+        assert rounds == max(
+            len(reference_peel_edges(*pair._span_edges, pair.coarse.span.rows, ~row)[0])
+            for row in erased
+        )
         for row, got in zip(erased, peels):
             want = peel_alone(pair, row)
             assert got[0] == want[0] and got[3] == want[3]
@@ -440,9 +450,7 @@ class TestBlockDriver:
                 paths["none"] += 1
             elif not ncols_seen:
                 paths["empty_core"] += 1
-            elif which == "dual" and ncols_seen == [
-                secrecy._peel_block(pair, erasure_mask(pair, erased))[0][3][1]
-            ]:
+            elif which == "dual" and ncols_seen == [peel_one(pair, erased)[3][1]]:
                 paths["core"] += 1
             else:
                 paths["dense_rest"] += 1
@@ -452,6 +460,30 @@ class TestBlockDriver:
         assert est.half_width == secrecy.Z95 * sd / math.sqrt(trials) / pair.n
         assert est.detail["rank_paths"] == paths
         assert drawn.random() == rng.random()  # both left at the same state
+
+    @pytest.mark.parametrize("eps", [0.0, 0.30, 0.45, 0.60, 1.0])
+    def test_peel_rounds_equal_a_direct_peel_of_each_block(self, ldpc_dual_pair, eps):
+        # 19 trials: two blocks of 8 and one of 3; a direct _peel_edges call
+        # on each block's patterns that erase something gives its count
+        pair, trials = ldpc_dual_pair, 19
+        est = secrecy.mc_equivocation_bec(pair, eps, trials, np.random.default_rng(31))
+        rng = np.random.default_rng(31)
+        want = []
+        for start in range(0, trials, secrecy._BLOCK):
+            erased = rng.random((min(secrecy._BLOCK, trials - start), pair.n)) < eps
+            live = erased[erased.any(axis=1)]
+            rounds = decoders._peel_edges(pair._span_keys(len(live)), ~live.reshape(-1))[0]
+            want.append(len(rounds))
+        assert est.detail["peel_rounds"] == want
+        assert len(want) == 3 and (eps in (0.0, 1.0)) == (max(want) == 0)
+        lb = secrecy.equivocation_lb(pair, BEC(eps), trials, np.random.default_rng(31))
+        assert lb.detail["peel_rounds"] == want
+
+    def test_peel_rounds_are_empty_without_a_span(self, spanless_pair):
+        est = secrecy.mc_equivocation_bec(spanless_pair, 0.45, 9, np.random.default_rng(2))
+        assert est.detail["peel_rounds"] == []
+        lb = secrecy.equivocation_lb(spanless_pair, BIAWGN(0.5), 9, np.random.default_rng(2))
+        assert lb.detail["peel_rounds"] == []
 
 
 @pytest.fixture(scope="module")
@@ -468,7 +500,7 @@ class TestWideRanks:
         pair = wide_dual_pair
         ncols_seen = spy_rank_ncols(monkeypatch)
         erased = np.nonzero(np.random.default_rng(int(1000 * eps)).random(pair.n) < eps)[0]
-        got = secrecy._erased_ranks(pair, erasure_mask(pair, erased))[0]
+        got = secrecy._erased_ranks(pair, erasure_mask(pair, erased))[0][0]
         assert got[1] == path
         assert len(ncols_seen) == 1 and bitlinalg._nwords(ncols_seen[0]) >= 40
         columns = BitMatrix(erased.size, pair.m, pair._h1_columns.words[erased])
