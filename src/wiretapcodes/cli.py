@@ -15,10 +15,10 @@ bodies regardless of execution order.  Reports start with a commented
 ``key=value`` echo of the configuration, including a hash of its canonical
 JSON form.
 
-One table, ``_COMMANDS``, gives each subcommand's function, the flags it
-reads (on each channel, where the channel narrows them), requires and
-defaults; the parser, the echo and hash, and the required-flag check are
-built from it.
+One table, ``_COMMANDS``, gives each subcommand's runs, one per ``--channel``
+of ``threshold`` or ``--estimator`` of ``simulate``, and each run's flags: those
+it reads (exactly those it echoes and hashes), requires and defaults.  The
+parser, the echo and hash, and every check of a run's flags are built from it.
 
 Exit codes: 0 success, 1 usage error, 2 numeric/convergence failure,
 3 I/O error.
@@ -47,10 +47,6 @@ _ESTIMATORS = {
     "approach2-bsc": BSC,
     "approach1": BIAWGN,
 }
-
-# The default --tol; only --channel bec reads it, so the table below leaves
-# it unset and the empirical BIAWGN threshold can reject a given one.
-_DE_TOL = 1e-6
 
 
 class UsageError(Exception):
@@ -108,9 +104,7 @@ def _parse_ensemble(spec: str) -> codes.DegreeDistribution:
 
 
 def _config_dict(args) -> dict:
-    command = _COMMANDS[args.command]
-    reads = command.channel_reads.get(getattr(args, "channel", None), command.reads)
-    cfg = {name: getattr(args, name) for name in reads}
+    cfg = {name: getattr(args, name) for name in _run(args).reads}
     cfg["command"] = args.command
     canonical = json.dumps(cfg, sort_keys=True, default=str)
     cfg["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()[:12]
@@ -144,11 +138,7 @@ def _write_report(args, config: dict, columns, rows) -> None:
 
 
 def _grid_values(args) -> list[float]:
-    if args.grid is not None:
-        return _parse_grid(args.grid)
-    if args.param is not None:
-        return [args.param]
-    raise UsageError("provide --param or --grid")
+    return _parse_grid(args.grid) if args.grid is not None else [args.param]
 
 
 def _spawn_rng(seed: int, index: int) -> np.random.Generator:
@@ -160,9 +150,9 @@ def _construction_seed(seed: int) -> int:
 
 
 def _load_code(args) -> codes.LinearCode:
-    if args.code:
+    if args.code is not None:
         return codes.read_alist(args.code)
-    if args.ensemble and args.n:
+    if args.ensemble is not None and args.n is not None:
         dd = _parse_ensemble(args.ensemble)
         if set(dd.var_edge) != {max(dd.var_edge)} or set(dd.chk_edge) != {max(dd.chk_edge)}:
             raise UsageError("code construction currently supports regular ensembles")
@@ -186,35 +176,16 @@ def cmd_capacity(args) -> None:
 
 
 def cmd_threshold(args) -> None:
-    columns = (
-        "method",
-        "value",
-        "bracket_lo",
-        "bracket_hi",
-        "trials",
-        "wer",
-        "seed",
-        "note",
-    )
+    columns = ("method", "value", "bracket_lo", "bracket_hi", "trials", "wer", "seed", "note")
     rows = []
     if args.channel == "bec":
-        if args.ensemble:
+        if args.ensemble is not None:
             dd = _parse_ensemble(args.ensemble)
-        elif args.code:
-            dd = _load_code(args).degree_distribution()
         else:
-            raise UsageError("BEC threshold needs --ensemble or --code")
-        if args.tol is None:
-            args.tol = _DE_TOL  # echoed and hashed like a given value
+            dd = _load_code(args).degree_distribution()
         res = thresholds.bec_bp_threshold(dd, tol=args.tol)
         rows.append((res.method, res.value, res.bracket[0], res.bracket[1], "", "", "", ""))
-    elif args.channel == "biawgn":
-        if args.tol is not None:
-            raise UsageError("--tol classifies density evolution; only --channel bec reads it")
-        if args.seed is None:
-            raise UsageError("empirical threshold estimation requires --seed")
-        if args.grid is None:
-            raise UsageError("empirical threshold estimation requires --grid")
+    else:  # biawgn: the empirical BP threshold of a concrete code
         grid = _parse_grid(args.grid)
         code = _load_code(args)
         rng = _spawn_rng(args.seed, 1)
@@ -222,25 +193,11 @@ def cmd_threshold(args) -> None:
             code, grid, args.trials, args.target_wer, rng
         )
         if res.value is None:
-            rows.append(
-                (res.method, "", res.bracket[0], "", args.trials, "", args.seed,
-                 "threshold above grid")
-            )
+            rows.append((res.method, "", res.bracket[0], "", args.trials, "", args.seed,
+                         "threshold above grid"))
         else:
-            rows.append(
-                (
-                    res.method,
-                    res.value,
-                    res.bracket[0],
-                    res.bracket[1],
-                    args.trials,
-                    res.detail["wer"],
-                    args.seed,
-                    "",
-                )
-            )
-    else:
-        raise UsageError("threshold supports --channel bec or biawgn")
+            rows.append((res.method, res.value, res.bracket[0], res.bracket[1], args.trials,
+                         res.detail["wer"], args.seed, ""))
     if args.delta_star is not None:
         rows.append(
             ("user-supplied (typical-pair)", args.delta_star, args.delta_star,
@@ -306,12 +263,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_region(args) -> None:
-    if args.r1 is not None:
-        r1 = args.r1
-    elif args.ensemble:
-        r1 = _parse_ensemble(args.ensemble).design_rate
-    else:
-        raise UsageError("region requires --r1 or --ensemble")
+    r1 = args.r1 if args.r1 is not None else _parse_ensemble(args.ensemble).design_rate
     achievable = cap.achievable_region(args.param, r1)
     outer = cap.capacity_equivocation_region(args.param)
     contained = outer.contains_polygon(achievable)
@@ -376,33 +328,47 @@ _FLAGS = {
 }
 
 
+class _Run(NamedTuple):
+    reads: tuple  # flags besides --out and --json; exactly these are echoed and hashed
+    requires: tuple = ()  # an entry that is a tuple means one of those flags
+    defaults: dict = {}
+
+
 class _Command(NamedTuple):
     func: Callable
     help: str
-    reads: tuple  # flags besides --out and --json; exactly these are echoed and hashed
-    requires: tuple = ()
-    defaults: dict = {}
-    channel_reads: dict = {}  # per --channel, the fewer flags a run on it reads, in place of reads
+    runs: dict  # the mode flag's value -> its run; without a mode flag, None -> the run
+    mode: str | None = None  # the flag whose value picks the run
 
+    @property
+    def flags(self) -> tuple:
+        """Every flag some run reads, in table order."""
+        return tuple(dict.fromkeys(dest for run in self.runs.values() for dest in run.reads))
+
+
+_SIM_READS = ("estimator", "code", "ensemble", "n", "param", "grid", "trials", "seed")
+_SIM_REQUIRES = ("seed", "trials", ("param", "grid"))
 
 _COMMANDS = {
-    "capacity": _Command(cmd_capacity, "capacities and secrecy rates over a grid",
-                         ("channel", "param", "grid"), ("channel",)),
-    "threshold": _Command(cmd_threshold, "BEC DE threshold or empirical BP threshold",
-                          ("channel", "code", "ensemble", "n", "grid", "trials",
-                           "target_wer", "tol", "seed", "delta_star"),
-                          ("channel",), {"trials": 200, "target_wer": 0.1},
-                          {"bec": ("channel", "code", "ensemble", "tol", "delta_star"),
-                           "biawgn": ("channel", "code", "ensemble", "n", "grid", "trials",
-                                      "target_wer", "seed", "delta_star")}),
-    "simulate": _Command(cmd_simulate, "equivocation estimation campaign",
-                         ("estimator", "code", "ensemble", "n", "param", "grid", "trials",
-                          "seed", "delta_star", "lambda_star", "max_bp_iters"),
-                         ("estimator", "seed", "trials"), {"max_bp_iters": 200}),
-    "region": _Command(cmd_region, "rate-equivocation region vertex CSV",
-                       ("param", "r1", "ensemble"), ("param",)),
-    "compare-bsc": _Command(cmd_compare_bsc, "BSC secrecy-rate comparison table",
-                            ("param", "grid")),
+    "capacity": _Command(cmd_capacity, "capacities and secrecy rates over a grid", {
+        None: _Run(("channel", "param", "grid"), ("channel", ("param", "grid")))}),
+    "threshold": _Command(cmd_threshold, "BEC DE threshold or empirical BP threshold", {
+        "bec": _Run(("channel", "code", "ensemble", "tol", "delta_star"),
+                    (("ensemble", "code"),), {"tol": thresholds.DE_CLASSIFY_TOL}),
+        "biawgn": _Run(("channel", "code", "ensemble", "n", "grid", "trials", "target_wer",
+                        "seed", "delta_star"),
+                       ("seed", "grid"), {"trials": 200, "target_wer": 0.1}),
+    }, "channel"),
+    "simulate": _Command(cmd_simulate, "equivocation estimation campaign", {
+        **dict.fromkeys(("bec-exact", "approach2-awgn", "approach2-bsc"),
+                        _Run((*_SIM_READS, "delta_star"), _SIM_REQUIRES)),
+        "approach1": _Run((*_SIM_READS, "lambda_star", "max_bp_iters"), _SIM_REQUIRES,
+                          {"max_bp_iters": 200}),
+    }, "estimator"),
+    "region": _Command(cmd_region, "rate-equivocation region vertex CSV", {
+        None: _Run(("param", "r1", "ensemble"), ("param", ("r1", "ensemble")))}),
+    "compare-bsc": _Command(cmd_compare_bsc, "BSC secrecy-rate comparison table", {
+        None: _Run(("param", "grid"))}),
 }
 _COMMON = ("out", "json")
 # Pairs of flags that say one thing two ways; a run may take each from only one.
@@ -415,16 +381,26 @@ def _build_parser() -> tuple[_Parser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for dest in (*command.reads, *_COMMON):
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **_FLAGS[dest])
-        p.set_defaults(**command.defaults)
+        for dest in (*command.flags, *_COMMON):
+            p.add_argument(_flag(dest), dest=dest, **_FLAGS[dest])
     return parser, sub.choices
 
 
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _run(args) -> _Run | None:
+    """The run the subcommand's mode flag picks; None for a missing or unknown mode."""
+    command = _COMMANDS[args.command]
+    return command.runs.get(command.mode and getattr(args, command.mode))
+
+
 def _config_defaults(args) -> dict:
-    """The ``--config`` file's values for this subcommand, keyed by flag
-    destination.  A key naming only other subcommands' flags is ignored, so
-    one file can serve several subcommands; a key naming no flag is an error."""
+    """The ``--config`` file's values for this subcommand's flags, keyed by flag
+    destination.  A key naming only other subcommands' flags is ignored, so one
+    file can serve several subcommands; a key naming no flag is an error, and
+    ``_parse_args`` rejects a key for a flag this subcommand's run does not read."""
     try:
         with open(args.config, "r", encoding="ascii") as fh:
             overrides = json.load(fh)
@@ -432,13 +408,13 @@ def _config_defaults(args) -> dict:
         raise UsageError(f"bad config file {args.config}: {exc}") from None
     if not isinstance(overrides, dict):
         raise UsageError(f"config file {args.config} must hold a JSON object")
-    reads = (*_COMMANDS[args.command].reads, *_COMMON)
+    flags = (*_COMMANDS[args.command].flags, *_COMMON)
     defaults = {}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
         if dest not in _FLAGS:
             raise UsageError(f"unknown config key {key!r}")
-        if dest in reads:
+        if dest in flags:
             defaults[dest] = _config_value(key, _FLAGS[dest], value)
     return defaults
 
@@ -460,16 +436,30 @@ def _config_value(key: str, spec: dict, value):
 
 def _parse_args(argv):
     """Parse the command line: a flag given there wins over the ``--config``
-    file, which wins over the built-in default.  Then check, before any
-    computation, the flags the subcommands share rules for."""
+    file, which wins over the run's default.  Then, before any computation,
+    look up the run, reject every flag given that it does not read, fill in
+    its defaults and check its requirements and the shared flag rules."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
         commands[args.command].set_defaults(**_config_defaults(args))
         args = parser.parse_args(argv)
-    for dest in _COMMANDS[args.command].requires:
+    command, run = _COMMANDS[args.command], _run(args)
+    if run is None:
+        modes = " or ".join(command.runs)
+        raise UsageError(f"{args.command} requires {_flag(command.mode)} {modes}")
+    for dest in command.flags:
+        if dest not in run.reads and getattr(args, dest) is not None:
+            readers = " or ".join(mode for mode, other in command.runs.items()
+                                  if dest in other.reads)
+            raise UsageError(f"{_flag(dest)}: only {_flag(command.mode)} {readers} reads it")
+    for dest, value in run.defaults.items():
         if getattr(args, dest) is None:
-            raise UsageError(f"{args.command} requires --{dest.replace('_', '-')}")
+            setattr(args, dest, value)
+    for group in run.requires:
+        group = group if isinstance(group, tuple) else (group,)
+        if all(getattr(args, dest) is None for dest in group):
+            raise UsageError(f"{args.command} requires {' or '.join(map(_flag, group))}")
     for pair in _EXCLUSIVE:
         if all(getattr(args, dest, None) is not None for dest in pair):
             raise UsageError("give --{} or --{}, not both".format(*pair))

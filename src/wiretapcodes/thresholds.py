@@ -26,6 +26,7 @@ from .codes import DegreeDistribution, LinearCode
 from .decoders import bp_decode_awgn
 
 DE_TOL = 1e-8
+DE_CLASSIFY_TOL = 1e-6  # the default residual below which a point counts as decoded
 DE_MAX_ITER = 10_000
 Z95 = 1.96  # two-sided 95% standard normal quantile
 _BRACKET_WIDTH = 1e-4
@@ -72,7 +73,7 @@ def de_residual(eps: float, dd: DegreeDistribution) -> float:
     return x
 
 
-def bec_bp_threshold(dd: DegreeDistribution, tol: float = 1e-6) -> ThresholdResult:
+def bec_bp_threshold(dd: DegreeDistribution, tol: float = DE_CLASSIFY_TOL) -> ThresholdResult:
     """BEC threshold of an ensemble by bisection on the DE residual.
 
     ``tol`` classifies convergence: the threshold is the largest eps whose

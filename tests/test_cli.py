@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,14 +103,13 @@ class TestThresholdCommand:
 
     def test_bec_echoes_and_hashes_only_what_it_reads(self, tmp_path):
         # density evolution takes no code length, seed, trials, grid or
-        # target word-error rate, so giving them changes nothing
-        reports = []
-        for extra in ((), ("--seed", "1", "--n", "60"), ("--seed", "2", "--trials", "5")):
-            out = tmp_path / "thr.csv"
+        # target word-error rate, so giving them is a usage error
+        out = tmp_path / "thr.csv"
+        for extra in (("--seed", "1", "--n", "60"), ("--seed", "2", "--trials", "5")):
             assert run("threshold", "--channel", "bec", "--ensemble", "3,6", *extra,
-                       "--out", str(out)) == 0
-            reports.append(out.read_text())
-        assert reports[1] == reports[0] == reports[2]
+                       "--out", str(out)) == 1
+            assert not out.exists()
+        assert run("threshold", "--channel", "bec", "--ensemble", "3,6", "--out", str(out)) == 0
         header, _ = read_report(out)
         assert set(header) == {
             "channel", "code", "command", "config_hash", "delta_star", "ensemble", "tol",
@@ -331,6 +331,13 @@ class TestPlumbing:
             "--param", "0.5", "--trials", "0", "--seed", "1",
         ) == 2
 
+    def test_zero_block_length_reaches_the_code_builder(self, capsys):
+        # --n 0 is a given block length, not a missing one
+        assert run(*_SIM_BEC[:6], "0", *_SIM_BEC[7:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "block length 0 cannot support row weight 6" in captured.err
+
     def test_negative_bp_iterations_exit_code(self, tmp_path):
         # no decode can run -1 iterations; this used to report a WER of 1
         assert run(
@@ -471,14 +478,41 @@ UNREAD_FLAGS = {
                           "--param", "0.5"),
 }
 
+_THRESHOLD_BEC = ("threshold", "--channel", "bec", "--ensemble", "3,6")
+_APPROACH2 = "bec-exact or approach2-awgn or approach2-bsc"
+
+# A run of one mode, one (flag, value) that mode does not read, and the error.
+MODE_UNREAD = {
+    **{f"threshold-bec {flag}": (_THRESHOLD_BEC, flag, value,
+                                 f"{flag}: only --channel biawgn reads it")
+       for flag, value in (("--seed", 1), ("--n", 60), ("--trials", 5), ("--grid", "0.5"),
+                           ("--target-wer", 0.1))},
+    **{f"simulate-{estimator} {flag}": (
+        ("simulate", "--estimator", estimator, *_SIM_BEC[3:]), flag, value,
+        f"{flag}: only --estimator approach1 reads it")
+       for estimator in _APPROACH2.split(" or ")
+       for flag, value in (("--max-bp-iters", 5), ("--lambda-star", 0.9))},
+    "simulate-approach1 --delta-star": (
+        ("simulate", "--estimator", "approach1", *_SIM_BEC[3:]), "--delta-star", 0.3,
+        f"--delta-star: only --estimator {_APPROACH2} reads it"),
+    "threshold --channel bsc": (("threshold", "--ensemble", "3,6"), "--channel", "bsc",
+                                "threshold requires --channel bec or biawgn"),
+}
+
 
 class TestFlagTable:
     def test_accepted_flags_are_the_echoed_keys(self):
-        echoed = {}
+        echoed, runs = {}, set()
         for path in sorted(GOLDEN.glob("*.csv")):
             header, _ = read_report(path)
-            command = header.pop("command")
-            echoed.setdefault(command, set()).update(set(header) - {"config_hash"})
+            name = header.pop("command")
+            echoed.setdefault(name, set()).update(set(header) - {"config_hash"})
+            command = cli._COMMANDS[name]
+            mode = command.mode and header[command.mode]
+            assert set(header) - {"config_hash"} == set(command.runs[mode].reads), path.name
+            runs.add((name, mode))
+        assert runs == {(name, mode) for name, command in cli._COMMANDS.items()
+                        for mode in command.runs}
         _, commands = cli._build_parser()
         assert set(echoed) == set(commands)
         for name, parser in commands.items():
@@ -495,6 +529,53 @@ class TestFlagTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {case.split()[1]}" in captured.err
+
+    def test_readme_flag_table_is_the_run_table(self):
+        # one row per run: the flags it reads besides its mode flag, required
+        # ones in bold (a bold "--a or --b" needs one of them), defaults in
+        # parentheses
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme[readme.index("| Run | Flags |"):].split("\n\n")[0].splitlines()[2:]
+        rows = set()
+        for line in table:
+            run_cell, flags_cell = line.strip("| ").split(" | ")
+            name, *mode = run_cell.strip("`").split()
+            command = cli._COMMANDS[name]
+            shown, required, defaults = set(), set(), {}
+            if mode:
+                assert mode[0] == cli._flag(command.mode), line
+                shown.add(command.mode)
+            run = command.runs[mode[1] if mode else None]
+            rows.add((name, mode[1] if mode else None))
+            for item in flags_cell.split(", "):
+                dests = [flag.replace("-", "_") for flag in re.findall(r"--([a-z0-9-]+)", item)]
+                shown.update(dests)
+                if item.startswith("**"):
+                    required.add(frozenset(dests))
+                if default := re.search(r"\((.*)\)", item):
+                    defaults[dests[0]] = default[1]
+            assert shown == set(run.reads), line
+            assert required == {frozenset(group if isinstance(group, tuple) else (group,))
+                                for group in run.requires}, line
+            assert defaults.keys() == run.defaults.keys(), line
+            assert all(type(value)(defaults[dest]) == value
+                       for dest, value in run.defaults.items()), line
+        assert len(rows) == len(table)
+        assert rows == {(name, mode) for name, command in cli._COMMANDS.items()
+                        for mode in command.runs}
+
+    @pytest.mark.parametrize("given", ["command-line", "config"])
+    @pytest.mark.parametrize("case", sorted(MODE_UNREAD))
+    def test_flag_the_mode_does_not_read_is_usage_error(self, case, given, tmp_path, capsys):
+        argv, flag, value, message = MODE_UNREAD[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({flag[2:]: value} if given == "config" else {}))
+        extra = (flag, str(value)) if given == "command-line" else ()
+        out = tmp_path / "out.csv"
+        assert run("--config", str(cfg), *argv, *extra, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert message in captured.err
 
     @pytest.mark.parametrize(
         "config, argv",

@@ -48,7 +48,7 @@ CASES = {
     ),
     "simulate-approach1": (
         *_SIM, "--estimator", "approach1", "--grid", "0.3,1.0,3.0", "--trials", "10",
-        "--max-bp-iters", "50", "--lambda-star", "0.9", "--delta-star", "0.5",
+        "--max-bp-iters", "50", "--lambda-star", "0.9",
     ),
     "region": ("region", "--param", "0.32", "--r1", "0.3333333333"),
     "compare-bsc": ("compare-bsc",),
