@@ -17,14 +17,19 @@ here as well.
 
 The two ``*_degraded_transmit`` functions realize each noisy channel as a
 BEC followed by a memoryless post-processor, which is what turns a BEC
-equivocation bound into a bound for the noisy channel:
+equivocation bound into a bound for the noisy channel.  Both sample the
+pair the same way: draw the direct channel's output ``z``, then erase the
+input symbol ``x`` with probability ``min(1, g(z | -x) / g(z | x))``.  The
+erased-or-kept symbol ``z'`` then has exactly the decomposition's joint law
+with ``z``: ``P(z' = x, z) = g(z | x) - g(z | -x)`` where that is positive,
+``P(z' = 0, z) = min(g(z | +1), g(z | -1))``, so ``z'`` is a BEC output and
+``z`` given ``z'`` does not depend on ``x``.
 
-* AWGN: erase with probability ``2*Q(sqrt(2*snr))``; surviving symbols are
-  redrawn from the normalized difference of the two signal densities on the
-  matching half-line, erased symbols from the folded two-sided tail mixture.
-  The composed channel is distributed exactly like the direct one.
-* BSC(q): erase with probability ``2q``; erased bits are replaced by a fair
-  coin.  The composed flip rate is exactly ``q``.
+* AWGN: the ratio is ``exp(-max(0, 2*sqrt(2*snr)*x*z))`` and the erasure
+  probability ``2*Q(sqrt(2*snr))``.
+* BSC(q): the ratio is ``q/(1-q)`` where ``z`` agrees with the bit and 1
+  where it does not, so the erasure probability is ``2q`` and an erased
+  bit is a fair coin.
 
 All samplers are pure functions of (input, parameters, generator state);
 callers supply one independently seeded ``numpy.random.Generator`` per
@@ -38,12 +43,11 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import erfc, ndtr, ndtri
+from scipy.special import erfc
 
 ERASED = 0
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
-_BISECT_TOL = 1e-10
 
 
 def q_function(x) -> np.ndarray | float:
@@ -290,31 +294,9 @@ def degraded_conditional_density(z, zprime: int, snr: float) -> np.ndarray:
     raise ValueError("zprime must be +1, 0, or -1")
 
 
-def _difference_half_cdf(t, mu: float, eps: float) -> np.ndarray:
-    """CDF at t >= 0 of the normalized density difference on the half-line."""
-    return (ndtr(t - mu) - ndtr(t + mu) + ndtr(mu) - ndtr(-mu)) / (1.0 - eps)
-
-
-def _sample_difference_half(u: np.ndarray, mu: float, eps: float) -> np.ndarray:
-    """Invert the half-line CDF by monotone bisection (tolerance 1e-10)."""
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, mu + 14.0)
-    while True:
-        mid = 0.5 * (lo + hi)
-        below = _difference_half_cdf(mid, mu, eps) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if hi.size == 0 or float(np.max(hi - lo)) < _BISECT_TOL:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _sample_folded_tail(count: int, mu: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw from f(z|Z'=0): a fair two-sided mixture of folded Gaussian tails."""
-    sign = np.where(rng.random(count) < 0.5, 1.0, -1.0)
-    v = rng.random(count) * float(q_function(mu))
-    tail = -ndtri(v)  # upper-tail quantile: P(N >= tail) = v, tail >= mu
-    return sign * (tail - mu)
+def _erase_by_ratio(x: np.ndarray, ratio, rng: np.random.Generator) -> np.ndarray:
+    """The BEC output: each symbol of ``x`` erased with probability ``ratio``."""
+    return np.where(rng.random(x.shape) < ratio, ERASED, x).astype(np.int8)
 
 
 def awgn_degraded_transmit(
@@ -323,25 +305,19 @@ def awgn_degraded_transmit(
     """Transmit through the BEC-embedded decomposition of the AWGN channel.
 
     Returns ``(zprime, z)``: the BEC output over {+1, 0, -1} and the final
-    real observation.  The marginal law of ``z`` given the input equals the
-    direct channel's; ``z`` always carries the sign of an unerased
-    ``zprime``.  Rejects ``snr <= 0``, where the erasure rate reaches one
-    and the unerased conditional densities are undefined.
+    real observation, which is the direct channel's output; ``z`` always
+    carries the sign of an unerased ``zprime``.  Rejects ``snr <= 0``,
+    where the erasure rate reaches one and the unerased conditional
+    densities are undefined, and symbols other than +1 and -1.
     """
-    channel = BIAWGN(snr)
-    channel.check_degradable()
-    x = np.asarray(symbols, dtype=np.int8)
-    mu = signal_amplitude(snr)
-    eps = channel.erasure_rate
-    zprime = bec_transmit(x, eps, rng)
-    z = np.empty(x.shape, dtype=np.float64)
-
-    kept = zprime != ERASED
-    u = rng.random(int(kept.sum()))
-    z[kept] = zprime[kept] * _sample_difference_half(u, mu, eps)
-    erased = ~kept
-    z[erased] = _sample_folded_tail(int(erased.sum()), mu, rng)
-    return zprime, z
+    BIAWGN(snr).check_degradable()
+    x = np.asarray(symbols)
+    if not ((x == 1) | (x == -1)).all():
+        raise ValueError("symbols must each be +1 or -1")
+    x = x.astype(np.int8)
+    z = biawgn_transmit(x, snr, rng)
+    # g(z | -x) / g(z | x) = exp(-x * llr), capped at 1 before it can overflow
+    return _erase_by_ratio(x, np.exp(-np.maximum(0.0, x * awgn_llr(z, snr))), rng), z
 
 
 def bsc_degraded_transmit(
@@ -350,13 +326,15 @@ def bsc_degraded_transmit(
     """Transmit through the BEC-embedded decomposition of the BSC.
 
     Returns ``(zprime, z)`` where ``zprime`` is the BEC(2q) output over
-    {+1, 0, -1} and ``z`` is the final bit vector: unerased symbols pass
-    through, erased ones are replaced by independent fair coin flips, making
-    the marginal a BSC(q).
+    {+1, 0, -1} and ``z`` the direct BSC(q) output: it equals the bit
+    wherever ``zprime`` is not erased and is a fair coin where it is.
+    Rejects ``q > 1/2`` and bits other than 0 and 1.
     """
-    b = np.asarray(bits, dtype=np.uint8)
-    zprime = bec_transmit(modulate(b), BSC(crossover_prob).erasure_rate, rng)
-    z = b.copy()
-    erased = zprime == ERASED
-    z[erased] = rng.integers(0, 2, size=int(erased.sum()), dtype=np.uint8)
-    return zprime, z
+    BSC(crossover_prob).check_degradable()
+    b = np.asarray(bits)
+    if not ((b == 0) | (b == 1)).all():
+        raise ValueError("bits must each be 0 or 1")
+    b = b.astype(np.uint8)
+    z = bsc_transmit(b, crossover_prob, rng)
+    ratio = np.where(z == b, crossover_prob / (1.0 - crossover_prob), 1.0)
+    return _erase_by_ratio(modulate(b), ratio, rng), z

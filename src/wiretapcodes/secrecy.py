@@ -270,13 +270,16 @@ def exact_equivocation_bec(pair: NestedCodePair, erased) -> int:
     """Exact message equivocation H(W | Z) in bits for one erasure pattern.
 
     Equals the rank of the coarse parity-check matrix restricted to the
-    erased columns; at most ``min(m, |erased|)``.
+    erased columns; at most ``min(m, |erased|)``.  ``erased`` lists integer
+    positions; a boolean mask or a fractional position raises ValueError.
     """
-    idx = np.asarray([int(i) for i in erased], dtype=np.int64)
+    idx = np.asarray(erased)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError("erased positions must be a list of integers")
     if idx.size and (idx.min() < 0 or idx.max() >= pair.n):
         raise ValueError(f"erased positions must lie in 0..{pair.n - 1}")
     pattern = np.zeros((1, pair.n), dtype=bool)
-    pattern[0, idx] = True
+    pattern[0, idx.astype(np.intp)] = True
     return _erased_ranks(pair, pattern)[0][0][0]
 
 

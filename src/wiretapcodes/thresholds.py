@@ -10,8 +10,9 @@ probability.  For concrete codes on the binary-input AWGN channel the
 threshold is estimated empirically from the word-error rate of sum-product
 decoding over a grid of SNRs.
 
-Density evolution and bisection are pure; the empirical estimator's trials
-are independent given the generator and may be distributed across workers.
+Density evolution and bisection are pure.  The empirical estimator's trials
+are independent draws that read one generator in order, so a seed fixes
+every estimate.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ def bec_bp_threshold(dd: DegreeDistribution, tol: float = DE_CLASSIFY_TOL) -> Th
     by the stopping rule.  The final bracket is at most 1e-4 wide, and the
     estimate is checked against the Shannon bound ``1 - design rate``.
     """
-    if tol <= DE_TOL:
-        raise ValueError("classification tol must exceed the DE iteration tol")
+    if not DE_TOL < tol < math.inf:
+        raise ValueError("classification tol must be finite and exceed the DE iteration tol")
     lo, hi = 0.0, 1.0
     if de_residual(hi, dd) < tol:
         lo = hi
@@ -168,6 +169,8 @@ def empirical_bp_threshold_awgn(
         raise ValueError("snr grid must be ascending")
     if trials < 100:
         raise ValueError("need at least 100 trials per grid point")
+    if not 0.0 <= target_wer <= 1.0:
+        raise ValueError(f"target word-error rate {target_wer} outside [0, 1]")
     prev = grid[0]
     for snr in grid:
         errors, _ = bp_word_error_rate(code, snr, trials, rng, max_iters)

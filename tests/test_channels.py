@@ -200,6 +200,78 @@ class TestAwgnDegraded:
         assert statistic < critical_1pct
 
 
+def _kept_cdf(t, snr):
+    """CDF of f(z | Z'=+1): the normalized density difference on z >= 0."""
+    mu, eps = channels.signal_amplitude(snr), BIAWGN(snr).erasure_rate
+    t = np.maximum(t, 0.0)
+    n = stats.norm.cdf
+    return (n(t - mu) - n(-mu) - n(t + mu) + n(mu)) / (1.0 - eps)
+
+
+def _erased_cdf(t, snr):
+    """CDF of f(z | Z'=0): the fair two-sided mixture of folded tails."""
+    mu, eps = channels.signal_amplitude(snr), BIAWGN(snr).erasure_rate
+    tail = stats.norm.cdf(-np.abs(t) - mu) / eps
+    return np.where(t < 0, tail, 1.0 - tail)
+
+
+class TestAwgnDegradedLaw:
+    """The samples against the closed-form conditional laws of the decomposition."""
+
+    @pytest.mark.parametrize("zprime, cdf", [(1, _kept_cdf), (0, _erased_cdf)])
+    def test_closed_form_cdfs_integrate_the_densities(self, zprime, cdf):
+        snr = 0.465
+        for t in (-2.0, -0.3, 0.0, 0.4, 1.7):
+            want, _ = integrate.quad(
+                lambda z: channels.degraded_conditional_density(z, zprime, snr),
+                -30.0, t, points=[0.0] if t > 0 else None, limit=200,
+            )
+            assert cdf(t, snr) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("zprime", [+1, -1])
+    def test_kept_outputs_follow_the_conditional_density(self, zprime):
+        rng = np.random.default_rng(31)
+        snr = 0.465
+        x = channels.modulate(rng.integers(0, 2, size=100_000, dtype=np.uint8))
+        zp, z = channels.awgn_degraded_transmit(x, snr, rng)
+        mirrored = zprime * z[zp == zprime]  # f(z | -1) mirrors f(z | +1)
+        assert stats.kstest(mirrored, lambda t: _kept_cdf(t, snr)).pvalue > 0.01
+
+    def test_erased_outputs_follow_the_folded_tails(self):
+        rng = np.random.default_rng(32)
+        snr = 0.465
+        x = channels.modulate(rng.integers(0, 2, size=100_000, dtype=np.uint8))
+        zp, z = channels.awgn_degraded_transmit(x, snr, rng)
+        assert stats.kstest(z[zp == 0], lambda t: _erased_cdf(t, snr)).pvalue > 0.01
+
+    def test_erased_outputs_do_not_depend_on_the_input(self):
+        rng = np.random.default_rng(33)
+        erased = []
+        for bit in (0, 1):
+            x = channels.modulate(np.full(100_000, bit, dtype=np.uint8))
+            zp, z = channels.awgn_degraded_transmit(x, 0.465, rng)
+            erased.append(z[zp == 0])
+        assert stats.ks_2samp(*erased).pvalue > 0.01
+
+    @pytest.mark.parametrize("snr", [50.0, 1e-6])
+    def test_no_floating_point_error_at_extreme_snr(self, snr):
+        rng = np.random.default_rng(34)
+        x = channels.modulate(rng.integers(0, 2, size=100_000, dtype=np.uint8))
+        with np.errstate(all="raise"):
+            zp, z = channels.awgn_degraded_transmit(x, snr, rng)
+        assert (zp.dtype, z.dtype) == (np.int8, np.float64)
+        eps = BIAWGN(snr).erasure_rate
+        sigma = math.sqrt(eps * (1 - eps) / x.size)
+        assert (zp == 0).mean() == pytest.approx(eps, abs=5 * sigma + 1e-12)
+
+    def test_symbols_outside_the_alphabet_rejected(self):
+        # a 0 or 2 used to come out as garbage; the generator is not drawn
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            channels.awgn_degraded_transmit([1, 0, -1, 2], 0.5, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+
 class TestDegradedDensities:
     @pytest.mark.parametrize("snr", [0.302, 0.465, 1.0])
     def test_mixture_identity(self, snr):
@@ -245,6 +317,36 @@ class TestBscDegraded:
         zp, z = channels.bsc_degraded_transmit(bits, 0.2, rng)
         assert z.mean() == pytest.approx(0.2, abs=0.01)
         assert (zp == 0).mean() == pytest.approx(0.4, abs=0.01)
+
+    def test_erased_bits_are_fair_coins_and_kept_bits_pass(self):
+        rng = np.random.default_rng(35)
+        bits = rng.integers(0, 2, size=100_000, dtype=np.uint8)
+        zp, z = channels.bsc_degraded_transmit(bits, 0.2, rng)
+        assert (zp.dtype, z.dtype) == (np.int8, np.uint8)
+        kept = zp != 0
+        assert np.array_equal(zp[kept], channels.modulate(bits)[kept])
+        assert np.array_equal(z[kept], bits[kept])
+        flips = int((z[~kept] != bits[~kept]).sum())
+        assert stats.binomtest(flips, int((~kept).sum()), 0.5).pvalue > 0.01
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    def test_no_floating_point_error_at_the_ends(self, q):
+        rng = np.random.default_rng(36)
+        bits = rng.integers(0, 2, size=10_000, dtype=np.uint8)
+        with np.errstate(all="raise"):
+            zp, z = channels.bsc_degraded_transmit(bits, q, rng)
+        if q == 0.0:  # nothing erased, nothing flipped
+            assert np.array_equal(zp, channels.modulate(bits))
+            assert np.array_equal(z, bits)
+        else:  # everything erased
+            assert not zp.any()
+
+    def test_bits_outside_the_alphabet_rejected(self):
+        # a 2 or 3 used to come out as garbage; the generator is not drawn
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="0 or 1"):
+            channels.bsc_degraded_transmit([0, 1, 2, 3], 0.2, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_q_above_half_rejected(self):
         with pytest.raises(ValueError):

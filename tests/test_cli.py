@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wiretapcodes import cli, codes
+from wiretapcodes import cli, codes, thresholds
 
 
 def run(*argv):
@@ -181,6 +181,27 @@ class TestThresholdCommand:
         assert run("threshold", "--channel", "biawgn", *_THRESHOLD_AWGN,
                    "--out", str(out)) == 0
         assert "tol" not in read_report(out)[0]
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--channel", "bec", "--ensemble", "3,6", "--tol", "nan"),
+        ("--channel", "bec", "--ensemble", "3,6", "--tol", "inf"),
+        ("--channel", "biawgn", *_THRESHOLD_AWGN, "--target-wer", "nan"),
+        ("--channel", "biawgn", *_THRESHOLD_AWGN, "--target-wer", "1.5"),
+    ], ids=["tol-nan", "tol-inf", "target-wer-nan", "target-wer-1.5"])
+    def test_unusable_tolerance_or_target_fails_before_any_decode(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # a NaN used to pass: the DE run reported 3.05e-05, the empirical run
+        # decoded every grid point and reported "threshold above grid"
+        def no_decode(*args, **kwargs):
+            raise AssertionError("decoded before checking the target")
+
+        monkeypatch.setattr(thresholds, "bp_word_error_rate", no_decode)
+        out = tmp_path / "thr.csv"
+        assert run("threshold", *argv, "--out", str(out)) == 2
+        assert not out.exists()
+        assert "computation failed" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

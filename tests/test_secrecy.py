@@ -163,6 +163,19 @@ class TestExactEquivocation:
         with pytest.raises(ValueError):
             secrecy.exact_equivocation_bec(repetition_pair(), [3])
 
+    def test_positions_must_be_integers(self):
+        # a boolean mask used to be read as positions 0 and 1 (rank 2 where
+        # the positions it marks give 4), and 2.7 as position 2
+        pair = codes.nested_pair_from_coarse(codes.dual(codes.regular_ldpc(12, 3, 6, seed=1)))
+        mask = np.isin(np.arange(pair.n), [3, 5, 7, 9, 11])
+        assert secrecy.exact_equivocation_bec(pair, [3, 5, 7, 9, 11]) == 4
+        assert secrecy.exact_equivocation_bec(pair, np.nonzero(mask)[0]) == 4
+        assert secrecy.exact_equivocation_bec(pair, range(pair.n)) == pair.m
+        assert secrecy.exact_equivocation_bec(pair, np.array([], dtype=np.int64)) == 0
+        for erased in (mask, [2.7], [[3, 5]]):
+            with pytest.raises(ValueError, match="list of integers"):
+                secrecy.exact_equivocation_bec(pair, erased)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_identity_all_patterns(self, seed):
         rng = np.random.default_rng(700 + seed)

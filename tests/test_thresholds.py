@@ -137,6 +137,12 @@ class TestBecBpThreshold:
         with pytest.raises(ValueError, match="exceed"):
             thresholds.bec_bp_threshold(REGULAR_36, tol=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # a NaN tol used to pass the ordering check and report 3.05e-05
+        with pytest.raises(ValueError, match="finite"):
+            thresholds.bec_bp_threshold(REGULAR_36, tol=tol)
+
 
 class TestWilsonInterval:
     def test_contains_point_estimate(self):
@@ -197,6 +203,16 @@ class TestEmpiricalBpThreshold:
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match="nonempty"):
             thresholds.empirical_bp_threshold_awgn(code, [], 100, 0.1, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("target", [math.nan, -0.1, 1.5])
+    def test_target_outside_unit_interval_rejected_before_any_decode(self, target):
+        # a NaN target used to decode every grid point and report none
+        code = codes.regular_ldpc(510, 3, 6, seed=1)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            thresholds.empirical_bp_threshold_awgn(code, [1.0], 100, target, rng)
         assert rng.bit_generator.state == before
 
     def test_minimum_trials(self):
