@@ -31,7 +31,6 @@ from .channels import (
     ChannelModel,
     awgn_degraded_transmit,
     awgn_llr,
-    bec_transmit,
     binary_entropy,
     biawgn_transmit,
     bsc_degraded_transmit,

@@ -231,15 +231,6 @@ def modulate(bits) -> np.ndarray:
     return (1 - 2 * b).astype(np.int8)
 
 
-def bec_transmit(symbols, erasure_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Erase each +-1 symbol independently (erasures become 0)."""
-    BEC(erasure_prob)  # the model checks the range
-    x = np.asarray(symbols, dtype=np.int8)
-    out = x.copy()
-    out[rng.random(x.shape) < erasure_prob] = ERASED
-    return out
-
-
 def bsc_transmit(bits, crossover_prob: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each bit independently with the given probability."""
     BSC(crossover_prob)  # the model checks the range

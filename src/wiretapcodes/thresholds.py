@@ -12,7 +12,10 @@ decoding over a grid of SNRs.
 
 Density evolution and bisection are pure.  The empirical estimator's trials
 are independent draws that read one generator in order, so a seed fixes
-every estimate.
+every estimate.  The scan stops decoding a grid point as soon as its errors
+so far reject it (its remaining trials still draw their noise, so the
+generator reads the same stream), and records in ``detail`` the decodes run
+and skipped at each grid point it scanned.
 """
 
 from __future__ import annotations
@@ -136,14 +139,27 @@ def bp_word_error_rate(
     representative of the ensemble-average behaviour.  A trial counts as an
     error unless decoding converges to the transmitted word itself.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    errors, _ = _count_word_errors(code, snr, trials, rng, max_iters, math.inf)
+    return errors, trials
+
+
+def _count_word_errors(code, snr, trials, rng, max_iters, give_up) -> tuple[int, int]:
+    """``(errors, decodes)`` of :func:`bp_word_error_rate`, except that no
+    trial is decoded once ``errors / trials > give_up``.  Every trial still
+    draws its noise, so ``rng`` reads the same stream whatever is skipped."""
     x = modulate(np.zeros(code.n, dtype=np.uint8))
-    errors = 0
+    errors = decodes = 0
     for _ in range(trials):
         z = biawgn_transmit(x, snr, rng)
+        if errors / trials > give_up:
+            continue
+        decodes += 1
         bits, ok = bp_decode_awgn(code, awgn_llr(z, snr), max_iters)
         if not ok or bits.any():
             errors += 1
-    return errors, trials
+    return errors, decodes
 
 
 def empirical_bp_threshold_awgn(
@@ -161,6 +177,13 @@ def empirical_bp_threshold_awgn(
     the accepted one; the Wilson interval of the accepted point's error
     rate is recorded in ``detail``.  If no grid point qualifies, the result
     has ``value=None`` and method tag ``"empirical-BP (above grid)"``.
+
+    A point is rejected when ``errors / trials > target_wer``, and errors
+    only grow, so once the errors so far pass that bound the point stops
+    decoding; its remaining trials still draw their noise, so the result
+    and the generator's state are those of decoding every trial.
+    ``detail["decodes_run"]`` and ``detail["decodes_skipped"]`` hold, per
+    grid point scanned, the trials decoded and not decoded.
     """
     grid = [float(s) for s in snr_grid]
     if not grid:
@@ -171,9 +194,12 @@ def empirical_bp_threshold_awgn(
         raise ValueError("need at least 100 trials per grid point")
     if not 0.0 <= target_wer <= 1.0:
         raise ValueError(f"target word-error rate {target_wer} outside [0, 1]")
+    run, skipped = [], []
     prev = grid[0]
     for snr in grid:
-        errors, _ = bp_word_error_rate(code, snr, trials, rng, max_iters)
+        errors, decodes = _count_word_errors(code, snr, trials, rng, max_iters, target_wer)
+        run.append(decodes)
+        skipped.append(trials - decodes)
         wer = errors / trials
         if wer <= target_wer:
             w_lo, w_hi = wilson_interval(errors, trials)
@@ -187,6 +213,8 @@ def empirical_bp_threshold_awgn(
                     "wer": wer,
                     "wer_wilson": (w_lo, w_hi),
                     "max_iters": max_iters,
+                    "decodes_run": run,
+                    "decodes_skipped": skipped,
                 },
             )
         prev = snr
@@ -194,7 +222,8 @@ def empirical_bp_threshold_awgn(
         value=None,
         bracket=(grid[-1], math.inf),
         method="empirical-BP (above grid)",
-        detail={"trials": trials, "target_wer": target_wer},
+        detail={"trials": trials, "target_wer": target_wer,
+                "decodes_run": run, "decodes_skipped": skipped},
     )
 
 

@@ -47,6 +47,7 @@ def test_summary_pairs_seeds_and_keeps_provenance(dirs, tmp_path):
     assert rate["parent"] == {"median": 25.0, "q1": 17.5, "q3": 32.5, "iqr": 15.0}
     assert rate["change"] == {"median": 50.0, "q1": 35.0, "q3": 65.0, "iqr": 30.0}
     assert hot["end_to_end"]["ok_ratio"]["change"]["iqr"] == 0.0
+    assert rate["pairs_won"] == 4 and hot["end_to_end"]["ok_ratio"]["pairs_won"] == 0
     assert summary["provenance"]["parent"] == {
         "backend": "numpy", "python": "3.11.7", "nproc": 2, "commit": "aaa"}
     assert summary["provenance"]["change"]["commit"] == "bbb"
@@ -77,6 +78,16 @@ def test_verdicts_follow_benchmark_json(dirs):
     assert hot["trials_per_s"]["worse_than_bound"] is False
     assert hot["trials_per_s"]["unresolved"] is True
     assert (hot["ok_ratio"]["worse_than_bound"], hot["ok_ratio"]["unresolved"]) == (False, False)
+
+
+@pytest.mark.parametrize("better, parent, change, won", [
+    ("higher", [10, 11, 12, 13], [11, 11, 13, 12], 2),  # a tie counts for neither side
+    ("lower", [10, 11, 12, 13], [11, 11, 13, 12], 1),
+    ("lower", [10, 11, 12, 13], [1, 2, 3, 4], 4),
+    ("higher", [5.0], [5.0], 0),
+])
+def test_pairs_won_compares_runs_at_the_same_seed(better, parent, change, won):
+    assert bench_summary.verdict(parent, change, better, 0.25)["pairs_won"] == won
 
 
 @pytest.mark.parametrize("better, parent, change, expected", [

@@ -72,7 +72,6 @@ _RNG = np.random.default_rng
 # (function of the bad value, the model that owns the range, the bad value)
 OUT_OF_RANGE = {
     "c_biawgn": (channels.c_biawgn, BIAWGN, -1.0),
-    "bec_transmit": (lambda v: channels.bec_transmit(_X, v, _RNG(0)), BEC, 1.5),
     "bsc_transmit": (lambda v: channels.bsc_transmit(_X, v, _RNG(0)), BSC, -0.1),
     "biawgn_transmit": (lambda v: channels.biawgn_transmit(_X, v, _RNG(0)), BIAWGN, -1.0),
     "awgn_llr": (lambda v: channels.awgn_llr(_X, v), BIAWGN, -1.0),
@@ -104,24 +103,6 @@ def test_c_biawgn_rejects_nan_and_infinite_snr(snr):
     # then never returned
     with pytest.raises(ValueError, match="nonnegative and finite"):
         channels.c_biawgn(snr)
-
-
-class TestBecTransmit:
-    def test_no_erasures(self):
-        rng = np.random.default_rng(0)
-        x = channels.modulate(np.array([0, 1, 1, 0]))
-        assert np.array_equal(channels.bec_transmit(x, 0.0, rng), x)
-
-    def test_all_erasures(self):
-        rng = np.random.default_rng(0)
-        x = channels.modulate(np.ones(50, dtype=np.uint8))
-        assert not channels.bec_transmit(x, 1.0, rng).any()
-
-    def test_erasure_fraction(self):
-        rng = np.random.default_rng(1)
-        x = channels.modulate(np.zeros(100_000, dtype=np.uint8))
-        frac = (channels.bec_transmit(x, 0.5, rng) == 0).mean()
-        assert frac == pytest.approx(0.5, abs=0.01)
 
 
 class TestBscTransmit:

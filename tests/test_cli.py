@@ -197,7 +197,7 @@ class TestThresholdCommand:
         def no_decode(*args, **kwargs):
             raise AssertionError("decoded before checking the target")
 
-        monkeypatch.setattr(thresholds, "bp_word_error_rate", no_decode)
+        monkeypatch.setattr(thresholds, "bp_decode_awgn", no_decode)
         out = tmp_path / "thr.csv"
         assert run("threshold", *argv, "--out", str(out)) == 2
         assert not out.exists()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from wiretapcodes import codes, decoders
 from wiretapcodes.bitlinalg import BitMatrix
-from wiretapcodes.channels import awgn_llr, bec_transmit, biawgn_transmit, modulate
+from wiretapcodes.channels import ERASED, awgn_llr, biawgn_transmit, modulate
 
 
 def check_parity(code, bits):
@@ -100,6 +100,14 @@ def assert_same_decode(code, llr, max_iters):
     return ok, rounds
 
 
+def bec_outputs(symbols, eps, rng):
+    """The +-1 symbols with each erased (set to 0) independently with
+    probability ``eps``."""
+    out = np.array(symbols, dtype=np.int8)
+    out[rng.random(out.shape) < eps] = ERASED
+    return out
+
+
 def channel_llrs(code, snr, rng):
     return awgn_llr(biawgn_transmit(modulate(np.zeros(code.n, dtype=np.uint8)), snr, rng), snr)
 
@@ -169,6 +177,40 @@ def test_bp_matches_reference_on_extreme_llrs(kind):
         assert_same_decode(code, llr, 20)
 
 
+# +-1e-12 is the clip, 37 and 38 bracket where tanh(x/2) rounds to 1, so
+# where a message's magnitude saturates to -0.0
+_EDGE_LLRS = [s * v for v in (0.0, 1e-13, 1e-12, 37.0, 38.0, np.inf) for s in (1.0, -1.0)]
+
+
+@st.composite
+def codes_and_llrs(draw):
+    """A random code of up to 6 checks on up to 10 variables, each check on
+    0-4 distinct variables (so checks and variables with no edges occur),
+    with LLRs drawn from the edge values above and normals."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    h = np.zeros((m, n), dtype=np.uint8)
+    for row in h:
+        row[sorted(draw(st.sets(st.integers(0, n - 1), max_size=4)))] = 1
+    llr = draw(st.lists(st.sampled_from(_EDGE_LLRS) | st.floats(-8.0, 8.0), min_size=n, max_size=n))
+    return codes.from_parity_check(BitMatrix.from_dense(h)), np.array(llr), draw(st.integers(0, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(codes_and_llrs())
+def test_bp_matches_reference_on_random_sparse_codes(case):
+    # the round carries psi = -phi and flips signs by the sign bit; the
+    # signed zeros, the clip and tanh's saturation must not move a bit
+    code, llr, max_iters = case
+    assert_same_decode(code, llr, max_iters)
+
+
+def test_bp_refuses_a_non_integer_round_limit():
+    code = irregular_code()
+    for max_iters in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="max_iters"):
+            decoders.bp_decode_awgn(code, np.ones(code.n), max_iters)
+
+
 def test_peeling_matches_reference_on_padded_layouts():
     rng = np.random.default_rng(8)
     for code in (irregular_code(), codes.dual(codes.regular_ldpc(60, 3, 6, seed=2)),
@@ -176,7 +218,7 @@ def test_peeling_matches_reference_on_padded_layouts():
         for eps in (0.1, 0.3, 0.5):
             for _ in range(10):
                 word = rng.integers(0, 2, code.n, dtype=np.uint8)
-                z = bec_transmit(modulate(word), eps, rng)
+                z = bec_outputs(modulate(word), eps, rng)
                 got, ok = decoders.peeling_decode_bec(code, z)
                 want, want_ok = reference_peeling(code, z)
                 assert np.array_equal(got, want) and ok == want_ok

@@ -5,9 +5,9 @@ import pytest
 
 from wiretapcodes import bitlinalg, channels, codes, decoders, secrecy
 from wiretapcodes.bitlinalg import BitMatrix
-from wiretapcodes.channels import BEC, BIAWGN, BSC, bec_transmit, modulate
+from wiretapcodes.channels import BEC, BIAWGN, BSC, modulate
 
-from test_decoders import reference_peel_edges
+from test_decoders import bec_outputs, reference_peel_edges
 
 
 def repetition_pair(n=3):
@@ -726,7 +726,7 @@ class TestPeeling:
             # every other input is a random word, not a codeword: inconsistent
             consistent = trial % 2
             cw = random_codeword(code, rng) if consistent else rng.integers(0, 2, n, dtype=np.uint8)
-            z = bec_transmit(modulate(cw), eps, rng)
+            z = bec_outputs(modulate(cw), eps, rng)
             word, ok = decoders.peeling_decode_bec(code, z)
             want, want_ok = reference(h, z)
             assert np.array_equal(word, want) and ok == want_ok
@@ -746,7 +746,7 @@ class TestPeeling:
             # every other input is a random word, not a codeword: inconsistent
             consistent = trial % 2
             cw = random_codeword(code, rng) if consistent else rng.integers(0, 2, n, dtype=np.uint8)
-            z = bec_transmit(modulate(cw), eps, rng)
+            z = bec_outputs(modulate(cw), eps, rng)
             word, ok = decoders.peeling_decode_bec(code, z)
             known, left = z != 0, word == decoders.ERASED_BIT
             assert np.array_equal(word[known], cw[known])
@@ -778,7 +778,7 @@ class TestPeeling:
         successes = partial = 0
         for _ in range(40):
             cw = random_codeword(code, rng)
-            z = bec_transmit(modulate(cw), eps, rng)
+            z = bec_outputs(modulate(cw), eps, rng)
             word, ok = decoders.peeling_decode_bec(code, z)
             resolved = word >= 0
             assert np.array_equal(word[resolved], cw[resolved])
@@ -797,7 +797,7 @@ class TestPeeling:
             rng = np.random.default_rng(77)
             ok_count = 0
             for _ in range(200):
-                _, ok = decoders.peeling_decode_bec(code, bec_transmit(x, eps, rng))
+                _, ok = decoders.peeling_decode_bec(code, bec_outputs(x, eps, rng))
                 ok_count += ok
             outcomes[eps] = ok_count / 200
         assert outcomes[0.40] >= 0.99  # below threshold 0.4294

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wiretapcodes import channels, codes, thresholds
+from wiretapcodes import channels, codes, decoders, thresholds
 from wiretapcodes.channels import BEC, BIAWGN, BSC
 from wiretapcodes.codes import DegreeDistribution
 
@@ -221,6 +221,103 @@ class TestEmpiricalBpThreshold:
             thresholds.empirical_bp_threshold_awgn(
                 code, [1.0], 50, 0.1, np.random.default_rng(0)
             )
+
+
+def reference_scan(code, snr_grid, trials, target_wer, rng, max_iters):
+    """The empirical threshold scan decoding every trial of every grid point
+    it reaches.  Returns the result, without the decode counts, and the
+    decodes a scan that stops once a point's errors so far reject it would
+    run at each point: up to the trial whose error first makes
+    ``errors / trials > target_wer``, or all of them."""
+    x = channels.modulate(np.zeros(code.n, dtype=np.uint8))
+    prev, needed = snr_grid[0], []
+    for snr in snr_grid:
+        errors, needed_here = 0, trials
+        for t in range(trials):
+            z = channels.biawgn_transmit(x, snr, rng)
+            bits, ok = decoders.bp_decode_awgn(code, channels.awgn_llr(z, snr), max_iters)
+            if not ok or bits.any():
+                errors += 1
+                if errors / trials > target_wer and needed_here == trials:
+                    needed_here = t + 1
+        needed.append(needed_here)
+        wer = errors / trials
+        if wer <= target_wer:
+            detail = {"trials": trials, "target_wer": target_wer, "wer": wer,
+                      "wer_wilson": thresholds.wilson_interval(errors, trials),
+                      "max_iters": max_iters}
+            return thresholds.ThresholdResult(snr, (prev, snr), "empirical-BP", detail), needed
+        prev = snr
+    detail = {"trials": trials, "target_wer": target_wer}
+    result = thresholds.ThresholdResult(None, (snr_grid[-1], math.inf),
+                                        "empirical-BP (above grid)", detail)
+    return result, needed
+
+
+@pytest.fixture(scope="module")
+def small_code():
+    # word errors at 100 trials and 20 rounds, seed 0: 100 at snr 0.3, 74
+    # at 0.6, 6 at 0.9, none from 1.2
+    return codes.regular_ldpc(204, 3, 6, seed=1)
+
+
+def assert_scan_matches_reference(code, grid, target_wer, seed, trials=100, max_iters=20):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = thresholds.empirical_bp_threshold_awgn(code, grid, trials, target_wer, got_rng, max_iters)
+    want, needed = reference_scan(code, grid, trials, target_wer, want_rng, max_iters)
+    run, skipped = got.detail.pop("decodes_run"), got.detail.pop("decodes_skipped")
+    assert got == want
+    assert run == needed and skipped == [trials - r for r in run]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.random() == want_rng.random()
+    return got, run
+
+
+class TestScanStopsDecodingRejectedPoints:
+    def test_accepted_at_the_first_point(self, small_code):
+        res, run = assert_scan_matches_reference(small_code, [1.2, 2.0], 0.05, 0)
+        assert res.value == 1.2 and run == [100]
+
+    def test_accepted_at_a_later_point(self, small_code):
+        res, run = assert_scan_matches_reference(small_code, [0.3, 0.6, 0.9, 1.2], 0.05, 0)
+        assert res.value is not None and res.value > 0.3
+        assert run[0] == 6 and run[-1] == 100
+
+    def test_exhausted_above_the_grid(self, small_code):
+        res, run = assert_scan_matches_reference(small_code, [0.0, 0.3, 0.6], 0.1, 0)
+        assert res.value is None and run[:2] == [11, 11]
+
+    def test_target_zero_stops_at_the_first_error(self, small_code):
+        res, run = assert_scan_matches_reference(small_code, [0.6, 0.9, 1.2, 2.0], 0.0, 0)
+        assert res.value is not None and res.detail["wer"] == 0.0
+        assert all(r < 100 for r in run[:-1]) and run[-1] == 100
+
+    def test_target_one_decodes_every_trial_of_the_first_point(self, small_code):
+        res, run = assert_scan_matches_reference(small_code, [0.0, 0.3], 1.0, 0)
+        assert (res.value, res.detail["wer"], run) == (0.0, 1.0, [100])
+
+    def test_error_count_exactly_on_the_bound(self, small_code):
+        # at snr 0.9 some but not all trials fail; a target of exactly
+        # errors/trials accepts the point after decoding every trial, one
+        # error fewer rejects it at its last error
+        errors, trials = thresholds.bp_word_error_rate(
+            small_code, 0.9, 100, np.random.default_rng(5), 20)
+        assert 0 < errors < trials
+        res, run = assert_scan_matches_reference(small_code, [0.9], errors / trials, 5)
+        assert res.detail["wer"] == errors / trials and run == [100]
+        res, run = assert_scan_matches_reference(small_code, [0.9], (errors - 1) / trials, 5)
+        assert res.value is None and run[0] < 100
+
+
+class TestWordErrorRate:
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_positive_trial_count(self, small_code, trials):
+        # 0 trials used to return (0, 0), a 0/0 rate, and -1 returned (0, -1)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="trials must be positive"):
+            thresholds.bp_word_error_rate(small_code, 1.0, trials, rng, 20)
+        assert rng.bit_generator.state == before
 
 
 class TestSecrecyCondition:

@@ -15,7 +15,9 @@ holds, per workload:
   ``worse_than_bound`` (the change's median is worse than the parent's by
   more than ``bound`` times the parent's median) and ``unresolved`` (the
   parent's interquartile range exceeds ``bound`` times its median, and not
-  every change run beats every parent run);
+  every change run beats every parent run), and ``pairs_won``, the seeds at
+  which the change's run beats the parent's in the ``better`` direction
+  (ties count for neither side), to read beside the workload's seed count;
 - per seed, whether the two result digests are equal;
 
 and, per side, the provenance of its runs (rank backend, Python, numpy and
@@ -56,7 +58,8 @@ def spread(values: list[float]) -> dict[str, float]:
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """``worse_than_bound`` and ``unresolved`` for one metric's paired runs."""
+    """``worse_than_bound``, ``unresolved`` and ``pairs_won`` for one
+    metric's runs, ``parent[i]`` and ``change[i]`` at the same seed."""
     sign = 1.0 if better == "higher" else -1.0
     base = spread(parent)
     worse = sign * (base["median"] - statistics.median(change)) > bound * abs(base["median"])
@@ -64,6 +67,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return {
         "worse_than_bound": worse,
         "unresolved": base["iqr"] > bound * abs(base["median"]) and not beats,
+        "pairs_won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
     }
 
 
