@@ -183,34 +183,53 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
     is a parity-check matrix of the dual code and vice versa.  Row ``t`` has
     a one at the ``t``-th free (non-pivot) column ``f``, zeros at the other
     free columns, and ``R[i, f]`` at the ``i``-th pivot column, ``R`` being
-    the reduced row echelon form.  It is built on packed words only, with
-    one 64x64 bit-block transpose (see :func:`_nullspace_from_rref`).
+    the reduced row echelon form.  It is built on packed words only, by
+    64x64 bit-block transposes of one strip of columns at a time, in memory
+    O(k * cols) beside the elimination (see :func:`_nullspace_from_rref`).
     """
     return _nullspace_from_rref(*rref(m))
+
+
+# Word columns per strip of _nullspace_from_rref: 512 columns, the fastest
+# of 2 to 32 words at n=2000 and n=10002.
+_STRIP_WORDS = 8
 
 
 def _nullspace_from_rref(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
     """:func:`nullspace_basis` of a matrix whose ``rref`` is given.
 
     Let ``a`` be the ``cols x cols`` matrix whose row at the ``i``-th pivot
-    is row ``i`` of ``reduced`` and whose row at each free column ``f`` is
-    the unit vector ``e_f``.  Column ``f`` of ``a`` is then basis vector
-    ``f``, so the basis is the free rows of ``a``'s transpose: ``a`` is
-    written straight into 64x64 bit blocks, transposed, and its free rows
-    gathered.
+    is row ``i`` of ``reduced`` and whose rows at the free columns are zero.
+    Column ``f`` of ``a`` is then basis vector ``f`` without its unit bit
+    ``e_f``, so the basis is the free rows of ``a``'s transpose with those
+    bits set.  ``a`` is never built whole: each strip of
+    ``_STRIP_WORDS`` word columns that holds a free column is written
+    straight into 64x64 bit blocks, transposed, and its free rows gathered
+    into the output.  Besides the ``k x cols`` output, memory is one strip,
+    ``cols x 512`` bits.
     """
     cols = reduced.cols
+    nw = _nwords(cols)
     piv = np.array(pivots, dtype=np.intp)
     free = np.ones(cols, dtype=bool)
     free[piv] = False
     free = np.flatnonzero(free)
-    nw = _nwords(cols)
-    blocks = np.zeros((nw, nw, 64), dtype=np.uint64)
-    rows_of = blocks.transpose(0, 2, 1)  # rows_of[I, i] is row 64 I + i of a
-    rows_of[piv // 64, piv % 64] = reduced.words[: piv.size]
-    rows_of[free // 64, free % 64, free // 64] = np.uint64(1) << (free % 64).astype(np.uint64)
-    _transpose_blocks(blocks)
-    basis = np.ascontiguousarray(blocks[:, free // 64, free % 64].T)
+    basis = np.zeros((free.size, nw), dtype=np.uint64)
+    piv_block, piv_bit = piv // 64, piv % 64
+    pivot_rows = reduced.words[: piv.size]
+    for w0 in range(0, nw, _STRIP_WORDS):
+        w1 = min(w0 + _STRIP_WORDS, nw)
+        t0, t1 = np.searchsorted(free, (64 * w0, 64 * w1))
+        if t0 == t1:
+            continue  # the strip holds only pivot columns
+        # blocks[I, J, i] is word w0 + J of row 64 I + i of a
+        blocks = np.zeros((nw, w1 - w0, 64), dtype=np.uint64)
+        blocks.transpose(0, 2, 1)[piv_block, piv_bit] = pivot_rows[:, w0:w1]
+        _transpose_blocks(blocks)
+        # now blocks[I, J, j] is word I of row 64 (w0 + J) + j of a's transpose
+        f = free[t0:t1] - 64 * w0
+        basis[t0:t1] = blocks[:, f // 64, f % 64].T
+    basis[np.arange(free.size), free // 64] |= np.uint64(1) << (free % 64).astype(np.uint64)
     return BitMatrix(free.size, cols, basis)
 
 

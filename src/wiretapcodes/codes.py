@@ -25,6 +25,15 @@ from .bitlinalg import BitMatrix
 _LDPC_FIXUP_ROUNDS = 1000
 
 
+def _check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an ``int``; ValueError naming the count ``name`` unless it
+    is an integer (``int`` or a numpy integer, not ``bool``) of at least
+    ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _edge_polynomial(terms, x):
     """The sum of ``f * x**e`` over ``terms``, added left to right from 0."""
     s = 0
@@ -63,6 +72,8 @@ class DegreeDistribution:
 
     @classmethod
     def regular(cls, dv: int, dc: int) -> "DegreeDistribution":
+        dv = _check_count(dv, "dv")
+        dc = _check_count(dc, "dc")
         return cls({dv: 1.0}, {dc: 1.0})
 
     def lam(self, x):
@@ -281,14 +292,23 @@ def from_parity_check(h: BitMatrix) -> LinearCode:
     The stored ``h`` is the reduced row echelon form restricted to its
     nonzero rows, so duplicated or dependent check rows yield the same code
     object; the original matrix is retained as ``checks`` for the decoders.
+    ``checks`` is a copy: codes are immutable, and the caller may go on
+    changing its matrix.  (:func:`regular_ldpc` and :func:`read_alist` hand
+    over the matrix they have just packed, which nothing else holds, and
+    skip the copy.)
     """
-    if h.cols < 1:
+    return _from_checks(h.copy())
+
+
+def _from_checks(checks: BitMatrix) -> LinearCode:
+    """:func:`from_parity_check` keeping ``checks`` itself, not a copy."""
+    if checks.cols < 1:
         raise ValueError("block length must be at least 1")
-    reduced, pivots = bitlinalg.rref(h)
+    reduced, pivots = bitlinalg.rref(checks)
     r = len(pivots)
-    h_norm = BitMatrix(r, h.cols, np.ascontiguousarray(reduced.words[:r]))
-    g = bitlinalg._nullspace_from_rref(h_norm, pivots)
-    return LinearCode(h_norm, g, h.copy(), pivots)
+    h = BitMatrix(r, checks.cols, reduced.words[:r])
+    g = bitlinalg._nullspace_from_rref(h, pivots)
+    return LinearCode(h, g, checks, pivots)
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -314,7 +334,10 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
     Deterministic: the same ``(n, dv, dc, seed)`` always yields the same
     matrix.
     """
-    if dv < 1 or dc < 1 or dv >= dc:
+    n = _check_count(n, "n", 0)  # n < dc is refused below, naming dc
+    dv = _check_count(dv, "dv")
+    dc = _check_count(dc, "dc")
+    if dv >= dc:
         raise ValueError(f"need 1 <= dv < dc, got dv={dv}, dc={dc}")
     if (n * dv) % dc != 0:
         raise ValueError(f"n*dv = {n * dv} is not divisible by dc = {dc}")
@@ -340,8 +363,7 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
             f"could not remove parallel edges after {_LDPC_FIXUP_ROUNDS} rounds"
         )
 
-    h = _pack_edges(chk_of_socket, var_of_socket, m, n)
-    return from_parity_check(h)
+    return _from_checks(_pack_edges(chk_of_socket, var_of_socket, m, n))
 
 
 class NestedCodePair:
@@ -491,7 +513,7 @@ def read_alist(path) -> LinearCode:
         raise AlistParseError(
             f"line {5 + n + differ[0]}: row list disagrees with column lists"
         )
-    return from_parity_check(h)
+    return _from_checks(h)
 
 
 def write_alist(code: LinearCode, path) -> None:

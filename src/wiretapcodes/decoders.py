@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .codes import _KEY_LOW, _KEY_SHIFT, LinearCode, _edge_keys
+from .codes import _KEY_LOW, _KEY_SHIFT, LinearCode, _check_count, _edge_keys
 
 ERASED_BIT = -1
 _PHI_CLIP = 1e-12
@@ -164,6 +164,7 @@ def bp_decode_awgn(code: LinearCode, llrs, max_iters: int) -> tuple[np.ndarray, 
     iterations.  Success requires a zero syndrome with no zero-LLR
     (undecidable) posterior; deterministic given its inputs.
     """
+    max_iters = _check_count(max_iters, "max_iters", 0)
     posterior, ok, _ = _sum_product(code, llrs, max_iters)
     return (posterior < 0).astype(np.uint8), ok
 
@@ -175,8 +176,6 @@ def _sum_product(code: LinearCode, llrs, max_iters: int) -> tuple[np.ndarray, bo
     llr = np.asarray(llrs, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"expected {code.n} LLRs, got {llr.shape}")
-    if not isinstance(max_iters, (int, np.integer)) or max_iters < 0:
-        raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters!r}")
     slot_var, var_slots = code.check_layout()
     n = code.n
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import bitlinalg
 from ._kernels import rank_words
 from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
-from .codes import _KEY_LOW, _KEY_SHIFT, NestedCodePair, _pack_edges
+from .codes import _KEY_LOW, _KEY_SHIFT, NestedCodePair, _check_count, _pack_edges
 from .decoders import _peel_edges, _sum_product
 from .thresholds import Z95, wilson_interval
 
@@ -301,8 +301,7 @@ def mc_equivocation_bec(
     empty when the pair has no sparse span to peel.
     """
     BEC(erasure_prob)  # the model checks the range
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _check_count(trials, "trials")
     ranks = np.empty(trials, dtype=np.float64)
     paths = dict.fromkeys(_RANK_PATHS, 0)
     peel_rounds = []
@@ -371,8 +370,8 @@ def approach1_equivocation_bound(
     (``bp_iterations``: 0 when the channel LLRs already decode,
     ``max_bp_iters`` when decoding fails).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _check_count(trials, "trials")
+    max_bp_iters = _check_count(max_bp_iters, "max_bp_iters", 0)
     BIAWGN(snr)  # the model checks the range
     n = pair.n
     r1 = pair.coarse.rate

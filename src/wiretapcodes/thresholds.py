@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import BEC, ChannelModel, awgn_llr, biawgn_transmit, modulate
-from .codes import DegreeDistribution, LinearCode
+from .codes import DegreeDistribution, LinearCode, _check_count
 from .decoders import bp_decode_awgn
 
 DE_TOL = 1e-8
@@ -114,9 +114,9 @@ def bec_bp_threshold(dd: DegreeDistribution, tol: float = DE_CLASSIFY_TOL) -> Th
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
+    trials = _check_count(trials, "trials")
+    successes = _check_count(successes, "successes", 0)
+    if successes > trials:
         raise ValueError("successes outside [0, trials]")
     p = successes / trials
     z = Z95
@@ -139,8 +139,8 @@ def bp_word_error_rate(
     representative of the ensemble-average behaviour.  A trial counts as an
     error unless decoding converges to the transmitted word itself.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    trials = _check_count(trials, "trials")
+    max_iters = _check_count(max_iters, "max_iters", 0)
     errors, _ = _count_word_errors(code, snr, trials, rng, max_iters, math.inf)
     return errors, trials
 
@@ -190,8 +190,8 @@ def empirical_bp_threshold_awgn(
         raise ValueError("snr grid must be nonempty")
     if grid != sorted(grid):
         raise ValueError("snr grid must be ascending")
-    if trials < 100:
-        raise ValueError("need at least 100 trials per grid point")
+    trials = _check_count(trials, "trials", 100)  # per grid point
+    max_iters = _check_count(max_iters, "max_iters", 0)
     if not 0.0 <= target_wer <= 1.0:
         raise ValueError(f"target word-error rate {target_wer} outside [0, 1]")
     run, skipped = [], []

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,87 @@ class TestNullspace:
         assert not ((m.to_dense() @ basis.T) % 2).any()
 
 
+def nullspace_oracle(reduced, pivots) -> np.ndarray:
+    """The null-space basis read off a dense matrix with the identity at
+    ``pivots``: row ``t`` is ``e_f`` plus ``reduced[:, f]`` at the pivots,
+    ``f`` the ``t``-th free column."""
+    cols = reduced.shape[1]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = reduced[: len(pivots)][:, free].T
+    return basis
+
+
+def full_row_rank_dense(rng, rows, cols) -> np.ndarray:
+    """A ``rows x cols`` matrix of rank ``rows``: an invertible product of
+    unitriangular factors, then random columns, columns shuffled."""
+    lower = np.tril(rng.integers(0, 2, size=(rows, rows)), -1) + np.eye(rows, dtype=np.int64)
+    upper = np.triu(rng.integers(0, 2, size=(rows, rows)), 1) + np.eye(rows, dtype=np.int64)
+    left = (lower @ upper) % 2
+    dense = np.hstack([left, rng.integers(0, 2, size=(rows, cols - rows))])
+    return dense[:, rng.permutation(cols)].astype(np.uint8)
+
+
+class TestStripNullspace:
+    """The basis is transposed one strip of 512 columns at a time; widths
+    around the word and strip edges, against dense elimination."""
+
+    @pytest.mark.parametrize("cols", [1, 63, 64, 511, 512, 513, 1157])
+    @pytest.mark.parametrize("rank", ["zero", "partial", "full"])
+    def test_against_dense_elimination(self, cols, rank):
+        rng = np.random.default_rng(cols)
+        rows = min(cols, 300)
+        if rank == "zero":
+            dense = np.zeros((rows, cols), dtype=np.uint8)
+        elif rank == "partial":
+            dense = low_rank_dense(rng, rows, cols, max(1, rows // 2))
+        else:
+            dense = full_row_rank_dense(rng, rows, cols)
+        reduced, pivots = dense_rref(dense)
+        basis = bitlinalg.nullspace_basis(BitMatrix.from_dense(dense))
+        assert basis == BitMatrix.from_dense(nullspace_oracle(reduced, pivots))
+        assert basis.rows == cols - {"zero": 0, "partial": len(pivots), "full": rows}[rank]
+
+    @pytest.mark.parametrize("all_pivot_strips", [(0,), (1,), (2,), (0, 2), (0, 1, 2)])
+    def test_strips_without_a_free_column(self, all_pivot_strips):
+        # every column of the listed strips is a pivot, so those strips
+        # contribute no basis vector; 1100 columns make the last strip narrow
+        cols = 1100
+        rng = np.random.default_rng(sum(all_pivot_strips))
+        is_pivot = rng.random(cols) < 0.2
+        for s in all_pivot_strips:
+            is_pivot[512 * s : 512 * (s + 1)] = True
+        pivots = np.flatnonzero(is_pivot)
+        dense = rng.integers(0, 2, size=(pivots.size, cols), dtype=np.uint8)
+        dense[:, pivots] = np.eye(pivots.size, dtype=np.uint8)
+        basis = bitlinalg._nullspace_from_rref(BitMatrix.from_dense(dense), pivots.tolist())
+        want = nullspace_oracle(dense, pivots)
+        assert basis == BitMatrix.from_dense(want)
+        assert not ((dense.astype(np.int64) @ want.T) % 2).any()
+
+    def test_peak_memory_is_near_the_output(self):
+        # a reduced 2000 x 10000 matrix: the whole 10000 x 10000 bit matrix
+        # and its transpose temporaries (2.5x the output) are never built
+        rng = np.random.default_rng(11)
+        rows, cols = 2000, 10000
+        pivots = np.sort(rng.choice(cols, rows, replace=False))
+        is_free = np.ones(cols, dtype=bool)
+        is_free[pivots] = False
+        words = rng.integers(0, 2**64, size=(rows, bitlinalg._nwords(cols)), dtype=np.uint64)
+        words &= bitlinalg.pack_vector(is_free, cols)  # random bits at the free columns
+        words[np.arange(rows), pivots // 64] |= np.uint64(1) << (pivots % 64).astype(np.uint64)
+        reduced = BitMatrix(rows, cols, words)
+        tracemalloc.start()
+        try:
+            basis = bitlinalg._nullspace_from_rref(reduced, pivots.tolist())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.shape == (cols - rows, cols)
+        assert peak < 1.5 * basis.words.nbytes
+
+
 class TestMatVec:
     def test_identity(self):
         v = np.array([1, 0, 1], dtype=np.uint8)
@@ -591,4 +673,24 @@ def test_import_is_silent_and_loads_no_numba():
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True,
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_special_loads_only_for_an_awgn_erasure_rate():
+    # scipy.special costs a process about 24 MB; building codes, BEC
+    # estimates, BP and the BI-AWGN capacity must not load it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(wiretapcodes.__file__).parents[1])
+    code = "; ".join([
+        "import sys, numpy as np, wiretapcodes as w",
+        "rng = np.random.default_rng(0)",
+        "pair = w.nested_pair_from_coarse(w.dual(w.regular_ldpc(60, 3, 6, 1)))",
+        "w.mc_equivocation_bec(pair, 0.5, 3, rng)",
+        "w.bec_bp_threshold(w.DegreeDistribution.regular(3, 6))",
+        "w.approach1_equivocation_bound(w.nested_pair_from_coarse(w.regular_ldpc(60, 3, 6, 1)), 1.0, 2, 5, rng)",
+        "assert 'scipy.special' not in sys.modules",
+        "w.BIAWGN(0.465).erasure_rate",
+        "assert 'scipy.special' in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -91,6 +91,13 @@ class TestFromParityCheck:
         assert bitlinalg.rank(code.h) == code.n - code.k
         assert bitlinalg.rank(code.g) == code.k
 
+    def test_keeps_a_copy_of_the_callers_matrix(self):
+        h = BitMatrix.from_dense(np.random.default_rng(3).integers(0, 2, size=(6, 70)))
+        code = codes.from_parity_check(h)
+        want = h.copy()
+        h.words[:] = 0
+        assert code.checks == want
+
     def test_reduces_once_with_the_nullspace_basis_of_h(self, monkeypatch):
         calls = []
         rref = bitlinalg.rref
@@ -487,24 +494,47 @@ def test_construction_is_bit_identical(label):
     assert got == CONSTRUCTION_PINS[label]
 
 
-# sha256 of the criterion-10 code (n=10002, 6667 x 157 words of checks),
-# recorded with the word-stripe elimination that the byte-aligned one with
-# back-substitution replaced.
-LDPC10002_PINS = {
-    "checks": "08a5561cb75e766707f406ae8d88127e4e5b6bd6c8086cb2291325055056563d",
-    "h": "eb7399651d99b5f7a031ed4eb25be233296cd8bab1cc0617a40233c5c40ad12a",
-    "g": "c75e35a9ef93ddec4698bf5bffbab60d1ef387603b92a15b42f32b3fe22c4927",
-    "pivots": "98da6fddf0e32ee195673e790e594f38ffb27e774deecf614cbd5cc8b1f2f439",
+# sha256 of regular_ldpc codes.  The criterion-10 code (n=10002, 6667 x 157
+# words of checks) was recorded with the word-stripe elimination that the
+# byte-aligned one with back-substitution replaced; the n=2000 code with the
+# whole-matrix null-space transpose that the strip-wise one replaced.
+REGULAR_LDPC_PINS = {
+    (2000, 3, 6, 101): {
+        "checks": "a4d89a15d454122079bd7ff76bb72d11ae0c5b9d09ae89d8f5d172bbcd956d4a",
+        "h": "d5b59075e55f997ae97f039bae8c3db94c2636a35e0d65458cee7a2eb498affc",
+        "g": "48c3d3023ccb605a146bac149f82279567c11837d829f5909441558f7b354832",
+        "pivots": "6572c13c4cc4d5e577aa9c0c91ab710b373ba526a99195190472d5850beae1b7",
+    },
+    (10002, 4, 6, 8): {
+        "checks": "08a5561cb75e766707f406ae8d88127e4e5b6bd6c8086cb2291325055056563d",
+        "h": "eb7399651d99b5f7a031ed4eb25be233296cd8bab1cc0617a40233c5c40ad12a",
+        "g": "c75e35a9ef93ddec4698bf5bffbab60d1ef387603b92a15b42f32b3fe22c4927",
+        "pivots": "98da6fddf0e32ee195673e790e594f38ffb27e774deecf614cbd5cc8b1f2f439",
+    },
 }
 
 
-def test_ldpc10002_construction_is_bit_identical():
-    code = codes.regular_ldpc(10002, 4, 6, seed=8)
+@pytest.mark.parametrize("args", sorted(REGULAR_LDPC_PINS), ids=lambda a: "-".join(map(str, a)))
+def test_regular_ldpc_construction_is_bit_identical(args):
+    code = codes.regular_ldpc(*args)
     got = {
         "checks": sha(code.checks), "h": sha(code.h), "g": sha(code.g),
         "pivots": hashlib.sha256(code.pivots.astype("<i8").tobytes()).hexdigest(),
     }
-    assert got == LDPC10002_PINS
+    assert got == REGULAR_LDPC_PINS[args]
+
+
+def test_ldpc10002_construction_peak_memory():
+    # checks, h and g hold 20 MiB at the end.  The 10002 x 10002 bit matrix
+    # the null space is read from (12 MiB) is never built whole, and checks
+    # is not copied (8 MiB): 41 MiB before the strip-wise null space.
+    tracemalloc.start()
+    try:
+        codes.regular_ldpc(10002, 4, 6, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20
 
 
 def test_construction_holds_no_dense_check_sized_array():

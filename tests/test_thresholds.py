@@ -315,7 +315,7 @@ class TestWordErrorRate:
         # 0 trials used to return (0, 0), a 0/0 rate, and -1 returned (0, -1)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        with pytest.raises(ValueError, match="trials must be positive"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             thresholds.bp_word_error_rate(small_code, 1.0, trials, rng, 20)
         assert rng.bit_generator.state == before
 
