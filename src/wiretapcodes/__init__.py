@@ -50,7 +50,7 @@ from .codes import (
     regular_ldpc,
     write_alist,
 )
-from .decoders import bp_decode_awgn, peeling_decode_bec
+from .decoders import bp_decode_awgn
 from .secrecy import (
     CosetCodeword,
     EquivocationEstimate,

@@ -22,6 +22,15 @@ if sys.byteorder != "little":  # pragma: no cover
     raise ImportError("bit-packed word layout assumes a little-endian platform")
 
 
+def _check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as an ``int``; ValueError naming the count ``name`` unless it
+    is an integer (``int`` or a numpy integer, not ``bool``) of at least
+    ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _nwords(cols: int) -> int:
     return (cols + 63) // 64
 
@@ -103,8 +112,7 @@ class BitMatrix:
     __slots__ = ("rows", "cols", "words")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        rows, cols = _check_count(rows, "rows", 0), _check_count(cols, "cols", 0)
         if words.shape != (rows, _nwords(cols)):
             raise ValueError(
                 f"word array shape {words.shape} does not match "
@@ -126,7 +134,7 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_dense(np.eye(n, dtype=np.uint8))
+        return cls.from_dense(np.eye(_check_count(n, "n", 0), dtype=np.uint8))
 
     def to_dense(self) -> np.ndarray:
         return _unpack_rows(self.words, self.cols)

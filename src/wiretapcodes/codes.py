@@ -20,18 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitlinalg
-from .bitlinalg import BitMatrix
+from .bitlinalg import BitMatrix, _check_count
 
 _LDPC_FIXUP_ROUNDS = 1000
-
-
-def _check_count(value, name: str, least: int = 1) -> int:
-    """``value`` as an ``int``; ValueError naming the count ``name`` unless it
-    is an integer (``int`` or a numpy integer, not ``bool``) of at least
-    ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def _edge_polynomial(terms, x):

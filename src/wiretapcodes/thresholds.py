@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import BEC, ChannelModel, awgn_llr, biawgn_transmit, modulate
-from .codes import DegreeDistribution, LinearCode, _check_count
+from .bitlinalg import _check_count
+from .codes import DegreeDistribution, LinearCode
 from .decoders import bp_decode_awgn
 
 DE_TOL = 1e-8

@@ -1,14 +1,21 @@
-"""Every defaulted parameter the package exports, in one table.
+"""Every defaulted parameter the package exports, and every export only the
+tests call, each in one table.
 
 A parameter with a default is a setting a caller may change without being
 asked to.  The table lists every one on the callables exported from
 ``wiretapcodes`` and on the public methods of its exported classes, so a
-new setting is added here on purpose.
+new setting is added here on purpose.  Likewise an export that nothing in
+the package, the demos or the benchmark calls is listed with the reason it
+stays public.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import wiretapcodes
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # name -> {parameter: repr(default)}; callables without defaults are absent
 DEFAULTED = {
@@ -45,6 +52,38 @@ def test_every_defaulted_parameter_is_in_the_table():
         if params := defaulted(func):
             found[name] = params
     assert found == DEFAULTED
+
+
+# name -> why it stays exported although only the tests call it
+TEST_ONLY = {
+    "write_alist": "read_alist's inverse, the README's alist file I/O",
+}
+
+
+def caller_sources():
+    """The text that may call an export: the package's modules without
+    their ``__all__`` lists (``__init__`` only re-exports), the demos and
+    the benchmark's modules, not its tests."""
+    for path in sorted((ROOT / "src" / "wiretapcodes").glob("*.py")):
+        if path.name != "__init__.py":
+            yield re.sub(r"__all__ = \[.*?\]", "", path.read_text(), flags=re.S)
+    for folder in ("demos", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                yield path.read_text()
+
+
+def test_every_export_has_a_caller_outside_tests():
+    sources = list(caller_sources())
+    uncalled = set()
+    for name, _ in exported_callables():
+        if "." in name:
+            continue
+        # any mention but the name's own definition
+        use = re.compile(rf"(?<!def )(?<!class )\b{name}\b")
+        if not any(use.search(text) for text in sources):
+            uncalled.add(name)
+    assert uncalled == set(TEST_ONLY)
 
 
 def test_enumeration_reaches_functions_classes_and_methods():

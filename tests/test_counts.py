@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from wiretapcodes import codes, decoders, secrecy, thresholds
+from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import BEC
 from wiretapcodes.codes import DegreeDistribution
 
@@ -46,6 +47,11 @@ COUNTS = [
     ("regular_ldpc", "dc", 1, 6, lambda v, rng: codes.regular_ldpc(60, 3, v, seed=1)),
     ("DegreeDistribution.regular", "dv", 1, 3, lambda v, rng: DegreeDistribution.regular(v, 6)),
     ("DegreeDistribution.regular", "dc", 1, 6, lambda v, rng: DegreeDistribution.regular(3, v)),
+    ("BitMatrix", "rows", 0, 2,
+     lambda v, rng: BitMatrix(v, 3, np.zeros((2, 1), dtype=np.uint64))),
+    ("BitMatrix", "cols", 0, 3,
+     lambda v, rng: BitMatrix(2, v, np.zeros((2, 1), dtype=np.uint64))),
+    ("BitMatrix.identity", "n", 0, 3, lambda v, rng: BitMatrix.identity(v)),
 ]
 IDS = [f"{func}-{count}" for func, count, *_ in COUNTS]
 

@@ -7,7 +7,7 @@ from wiretapcodes import bitlinalg, channels, codes, decoders, secrecy
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import BEC, BIAWGN, BSC, modulate
 
-from test_decoders import bec_outputs, reference_peel_edges
+from test_decoders import reference_peel_edges
 
 
 def repetition_pair(n=3):
@@ -658,81 +658,74 @@ class TestApproach1:
         assert est.value == pytest.approx(max(0.0, 1 - 1 / 3 - 1 / 3), abs=1e-12)
 
 
-class TestPeeling:
-    def test_no_erasures_valid_word(self):
-        pair = repetition_pair()
-        word, ok = decoders.peeling_decode_bec(pair.coarse, modulate([1, 1, 1]))
-        assert ok and word.tolist() == [1, 1, 1]
+def peel_code(code, unknown):
+    """``_peel_edges`` on the check matrix of ``code``, clearing the positions
+    it resolves in ``unknown``: per round its resolving ``(chk, var)``
+    edges, then the core's."""
+    keys = codes._edge_keys(*code.edge_lists(), code.checks.rows, code.n)
+    rounds, core = decoders._peel_edges(keys, unknown)
+    return [(r >> 32, r & 0xFFFFFFFF) for r in rounds], (core >> 32, core & 0xFFFFFFFF)
 
-    def test_all_erased_fails(self):
-        pair = repetition_pair()
-        word, ok = decoders.peeling_decode_bec(pair.coarse, np.zeros(3, dtype=np.int8))
-        assert not ok and (word == -1).all()
+
+class TestPeeling:
+    """The BEC peel of a code's own erasures, ``_peel_edges`` on its checks."""
+
+    def test_no_erasures_and_all_erased(self):
+        code = repetition_pair().coarse
+        unknown = np.zeros(3, dtype=bool)
+        rounds, (core_chk, _) = peel_code(code, unknown)
+        assert rounds == [] and core_chk.size == 0 and not unknown.any()
+        # every check sees two unknowns: the whole graph is the core
+        unknown = np.ones(3, dtype=bool)
+        rounds, (core_chk, core_var) = peel_code(code, unknown)
+        assert rounds == [] and unknown.all()
+        assert core_chk.tolist() == [0, 0, 1, 1] and core_var.tolist() == [0, 1, 1, 2]
 
     def test_single_erasure_forced_by_parity(self):
         code = codes.regular_ldpc(6, 2, 3, seed=0)
-        cw = random_codeword(code, np.random.default_rng(11))
-        z = modulate(cw).astype(np.int8)
-        z[3] = 0
-        word, ok = decoders.peeling_decode_bec(code, z)
-        assert ok and np.array_equal(word, cw)
-
-    def test_inconsistent_input_reported(self):
-        pair = repetition_pair()
-        # 010 is not a repetition codeword and nothing is erased
-        word, ok = decoders.peeling_decode_bec(pair.coarse, modulate([0, 1, 0]))
-        assert not ok
-        assert word.tolist() == [0, 1, 0]  # unerased positions untouched
-
-    def test_same_round_conflict_first_check_wins_and_is_reported(self):
-        # both checks force variable 0 in the first round, to 0 and to 1
-        code = codes.from_parity_check(BitMatrix.from_dense([[1, 1, 0], [1, 0, 1]]))
-        word, ok = decoders.peeling_decode_bec(code, np.array([0, 1, -1], dtype=np.int8))
-        assert word.tolist() == [0, 0, 1]
-        assert not ok
+        unknown = np.zeros(6, dtype=bool)
+        unknown[3] = True
+        rounds, (core_chk, _) = peel_code(code, unknown)
+        # both checks on variable 3 resolve it in the one round
+        ((chk, var),) = rounds
+        assert chk.tolist() == np.flatnonzero(code.checks.to_dense()[:, 3]).tolist()
+        assert var.tolist() == [3, 3]
+        assert core_chk.size == 0 and not unknown.any()
 
     @pytest.mark.parametrize(
         "n,dv,dc,eps", [(120, 3, 6, 0.35), (120, 3, 6, 0.50), (102, 4, 6, 0.45)]
     )
-    def test_matches_per_round_parity_reference(self, n, dv, dc, eps):
-        # the reference peels the dense checks one check at a time: each round,
-        # every check with one unknown neighbour sets it to the parity of its
-        # known ones as they stood at the start of the round, and the
-        # lowest-index check wins a same-round conflict
-        def reference(h, z):
-            bits = (z < 0).astype(np.int64)
-            unknown = z == 0
+    def test_rounds_match_a_dense_one_check_at_a_time_reference(self, n, dv, dc, eps):
+        # the reference scans the dense checks one at a time: each round,
+        # every check with one unknown neighbour resolves it, in check order
+        def reference(h, unknown):
+            rounds = []
             while True:
                 single = np.flatnonzero(h[:, unknown].sum(axis=1) == 1)
                 if single.size == 0:
-                    break
-                start = bits.copy()
-                forced = set()
-                for c in single:
-                    (v,) = np.flatnonzero(h[c] & unknown)
-                    if v not in forced:
-                        forced.add(v)
-                        bits[v] = h[c] @ (start * ~unknown) % 2
-                unknown[list(forced)] = False
-            success = not unknown.any() and not (h @ bits % 2).any()
-            bits[unknown] = decoders.ERASED_BIT
-            return bits, success
+                    return rounds
+                var = [np.flatnonzero(h[c] & unknown)[0] for c in single]
+                rounds.append((single.tolist(), var))
+                unknown[var] = False
 
         code = codes.regular_ldpc(n, dv, dc, seed=n + dv)
-        h = code.checks.to_dense().astype(np.int64)
+        h = code.checks.to_dense()
         rng = np.random.default_rng(int(100 * eps))
-        outcomes = set()
-        for trial in range(60):
-            # every other input is a random word, not a codeword: inconsistent
-            consistent = trial % 2
-            cw = random_codeword(code, rng) if consistent else rng.integers(0, 2, n, dtype=np.uint8)
-            z = bec_outputs(modulate(cw), eps, rng)
-            word, ok = decoders.peeling_decode_bec(code, z)
-            want, want_ok = reference(h, z)
-            assert np.array_equal(word, want) and ok == want_ok
-            outcomes.add((consistent, ok))
-        assert (0, False) in outcomes and (0, True) not in outcomes
-        assert eps > 0.45 or (1, True) in outcomes
+        peeled = set()
+        for _ in range(60):
+            unknown = rng.random(n) < eps
+            want_unknown = unknown.copy()
+            want = reference(h, want_unknown)
+            rounds, (core_chk, core_var) = peel_code(code, unknown)
+            assert [(c.tolist(), v.tolist()) for c, v in rounds] == want
+            assert np.array_equal(unknown, want_unknown)
+            # the core is every edge of the checks to the unknown variables
+            want_chk, want_var = np.nonzero(h[:, unknown])
+            assert np.array_equal(core_chk, want_chk)
+            assert np.array_equal(core_var, np.flatnonzero(unknown)[want_var])
+            peeled.add(not unknown.any())
+        assert False in peeled
+        assert eps > 0.45 or True in peeled
 
     @pytest.mark.parametrize(
         "n,dv,dc,eps", [(120, 3, 6, 0.35), (120, 3, 6, 0.50), (102, 4, 6, 0.45)]
@@ -741,67 +734,75 @@ class TestPeeling:
         code = codes.regular_ldpc(n, dv, dc, seed=n + dv)
         h = code.checks.to_dense()
         rng = np.random.default_rng(int(100 * eps))
-        outcomes = set()
-        for trial in range(60):
-            # every other input is a random word, not a codeword: inconsistent
-            consistent = trial % 2
-            cw = random_codeword(code, rng) if consistent else rng.integers(0, 2, n, dtype=np.uint8)
-            z = bec_outputs(modulate(cw), eps, rng)
-            word, ok = decoders.peeling_decode_bec(code, z)
-            known, left = z != 0, word == decoders.ERASED_BIT
-            assert np.array_equal(word[known], cw[known])
+        resolved_any = False
+        for _ in range(60):
+            unknown = rng.random(n) < eps
+            erased = np.flatnonzero(unknown)
+            peel_code(code, unknown)
             # peeling stops only where no check sees exactly one unknown
-            assert (h[:, left].sum(axis=1) != 1).all()
-            assert ok == (not left.any() and not (h @ word % 2).any())
-            if consistent:
-                resolved = np.flatnonzero(~known & ~left)
-                assert np.array_equal(word[resolved], cw[resolved])
-                # each resolved bit is a function of the known bits: its
-                # column is outside the span of the other erased columns
-                erased = np.flatnonzero(~known)
-                full = uint8_rank(h[:, erased])
-                for i in resolved:
-                    assert full - uint8_rank(h[:, erased[erased != i]]) == 1
-            outcomes.add((consistent, ok))
-        # consistent inputs decode at least once, inconsistent ones never
-        assert (0, False) in outcomes and (0, True) not in outcomes
-        assert eps > 0.45 or (1, True) in outcomes
+            assert (h[:, unknown].sum(axis=1) != 1).all()
+            # each resolved bit is a function of the known bits: its column
+            # is outside the span of the other erased columns
+            full = uint8_rank(h[:, erased])
+            for i in erased[~unknown[erased]]:
+                assert full - uint8_rank(h[:, erased[erased != i]]) == 1
+                resolved_any = True
+        assert resolved_any
 
     # BEC BP thresholds: (3,6) 0.4294, (4,6) 0.5061
     @pytest.mark.parametrize("n,dv,dc,eps,below", [
         (120, 3, 6, 0.25, True), (120, 3, 6, 0.55, False),
         (102, 4, 6, 0.30, True), (102, 4, 6, 0.60, False),
     ])
-    def test_resolved_positions_are_the_sent_bits(self, n, dv, dc, eps, below):
+    def test_peels_below_the_threshold_and_stops_above(self, n, dv, dc, eps, below):
         code = codes.regular_ldpc(n, dv, dc, seed=n + dv)
         rng = np.random.default_rng(int(100 * eps))
         successes = partial = 0
         for _ in range(40):
-            cw = random_codeword(code, rng)
-            z = bec_outputs(modulate(cw), eps, rng)
-            word, ok = decoders.peeling_decode_bec(code, z)
-            resolved = word >= 0
-            assert np.array_equal(word[resolved], cw[resolved])
-            assert ok == bool(resolved.all())
-            successes += ok
-            partial += not ok and np.count_nonzero(resolved) > np.count_nonzero(z)
+            random_codeword(code, rng)  # the sent word, drawn before its erasures
+            unknown = rng.random(n) < eps
+            rounds, _ = peel_code(code, unknown)
+            successes += not unknown.any()
+            partial += unknown.any() and bool(rounds)
         assert (successes > 30) == below
-        # above the threshold, failed decodes still resolve some erasures
+        # above the threshold, failed peels still resolve some erasures
         assert below or partial > 30
 
     def test_threshold_behaviour_at_n_10k(self):
         code = codes.regular_ldpc(10_000, 3, 6, seed=20)
-        x = modulate(np.zeros(10_000, dtype=np.uint8)).astype(np.int8)
+        keys = codes._edge_keys(*code.edge_lists(), code.checks.rows, code.n)
         outcomes = {}
         for eps in (0.40, 0.46):
             rng = np.random.default_rng(77)
             ok_count = 0
             for _ in range(200):
-                _, ok = decoders.peeling_decode_bec(code, bec_outputs(x, eps, rng))
-                ok_count += ok
+                unknown = rng.random(10_000) < eps
+                decoders._peel_edges(keys, unknown)
+                ok_count += not unknown.any()
             outcomes[eps] = ok_count / 200
         assert outcomes[0.40] >= 0.99  # below threshold 0.4294
         assert outcomes[0.46] <= 0.10  # above threshold
+
+    def test_empty_cores_are_the_parent_peeling_the_complement(self, ldpc_dual_pair):
+        # On a dual pair an empty stopping-set core at erasure rate eps is
+        # the parent code peeling its own erasures, the unerased positions,
+        # at rate 1 - eps: pattern by pattern, around the (3,6) edge at
+        # 1 - 0.4294 = 0.5706.
+        pair = ldpc_dual_pair
+        parent = codes.regular_ldpc(2000, 3, 6, seed=101)
+        keys = codes._edge_keys(*parent.edge_lists(), parent.checks.rows, parent.n)
+        empty = {}
+        for eps in (0.50, 0.57, 0.60):
+            erased = np.random.default_rng(int(100 * eps)).random((64, pair.n)) < eps
+            ranks, _ = secrecy._erased_ranks(pair, erased)
+            for (_, path), row in zip(ranks, erased):
+                unknown = ~row
+                decoders._peel_edges(keys, unknown)
+                assert (path == "empty_core") == (not unknown.any())
+            empty[eps] = sum(path == "empty_core" for _, path in ranks)
+            est = secrecy.mc_equivocation_bec(pair, eps, 64, np.random.default_rng(int(100 * eps)))
+            assert est.detail["rank_paths"]["empty_core"] == empty[eps]
+        assert empty[0.50] == 0 and empty[0.60] >= 60
 
 
 class TestBpDecode:
