@@ -1,6 +1,6 @@
 """Secure nested (coset) codes for type II wiretap channels.
 
-A numpy/scipy library for building binary nested code pairs, simulating
+A numpy library for building binary nested code pairs, simulating
 BEC/BSC/BI-AWGN eavesdropper channels and their BEC-embedding degradations,
 locating noise thresholds, and estimating message equivocation exactly (on
 the BEC) or through degradation and Fano bounds (noisy channels), plus a

@@ -106,18 +106,25 @@ class BitMatrix:
     Use the constructors :meth:`from_dense` and :meth:`identity`; the raw
     ``words`` array is part of the public layout (shape
     ``(rows, ceil(cols / 64))``, column ``j`` at bit ``j % 64`` of word
-    ``j // 64``) but should be treated as read-only.
+    ``j // 64``) but should be treated as read-only.  The constructor raises
+    ValueError unless ``words`` is uint64, of that shape, with every bit past
+    column ``cols`` zero.
     """
 
     __slots__ = ("rows", "cols", "words")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         rows, cols = _check_count(rows, "rows", 0), _check_count(cols, "cols", 0)
+        if words.dtype != np.uint64:
+            raise ValueError(f"word array dtype {words.dtype} is not uint64")
         if words.shape != (rows, _nwords(cols)):
             raise ValueError(
                 f"word array shape {words.shape} does not match "
                 f"{rows}x{cols} matrix"
             )
+        # the bits of the last word from column ``cols`` on
+        if cols % 64 and (words[:, -1] & np.uint64(2**64 - (1 << cols % 64))).any():
+            raise ValueError(f"a padding bit beyond column {cols} is set")
         self.rows = rows
         self.cols = cols
         self.words = words

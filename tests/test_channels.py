@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import erfc
 
@@ -59,6 +61,55 @@ class TestModels:
         assert channels.modulate([0]).tolist() == [1]
         assert channels.modulate([1]).tolist() == [-1]
         assert channels.modulate([0, 1, 0]).tolist() == [1, -1, 1]
+
+
+def _erfc_bits(points) -> tuple[np.ndarray, np.ndarray]:
+    """The port's and scipy's erfc of ``points``, as raw int64 bits."""
+    points = np.asarray(points, dtype=np.float64)
+    port = np.array([channels._erfc(v) for v in points.tolist()], dtype=np.float64)
+    return port.view(np.int64), erfc(points).view(np.int64)
+
+
+def _around(c: float, width: float = 0.01, count: int = 20001) -> np.ndarray:
+    """A grid on [c - width, c + width], plus 2001 points one ulp of c apart
+    centred on c."""
+    ulps = np.nextafter(c, np.inf) - c
+    return np.concatenate([np.linspace(c - width, c + width, count),
+                           c + ulps * np.arange(-1000, 1001)])
+
+
+class TestErfc:
+    """``channels._erfc`` equals ``scipy.special.erfc`` bit for bit."""
+
+    def test_seeded_sample(self):
+        port, ref = _erfc_bits(np.random.default_rng(28).uniform(-30.0, 30.0, 200_000))
+        assert np.array_equal(port, ref)
+
+    @pytest.mark.parametrize("edge", [-26.64, -26.55, -8.0, -1.0, 1.0, 8.0, 26.55, 26.64])
+    def test_branch_points_and_underflow_edge(self, edge):
+        # |x| = 1 and 8 switch polynomials; erfc(x) falls below the least
+        # subnormal near x = 26.55, and exp(-x^2) below exp(-MAXLOG) at 26.64
+        port, ref = _erfc_bits(_around(edge))
+        assert np.array_equal(port, ref)
+
+    def test_special_values(self):
+        port, ref = _erfc_bits([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324])
+        assert np.array_equal(port, ref)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_floats(self, x):
+        port, ref = _erfc_bits([x])
+        assert port[0] == ref[0]
+
+    def test_q_function_shapes_and_types(self):
+        assert type(channels.q_function(1.0)) is np.float64
+        assert type(channels.q_function(np.array(1.0))) is np.float64
+        for shape in [(0,), (5,), (2, 3)]:
+            x = np.linspace(-4.0, 4.0, math.prod(shape)).reshape(shape)
+            q = channels.q_function(x)
+            assert q.shape == shape and q.dtype == np.float64
+            assert np.array_equal(q, 0.5 * erfc(x / np.sqrt(2.0)))
 
 
 def _pair():
