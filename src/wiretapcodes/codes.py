@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitlinalg
+from ._kernels import _edge_keys, _edges
 from .bitlinalg import BitMatrix, _check_count
 
 _LDPC_FIXUP_ROUNDS = 1000
@@ -206,45 +207,6 @@ def _holds_identity(m: BitMatrix, cols: np.ndarray) -> bool:
         ones += np.bitwise_count(m.words[:, w] & mask[w])
     own = m.words[np.arange(m.rows), cols // 64] >> (cols % 64).astype(np.uint64)
     return bool((ones == 1).all() and (own & np.uint64(1)).all())
-
-
-def _edges(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(row_index, column_index) arrays of the ones of ``m``, row-major.
-
-    Unpacks only the nonzero words, so a sparse matrix is never made dense.
-    """
-    ri, wi = np.nonzero(m.words)
-    word_bytes = m.words[ri, wi].view(np.uint8).reshape(-1, 8)
-    k, bit = np.nonzero(np.unpackbits(word_bytes, axis=1, bitorder="little"))
-    return ri[k].astype(np.int64), (wi[k] * 64 + bit).astype(np.int64)
-
-
-_KEY_SHIFT = 32
-_KEY_LOW = (1 << _KEY_SHIFT) - 1
-
-
-def _edge_keys(chk, var, m: int, n: int, copies: int = 1) -> np.ndarray:
-    """One int64 key ``chk << 32 | var`` per edge of ``copies`` stacked copies
-    of the row-major edges ``(chk, var)`` of an ``m x n`` matrix, copy ``t``
-    offset by ``t * m`` checks and ``t * n`` variables.  The keys are sorted,
-    because the edges are row-major within a copy and the copies follow one
-    another.
-
-    ValueError unless every stacked check is below ``2**31`` and every
-    stacked variable below ``2**32``, so that the keys are nonnegative and
-    the variable bits never carry into the check bits.
-    """
-    chk = np.asarray(chk, dtype=np.int64)
-    var = np.asarray(var, dtype=np.int64)
-    last = copies - 1
-    if (np.max(chk, initial=-1) + last * m >= 1 << 31
-            or np.max(var, initial=-1) + last * n >= 1 << 32):
-        raise ValueError(
-            f"{copies} stacked copies of a {m} x {n} edge list do not fit edge keys:"
-            " checks must stay below 2**31 and variables below 2**32"
-        )
-    copy = np.arange(copies, dtype=np.int64)[:, None]
-    return ((chk + m * copy) << _KEY_SHIFT | (var + n * copy)).ravel()
 
 
 def _check_layout(chk, var, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,18 +2,11 @@
 
 Sum-product decoding runs on ``code.checks`` (the check matrix as
 constructed, which for LDPC ensembles is the sparse low-density one, not the
-rank-normalized view).  The exact erasure ranks of :mod:`.secrecy` peel
-with ``_peel_edges``, on one sorted int64 key per edge, ``chk << 32 |
-var`` (:func:`.codes._edge_keys`).  Each round compresses the live keys
-once, which keeps them sorted by check, so a degree-one check shows as an
-edge whose neighbours both belong to other checks: one compare of adjacent
-checks replaces a count of edges per check, and the rounds and the
-stopping-set core are the ones the count gives.
-Every selection by a mask is ``np.compress(mask, a)``, never ``a[mask]``:
-both keep the masked order, but on numpy 2.4 boolean indexing took 172
-against 34 us on 24 000 keys with 40% kept, 41 against 14 us on 9 600 keys
-at 40% and 27 against 19 us at 80% (9.7 against 9.1 us at 5%; below about
-1 000 elements compress costs about 1.5 us more per call).
+rank-normalized view).  The BEC peeling decoder, ``_peel_edges``, lives
+in :mod:`._kernels`, below :mod:`.codes`, so that :func:`.bitlinalg.rref`
+can use it, and is imported back here with the other decoders, where
+:mod:`.secrecy` takes it from.  Its two users are the exact erasure ranks
+of :mod:`.secrecy` and the column-prefix peel of :func:`.bitlinalg.rref`.
 
 Sums and parities over each check's or each variable's edges run on the
 code's check-major layout (:meth:`.LinearCode.check_layout`): slot ``j`` of
@@ -55,50 +48,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import _peel_edges
 from .bitlinalg import _check_count
-from .codes import _KEY_LOW, _KEY_SHIFT, LinearCode
+from .codes import LinearCode
 
 _PHI_CLIP = 1e-12
-
-
-def _peel_edges(keys, unknown):
-    """Peel the Tanner graph whose edges are the sorted keys ``chk << 32 |
-    var`` (:func:`.codes._edge_keys`): each round resolves every variable
-    that is the only ``unknown`` one at some check, clearing it in
-    ``unknown`` in place.  Returns ``(rounds, core)``: per round the keys of
-    its resolving edges in edge order, then the keys of the core's edges.
-
-    Only edges to ``unknown`` variables are kept, and each round compresses
-    them once, so the live keys stay sorted by check: an edge is the only
-    live one of its check exactly when the checks of both its neighbours
-    differ from its own (``border`` marks where the check changes, the two
-    ends included).  That is a count of one live edge per check, so each
-    round resolves the edges a count would, in the same order, and the core
-    is the largest stopping set inside ``unknown``, as for any peel.
-
-    The first filter and each round's two selections, of the resolving
-    keys and of the live keys, are ``np.compress``, which keeps the mask's
-    order and is 1.4-5x faster than boolean indexing at these sizes (module
-    docstring).  The mask buffers are allocated once, for the first live
-    set, and each round uses a prefix of them with both ends set again.
-    """
-    rounds = []
-    edges = np.compress(np.take(unknown, keys & _KEY_LOW), keys)
-    border_buf = np.empty(edges.size + 1, dtype=bool)
-    single_buf = np.empty(edges.size, dtype=bool)
-    while edges.size:
-        chk = edges >> _KEY_SHIFT
-        border = border_buf[: edges.size + 1]
-        border[0] = border[-1] = True
-        np.not_equal(chk[1:], chk[:-1], out=border[1:-1])
-        single = np.logical_and(border[1:], border[:-1], out=single_buf[: edges.size])
-        resolving = np.compress(single, edges)
-        if not resolving.size:
-            break
-        rounds.append(resolving)
-        unknown[resolving & _KEY_LOW] = False
-        edges = np.compress(np.take(unknown, edges & _KEY_LOW), edges)
-    return rounds, edges
 
 
 def _fold_rows(ufunc, a, start):

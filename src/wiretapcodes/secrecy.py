@@ -37,10 +37,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bitlinalg
-from ._kernels import rank_words
+from ._kernels import _KEY_LOW, _KEY_SHIFT, rank_words
 from .bitlinalg import _check_count
 from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
-from .codes import _KEY_LOW, _KEY_SHIFT, NestedCodePair, _pack_edges
+from .codes import NestedCodePair, _pack_edges
 from .decoders import _peel_edges, _sum_product
 from .thresholds import Z95, wilson_interval
 

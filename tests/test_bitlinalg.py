@@ -263,6 +263,135 @@ class TestRref:
             assert len(piv) == rank
 
 
+def peelable(rng, rows, cols, weights) -> np.ndarray:
+    """A ``rows x cols`` 0/1 array (``rows >= cols``) whose column ``j`` has
+    ``min(weights[j], rows - j)`` ones: none for a zero weight, else one at
+    row ``perm[j]`` and the rest at rows ``perm[k]``, ``k > j``.  Row
+    ``perm[j]`` then holds column ``j`` and earlier columns only, so every
+    column prefix without a zero column peels completely."""
+    perm = rng.permutation(rows)
+    dense = np.zeros((rows, cols), dtype=np.uint8)
+    for j, w in enumerate(weights):
+        if w:
+            dense[perm[j], j] = 1
+            dense[rng.choice(perm[j + 1 :], size=min(w, rows - j) - 1, replace=False), j] = 1
+    return dense
+
+
+class TestPeeledRref:
+    """``rref`` peels the longest whole-word column prefix and eliminates
+    only the Schur complement of the rest.  The RREF is unique, so it must
+    equal whole-matrix elimination and the dense oracle bit for bit."""
+
+    @staticmethod
+    def check(m, oracle=True) -> int:
+        """``rref(m)`` against ``_eliminate`` on the whole matrix and, with
+        ``oracle``, against ``dense_rref``; returns the peeled word count."""
+        r, piv = bitlinalg.rref(m)
+        whole = m.words.copy()
+        assert piv == _kernels._eliminate(whole, m.cols)
+        assert np.array_equal(r.words, whole)
+        if oracle:
+            expect, expect_piv = dense_rref(m.to_dense())
+            assert piv == expect_piv
+            assert np.array_equal(r.to_dense(), expect)
+        return bitlinalg._peeled_prefix(m)[0]
+
+    @pytest.mark.parametrize("n,seed", [(240, s) for s in range(3)]
+                             + [(606, s) for s in range(3)] + [(1002, s) for s in range(2)])
+    def test_regular_ldpc(self, n, seed):
+        assert self.check(codes.regular_ldpc(n, 3, 6, seed=seed).checks) > 0
+
+    def test_rank_deficient(self):
+        checks = codes.regular_ldpc(600, 4, 6, seed=3).checks
+        assert self.check(checks) > 0
+        assert bitlinalg.rank(checks) < checks.rows
+
+    def test_duplicate_and_zero_rows(self):
+        rng = np.random.default_rng(7)
+        dense = codes.regular_ldpc(606, 3, 6, seed=1).checks.to_dense()
+        extra = [dense[rng.choice(len(dense), 60)], np.zeros((20, 606), np.uint8)]
+        dense = np.vstack([dense, *extra])
+        assert self.check(BitMatrix.from_dense(dense[rng.permutation(len(dense))])) > 0
+
+    def test_weight_one_and_zero_columns(self):
+        # a zero column never resolves yet leaves no stopping-set core, so
+        # the one at column 150 must stop the prefix at its word
+        rng = np.random.default_rng(11)
+        weights = rng.integers(1, 4, size=300)
+        assert (weights == 1).any()
+        weights[[150, 280]] = 0
+        assert self.check(BitMatrix.from_dense(peelable(rng, 360, 300, weights))) == 2
+
+    @pytest.mark.parametrize("zero,words", [
+        (192, 3), (191, 2), (128, 2), (127, 1), (64, 1), (63, 0),
+    ])
+    def test_prefix_ends_at_a_word_boundary(self, zero, words):
+        # the columns before the zero one peel, so the prefix is the whole
+        # words before it; 3 words are found by the bisection, not the gallop
+        rng = np.random.default_rng(zero)
+        weights = rng.integers(1, 4, size=260)
+        weights[zero] = 0
+        assert self.check(BitMatrix.from_dense(peelable(rng, 300, 260, weights))) == words
+
+    @pytest.mark.parametrize("rows,cols,words", [(300, 256, 4), (300, 130, 2), (128, 128, 2)])
+    def test_every_whole_word_peels(self, rows, cols, words):
+        # the Schur complement has no column left, or only the partial last
+        # word, which is never peeled
+        rng = np.random.default_rng(rows + cols)
+        dense = peelable(rng, rows, cols, rng.integers(1, 4, size=cols))
+        assert self.check(BitMatrix.from_dense(dense)) == words
+
+    def test_dense_peels_nothing(self):
+        rng = np.random.default_rng(3)
+        assert self.check(random_bitmatrix(rng, 100, 300)) == 0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 130), (130, 0), (3, 64), (64, 64)])
+    def test_empty_and_zero(self, shape):
+        assert self.check(BitMatrix.from_dense(np.zeros(shape, dtype=np.uint8))) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 400),
+           extra=st.integers(0, 80), zeros=st.sampled_from([0.0, 0.002, 0.02]),
+           noise=st.integers(0, 40))
+    def test_random_sparse(self, seed, cols, extra, zeros, noise):
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(1, 4, size=cols) * (rng.random(cols) >= zeros)
+        dense = peelable(rng, cols + extra, cols, weights)
+        dense[rng.integers(0, cols + extra, noise), rng.integers(0, cols, noise)] ^= 1
+        self.check(BitMatrix.from_dense(dense), oracle=False)
+
+    def test_eliminates_only_the_schur_complement(self, monkeypatch):
+        # a silent fall-back to whole-matrix elimination would hand all 1000
+        # rows to _eliminate
+        checks = codes.regular_ldpc(2000, 3, 6, seed=101).checks
+        seen = []
+        eliminate = _kernels._eliminate
+
+        def spy(words, ncols):
+            seen.append(words.shape)
+            return eliminate(words, ncols)
+
+        monkeypatch.setattr(bitlinalg, "_eliminate", spy)
+        bitlinalg.rref(checks)
+        assert len(seen) == 1 and seen[0][0] < checks.rows // 4
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 70), (3, 0), (5, 64), (7, 130), (40, 300)])
+def test_edges_are_the_ones_row_major(shape):
+    rng = np.random.default_rng(sum(shape))
+    dense = (rng.random(shape) < 0.1).astype(np.uint8)
+    m = BitMatrix.from_dense(dense)
+    cases = [(m, dense)]
+    if m.words.shape[1] > 1:  # a one-word prefix, not contiguous in memory
+        cases.append((BitMatrix(m.rows, 64, m.words[:, :1]), dense[:, :64]))
+    for mat, want in cases:
+        chk, var = _kernels._edges(mat)
+        assert chk.dtype == var.dtype == np.int64
+        assert np.array_equal(chk, np.nonzero(want)[0])
+        assert np.array_equal(var, np.nonzero(want)[1])
+
+
 class TestNullspace:
     def test_single_parity(self):
         basis = bitlinalg.nullspace_basis(BitMatrix.from_dense([[1, 1]]))
@@ -397,6 +526,26 @@ class TestMatVec:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             bitlinalg.mat_vec(BitMatrix.identity(3), [1, 0])
+
+    @pytest.mark.parametrize("right,left", [
+        ([2, 0, 0], [2, 0]), ([-1, 0, 0], [0, -1]), ([0.5, 0, 1], [0.5, 1]),
+        (np.array([0, 0, 255]), np.array([0, 256])),
+    ])
+    def test_entries_that_are_not_bits(self, right, left):
+        # 2 is 0 over GF(2) and 0.5 no bit at all; neither may be read as one
+        m = BitMatrix.from_dense([[1, 0, 0], [0, 1, 1]])
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            bitlinalg.mat_vec(m, right)
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            bitlinalg.vec_mat(left, m)
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            BitMatrix.from_dense([right, [0, 1, 1]])
+
+    def test_bool_entries(self):
+        m = BitMatrix.from_dense([[True, False, False], [False, True, True]])
+        assert m == BitMatrix.from_dense([[1, 0, 0], [0, 1, 1]])
+        assert bitlinalg.mat_vec(m, np.array([True, False, True])).tolist() == [1, 1]
+        assert bitlinalg.vec_mat(np.array([True, True]), m).tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_dense(self, seed):
