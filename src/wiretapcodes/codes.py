@@ -50,8 +50,9 @@ class DegreeDistribution:
             if not dist:
                 raise ValueError(f"{name} is empty")
             for deg, frac in dist.items():
-                if deg < 1 or frac < 0:
-                    raise ValueError(f"{name} has invalid entry {deg}: {frac}")
+                _check_count(deg, f"{name} degree", 1)
+                if not frac >= 0:
+                    raise ValueError(f"{name} has invalid fraction at degree {deg}: {frac}")
             if abs(sum(dist.values()) - 1.0) > 1e-9:
                 raise ValueError(f"{name} fractions must sum to 1")
         r = self.design_rate

@@ -3,10 +3,7 @@
 Sum-product decoding runs on ``code.checks`` (the check matrix as
 constructed, which for LDPC ensembles is the sparse low-density one, not the
 rank-normalized view).  The BEC peeling decoder, ``_peel_edges``, lives
-in :mod:`._kernels`, below :mod:`.codes`, so that :func:`.bitlinalg.rref`
-can use it, and is imported back here with the other decoders, where
-:mod:`.secrecy` takes it from.  Its two users are the exact erasure ranks
-of :mod:`.secrecy` and the column-prefix peel of :func:`.bitlinalg.rref`.
+in :mod:`._kernels`, below :mod:`.codes`, where its users import it from.
 
 Sums and parities over each check's or each variable's edges run on the
 code's check-major layout (:meth:`.LinearCode.check_layout`): slot ``j`` of
@@ -48,7 +45,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import _peel_edges
 from .bitlinalg import _check_count
 from .codes import LinearCode
 

@@ -37,11 +37,11 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bitlinalg
-from ._kernels import _KEY_LOW, _KEY_SHIFT, rank_words
+from ._kernels import _KEY_LOW, _KEY_SHIFT, _peel_edges, rank_words
 from .bitlinalg import _check_count
 from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
 from .codes import NestedCodePair, _pack_edges
-from .decoders import _peel_edges, _sum_product
+from .decoders import _sum_product
 from .thresholds import Z95, wilson_interval
 
 __all__ = [
@@ -159,12 +159,14 @@ def main_decode(pair: NestedCodePair, received) -> np.ndarray:
 
 
 def _compact(idx: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber the distinct values of ``idx`` 0, 1, ... in increasing order."""
+    """Renumber the distinct values of the nonempty ``idx`` 0, 1, ... in
+    increasing order, counting from its own minimum."""
+    idx = idx - idx.min()
     present = np.bincount(idx) > 0
     return (np.cumsum(present) - 1)[idx], int(np.count_nonzero(present))
 
 
-def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int]:
+def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, list, int]:
     """Peel the coarse code's sparse span ``S`` on the unerased positions of
     each pattern (row) of the ``(T, n)`` erasure mask ``erased``, in one
     ``_peel_edges`` call on the stacked keys of ``T`` copies of ``S`` (copy
@@ -173,41 +175,35 @@ def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int]:
 
     A column of a restriction that is the only one left in some row adds
     exactly one to its rank: the rank is the number peeled plus that of the
-    stopping-set core left, returned per pattern as ``(peeled, rows, cols,
-    shape)``, the ``shape`` matrix with its ones at ``(rows[i], cols[i])``,
-    together with the number of rounds the peel ran.
+    stopping-set core left.  Returns ``(peeled, cores, rounds)``: per
+    pattern the number peeled and the sorted keys of its core's edges, and
+    the number of rounds the peel ran.
     The core is the largest stopping set of the pattern, whatever order the
     peel resolves in, and its edges keep their order in the keys, so each
     copy's core is one sorted run.
     """
-    trials, n = erased.shape
-    num_checks = pair.coarse.span.rows
+    trials = len(erased)
     remaining = ~erased
     unerased = np.count_nonzero(remaining, axis=1)
     rounds, core = _peel_edges(pair._span_keys(trials), remaining.reshape(-1))
     peeled = (unerased - np.count_nonzero(remaining, axis=1)).tolist()
-    core_chk, core_var = core >> _KEY_SHIFT, core & _KEY_LOW
-    bounds = np.searchsorted(core_chk, num_checks * np.arange(trials + 1)).tolist()
-    peels = []
-    for t in range(trials):
-        run = slice(bounds[t], bounds[t + 1])
-        if run.start == run.stop:
-            peels.append((peeled[t], core_chk[run], core_var[run], (0, 0)))
-            continue
-        rows, nr = _compact(core_chk[run] - t * num_checks)
-        cols, nc = _compact(core_var[run] - t * n)
-        peels.append((peeled[t], rows, cols, (nr, nc)))
-    return peels, len(rounds)
+    starts = pair.coarse.span.rows * np.arange(trials + 1)
+    bounds = np.searchsorted(core >> _KEY_SHIFT, starts).tolist()
+    return peeled, [core[a:b] for a, b in zip(bounds, bounds[1:])], len(rounds)
 
 
-def _core_rank(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> int:
-    """GF(2) rank of the ``shape`` matrix with its ones at ``(rows[i], cols[i])``.
+def _core_rank(keys: np.ndarray) -> int:
+    """GF(2) rank of the stopping-set core whose edges have the sorted keys
+    ``keys`` (a nonempty run of :func:`_peel_block`): its checks and
+    variables renumbered 0, 1, ... and packed.
 
     The rows enter the XOR basis lightest first, which keeps the basis
     sparse longer on a stopping-set core.
     """
-    order = np.argsort(np.bincount(rows, minlength=shape[0]), kind="stable")
-    return int(rank_words(_pack_edges(rows, cols, *shape).words[order], shape[1]))
+    rows, nrows = _compact(keys >> _KEY_SHIFT)
+    cols, ncols = _compact(keys & _KEY_LOW)
+    order = np.argsort(np.bincount(rows), kind="stable")
+    return int(rank_words(_pack_edges(rows, cols, nrows, ncols).words[order], ncols))
 
 
 def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int | None]:
@@ -227,22 +223,21 @@ def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int |
     work runs: the sparse core costs about its edge count, the dense rest
     about ``s**2`` for its smaller side ``s``, and the core runs when
     ``_CORE_WORK * edges < s**2`` (the two break even near erasure rate
-    0.34 on the n=2000 (3,6)-dual pair).  The dense rest ranks rows of
-    ``h1`` or of its transpose, whichever side is smaller, masked to the
-    other side.
+    0.34 on the n=2000 (3,6)-dual pair).  The dense rest ranks the erased
+    non-pivot columns of ``h1``, packed as rows of its transpose and masked
+    to the rows no erased pivot holds.
     """
     m = pair.m
     unerased = (pair.n - np.count_nonzero(erased, axis=1)).tolist()
     live = [t for t, u in enumerate(unerased) if m and u < pair.n]
     ranks = [(0, "none")] * len(unerased)  # nothing erased, or no message
-    peels, rounds = [None] * len(live), None
+    peeled, cores, rounds = [None] * len(live), [None] * len(live), None
     if pair._span_edges is not None:
-        peels, rounds = _peel_block(pair, erased[live])
-    for t, peel in zip(live, peels):
-        if peel is not None:
-            peeled, rows, cols, shape = peel
-            rank = m - unerased[t] + peeled
-            if not rows.size:  # empty core: peeling found the whole rank
+        peeled, cores, rounds = _peel_block(pair, erased[live])
+    for t, count, core in zip(live, peeled, cores):
+        if core is not None:
+            rank = m - unerased[t] + count
+            if not core.size:  # empty core: peeling found the whole rank
                 ranks[t] = rank, "empty_core"
                 continue
         erased_idx = np.flatnonzero(erased[t])
@@ -251,19 +246,14 @@ def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int |
         pivoted[unit_rows[unit_rows >= 0]] = True
         other_cols = erased_idx[unit_rows < 0]
         other_rows = np.flatnonzero(~pivoted)
-        if peel is not None:
+        if core is not None:
             s = min(other_cols.size, other_rows.size)
-            if _CORE_WORK * rows.size < s * s:
-                ranks[t] = rank + _core_rank(rows, cols, shape), "core"
+            if _CORE_WORK * core.size < s * s:
+                ranks[t] = rank + _core_rank(core), "core"
                 continue
-        if other_cols.size <= other_rows.size:
-            words, ncols, keep = pair._h1_columns.words[other_cols], m, ~pivoted
-        else:
-            words, ncols = pair.h1.words[other_rows], pair.n
-            keep = np.zeros(ncols, dtype=bool)
-            keep[other_cols] = True
-        words &= bitlinalg.pack_vector(keep, ncols)
-        ranks[t] = m - other_rows.size + int(rank_words(words, ncols)), "dense_rest"
+        words = pair._h1_columns.words[other_cols]
+        words &= bitlinalg.pack_vector(~pivoted, m)
+        ranks[t] = m - other_rows.size + int(rank_words(words, m)), "dense_rest"
     return ranks, rounds
 
 

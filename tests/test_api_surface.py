@@ -1,5 +1,6 @@
 """Every defaulted parameter the package exports, and every export only the
-tests call, each in one table.
+tests call, each in one table; and every private name a module imports
+from a sibling comes from the module that defines it.
 
 A parameter with a default is a setting a caller may change without being
 asked to.  The table lists every one on the callables exported from
@@ -9,6 +10,7 @@ the package, the demos or the benchmark calls is listed with the reason it
 stays public.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -90,3 +92,37 @@ def test_enumeration_reaches_functions_classes_and_methods():
     names = {name for name, _ in exported_callables()}
     assert {"wilson_interval", "NestedCodePair", "RegionPolygon.contains",
             "BitMatrix.from_dense", "DegreeDistribution.regular"} <= names
+
+
+def module_level_names(tree: ast.Module) -> set:
+    """The names a module defines at its top level: by a def, a class or an
+    assignment (imports are not definitions)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_private_imports_come_from_their_defining_module():
+    # a private name imported from a module that only imports it itself is a
+    # re-export; the importer should take it from where it is defined
+    package = ROOT / "src" / "wiretapcodes"
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    defined = {mod: module_level_names(tree) for mod, tree in trees.items()}
+    relayed, checked = [], 0
+    for mod, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    checked += 1
+                    if alias.name not in defined[node.module]:
+                        relayed.append(f"{mod}: from .{node.module} import {alias.name}")
+    assert checked >= 10
+    assert relayed == []

@@ -57,6 +57,24 @@ class TestDegreeDistribution:
         with pytest.raises(ValueError, match="design rate"):
             DegreeDistribution({6: 1.0}, {3: 1.0})
 
+    @pytest.mark.parametrize("var_edge,chk_edge,error", [
+        ({2.5: 1.0}, {6: 1.0}, r"var_edge degree must be an integer >= 1, got 2\.5"),
+        ({3: 1.0}, {6.0: 1.0}, r"chk_edge degree must be an integer >= 1, got 6\.0"),
+        ({True: 1.0}, {6: 1.0}, r"var_edge degree must be an integer >= 1, got True"),
+        ({0: 1.0}, {6: 1.0}, r"var_edge degree must be an integer >= 1, got 0"),
+        ({3: 1.0}, {6: float("nan")}, r"chk_edge has invalid fraction at degree 6: nan"),
+        ({2: -0.5, 3: 1.5}, {6: 1.0}, r"var_edge has invalid fraction at degree 2: -0\.5"),
+    ])
+    def test_each_entry_is_an_integer_degree_and_a_fraction(self, var_edge, chk_edge, error):
+        # a fractional degree names no ensemble; a NaN fraction would slip
+        # past the sum check and surface only as "design rate nan"
+        with pytest.raises(ValueError, match=error):
+            DegreeDistribution(var_edge, chk_edge)
+
+    def test_numpy_integer_degrees_accepted(self):
+        dd = DegreeDistribution({np.int64(3): 1.0}, {np.int32(6): 1.0})
+        assert dd.design_rate == pytest.approx(0.5)
+
 
 class TestFromParityCheck:
     def test_single_check(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretapcodes import codes, decoders
+from wiretapcodes import _kernels, codes, decoders
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import awgn_llr, biawgn_transmit, modulate
 
@@ -196,14 +196,14 @@ def assert_peel_matches_reference(chk, var, m, n, unknown, copies=1):
     every round's ``(chk, var)`` in order, the core's edges and the final
     ``unknown``.  Returns the number of rounds."""
     chk, var = np.asarray(chk, dtype=np.int64), np.asarray(var, dtype=np.int64)
-    keys = codes._edge_keys(chk, var, m, n, copies)
+    keys = _kernels._edge_keys(chk, var, m, n, copies)
     # copy t offset by t * m checks and t * n variables
     chk = np.concatenate([chk + t * m for t in range(copies)])
     var = np.concatenate([var + t * n for t in range(copies)])
     assert np.array_equal(keys >> 32, chk) and np.array_equal(keys & 0xFFFFFFFF, var)
     assert (np.diff(keys) > 0).all()
     got_unknown, want_unknown = unknown.copy(), unknown.copy()
-    rounds, core = decoders._peel_edges(keys, got_unknown)
+    rounds, core = _kernels._peel_edges(keys, got_unknown)
     want_rounds, core_chk, core_var = reference_peel_edges(chk, var, m * copies, want_unknown)
     assert len(rounds) == len(want_rounds)
     for got, (want_chk, want_var) in zip(rounds, want_rounds):
@@ -217,7 +217,7 @@ def assert_peel_matches_reference(chk, var, m, n, unknown, copies=1):
 def criterion7_span():
     # the sparse span of the (3,6)-dual pair of acceptance criterion 7
     span = codes.dual(codes.regular_ldpc(2000, 3, 6, seed=101)).span
-    return (*codes._edges(span), span.rows, span.cols)
+    return (*_kernels._edges(span), span.rows, span.cols)
 
 
 class TestKeyedPeel:
@@ -247,7 +247,7 @@ class TestKeyedPeel:
             [0, 0, 1, 1, 1, 0, 1],
             [0, 0, 0, 0, 0, 0, 1],
         ], dtype=np.uint8)
-        chk, var = codes._edges(BitMatrix.from_dense(h))
+        chk, var = _kernels._edges(BitMatrix.from_dense(h))
         assert (chk[0], chk[-1]) == (0, 5) and chk[1] != 0 and chk[-2] != 5
         m, n = h.shape
         for pattern in range(1 << n):
@@ -272,9 +272,9 @@ class TestKeyedPeel:
         assert assert_peel_matches_reference(chk, var, m, n, np.ones(n, dtype=bool)) == 0
         assert assert_peel_matches_reference(chk, var, m, n, np.zeros(n, dtype=bool)) == 0
         unknown = np.ones(n, dtype=bool)
-        assert decoders._peel_edges(codes._edge_keys(chk, var, m, n), unknown)[1].size == chk.size
+        assert _kernels._peel_edges(_kernels._edge_keys(chk, var, m, n), unknown)[1].size == chk.size
         h = BitMatrix.from_dense(np.eye(4, 6, dtype=np.uint8))
-        chk, var = codes._edges(h)
+        chk, var = _kernels._edges(h)
         for unknown in (np.ones(6, dtype=bool), np.zeros(6, dtype=bool)):
             assert assert_peel_matches_reference(chk, var, 4, 6, np.tile(unknown, 2), copies=2) \
                 == unknown.all()
@@ -289,7 +289,7 @@ class TestKeyedPeel:
         chk, var = pair._span_edges
         m, n = pair.coarse.span.rows, pair.n
         for copies in (3, 8, 1, 8, 5, 11):
-            assert np.array_equal(pair._span_keys(copies), codes._edge_keys(chk, var, m, n, copies))
+            assert np.array_equal(pair._span_keys(copies), _kernels._edge_keys(chk, var, m, n, copies))
 
 
 @st.composite
@@ -319,10 +319,10 @@ def test_peel_matches_reference_on_random_sparse_graphs(case):
 
 class TestKeyWidth:
     def test_largest_keys_fit(self):
-        keys = codes._edge_keys(np.array([0, 2**31 - 1]), np.array([2**32 - 1, 0]), 2**31, 2**32)
+        keys = _kernels._edge_keys(np.array([0, 2**31 - 1]), np.array([2**32 - 1, 0]), 2**31, 2**32)
         assert (keys >= 0).all()
         assert keys[1] >> 32 == 2**31 - 1 and keys[0] & 0xFFFFFFFF == 2**32 - 1
-        stacked_keys = codes._edge_keys(np.array([0]), np.array([1]), 2**30, 2**31, 2)
+        stacked_keys = _kernels._edge_keys(np.array([0]), np.array([1]), 2**30, 2**31, 2)
         assert (stacked_keys >> 32).tolist() == [0, 2**30]
         assert (stacked_keys & 0xFFFFFFFF).tolist() == [1, 2**31 + 1]
 
@@ -334,4 +334,4 @@ class TestKeyWidth:
     ])
     def test_wider_edges_are_refused(self, chk, var, m, n, copies):
         with pytest.raises(ValueError, match=r"2\*\*31.*2\*\*32"):
-            codes._edge_keys(np.array(chk), np.array(var), m, n, copies)
+            _kernels._edge_keys(np.array(chk), np.array(var), m, n, copies)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wiretapcodes import bitlinalg, channels, codes, decoders, secrecy
+from wiretapcodes import _kernels, bitlinalg, channels, codes, decoders, secrecy
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import BEC, BIAWGN, BSC, modulate
 
@@ -201,15 +201,29 @@ def erasure_mask(pair, erased):
 
 
 def peel_one(pair, erased):
-    """``(peeled, rows, cols, shape)`` of the one-pattern block ``erased``."""
-    return secrecy._peel_block(pair, erasure_mask(pair, erased))[0][0]
+    """``(peeled, core)`` of the one-pattern block ``erased``: the number
+    peeled and the sorted keys of the stopping-set core's edges."""
+    peeled, cores, _ = secrecy._peel_block(pair, erasure_mask(pair, erased))
+    return peeled[0], cores[0]
+
+
+def key_shape(core) -> tuple[int, int]:
+    """(checks, variables) that the edge keys ``core`` touch."""
+    return (np.unique(core >> _kernels._KEY_SHIFT).size,
+            np.unique(core & _kernels._KEY_LOW).size)
+
+
+def core_shape(pair, erased) -> tuple[int, int]:
+    """(checks, variables) of the stopping-set core of ``erased``."""
+    return key_shape(peel_one(pair, erased)[1])
 
 
 def peeled_identity_rank(pair, erased):
     """rank(h1_E) through peeling and the core, whatever its size."""
     erased = np.asarray(erased, dtype=np.int64)
-    peeled, rows, cols, shape = peel_one(pair, erased)
-    return pair.m - (pair.n - erased.size) + peeled + secrecy._core_rank(rows, cols, shape)
+    peeled, core = peel_one(pair, erased)
+    core_rank = secrecy._core_rank(core) if core.size else 0
+    return pair.m - (pair.n - erased.size) + peeled + core_rank
 
 
 def dense_rank(pair, erased):
@@ -248,8 +262,7 @@ class TestPeelPath:
                 want = dense_rank(pair, erased)
                 assert secrecy.exact_equivocation_bec(pair, erased) == want
                 assert peeled_identity_rank(pair, erased) == want
-                core = peel_one(pair, erased)
-                sizes.append(core[3][1])  # core columns
+                sizes.append(core_shape(pair, erased)[1])  # core columns
             core_sizes[eps] = np.array(sizes)
         # the patterns reach empty cores, nonempty cores above the BP
         # threshold, and cores with more columns than h1 has rows
@@ -289,30 +302,27 @@ def spy_rank_ncols(monkeypatch) -> list:
 
 
 class TestDenseOrientation:
-    def test_both_orientations_match_uint8_elimination(self, ldpc_dual_pair, monkeypatch):
+    def test_gathered_columns_match_uint8_elimination(self, spanless_pair, monkeypatch):
         # the criterion-7 h1 without its sparse span, so every rank is the
-        # dense rest: ranked on the gathered columns of h1 (ncols = m) well
-        # below eps = 0.5 and on its rows (ncols = n) above it
-        c = ldpc_dual_pair.coarse
-        pair = codes.nested_pair_from_coarse(
-            codes.LinearCode(c.h, c.g, c.checks, c.pivots)
-        )
+        # dense rest, ranked on the gathered columns of h1 (ncols = m) on
+        # either side of eps = 0.5, above which more columns are erased than
+        # h1 has rows
+        pair = spanless_pair
         assert pair._span_edges is None
         h1 = pair.h1.to_dense()
         ncols_seen = spy_rank_ncols(monkeypatch)
         rng = np.random.default_rng(77)
-        checked = {pair.m: [], pair.n: []}
         for eps in (0.20, 0.52):
+            deficient = 0
             for _ in range(30):
                 erased = np.nonzero(rng.random(pair.n) < eps)[0]
                 ncols_seen.clear()
                 got = secrecy.exact_equivocation_bec(pair, erased)
-                if ncols_seen in ([pair.m], [pair.n]):
-                    checked[ncols_seen[0]].append(got)
-                    assert got == uint8_rank(h1[:, erased].T)
-        assert len(checked[pair.m]) >= 20 and len(checked[pair.n]) >= 20
-        # both orientations meet rank-deficient blocks, where a wrong mask shows
-        assert min(checked[pair.m]) < pair.m and min(checked[pair.n]) < pair.m
+                assert ncols_seen == [pair.m]
+                assert got == uint8_rank(h1[:, erased].T)
+                deficient += got < min(erased.size, pair.m)
+            # both rates meet rank-deficient blocks, where a wrong mask shows
+            assert deficient > 0
 
 
 class TestRankPathChoice:
@@ -326,7 +336,7 @@ class TestRankPathChoice:
         rng = np.random.default_rng(int(1000 * eps))
         for _ in range(10):
             erased = np.nonzero(rng.random(pair.n) < eps)[0]
-            width = peel_one(pair, erased)[3][1]
+            width = core_shape(pair, erased)[1]
             assert width not in (0, pair.m, pair.n)
             ncols_seen.clear()
             got = secrecy.exact_equivocation_bec(pair, erased)
@@ -341,7 +351,7 @@ class TestRankPathChoice:
         nonempty = 0
         for _ in range(200):
             erased = np.nonzero(rng.random(pair.n) < 0.60)[0]
-            rows, width = peel_one(pair, erased)[3]
+            rows, width = core_shape(pair, erased)
             ncols_seen.clear()
             got = secrecy.exact_equivocation_bec(pair, erased)
             if rows:
@@ -358,7 +368,7 @@ class TestRankPathChoice:
         rng = np.random.default_rng(65)
         for _ in range(50):
             erased = np.nonzero(rng.random(pair.n) < 0.65)[0]
-            assert peel_one(pair, erased)[3] == (0, 0)
+            assert peel_one(pair, erased)[1].size == 0
             assert secrecy.exact_equivocation_bec(pair, erased) == dense_rank(pair, erased)
         assert ncols_seen == []
 
@@ -379,7 +389,7 @@ class TestRankPathChoice:
         seen = dict.fromkeys(secrecy._RANK_PATHS, 0)
         for _ in range(200):
             erased = np.nonzero(rng.random(pair.n) < eps)[0]
-            width = peel_one(pair, erased)[3][1]
+            width = core_shape(pair, erased)[1]
             ncols_seen.clear()
             secrecy.exact_equivocation_bec(pair, erased)
             if not ncols_seen:
@@ -387,6 +397,23 @@ class TestRankPathChoice:
             else:
                 seen["core" if ncols_seen == [width] else "dense_rest"] += 1
         assert seen == est.detail["rank_paths"]
+
+    @pytest.mark.parametrize("eps", [0.20, 0.45])
+    def test_cores_are_compacted_only_when_ranked(self, ldpc_dual_pair, monkeypatch, eps):
+        # at 0.20 every trial ranks the dense rest, so no core is renumbered;
+        # at 0.45 every trial ranks its core, renumbering checks and variables
+        calls = []
+        compact = secrecy._compact
+
+        def spy(idx):
+            calls.append(idx.size)
+            return compact(idx)
+
+        monkeypatch.setattr(secrecy, "_compact", spy)
+        est = secrecy.mc_equivocation_bec(ldpc_dual_pair, eps, 200, np.random.default_rng(14))
+        paths = est.detail["rank_paths"]
+        assert paths["dense_rest" if eps < 0.3 else "core"] == 200
+        assert len(calls) == 2 * paths["core"]
 
     def test_nothing_to_rank(self):
         est = secrecy.mc_equivocation_bec(repetition_pair(), 0.0, 20, np.random.default_rng(0))
@@ -396,14 +423,12 @@ class TestRankPathChoice:
 
 
 def peel_alone(pair, erased_row):
-    """``(peeled, rows, cols, shape)`` of one erasure mask row, from the
+    """``(peeled, core_chk, core_var)`` of one erasure mask row, from the
     reference peel on a single copy of the span."""
     remaining = ~erased_row
-    _, ri, ci = reference_peel_edges(*pair._span_edges, pair.coarse.span.rows, remaining)
-    rows_seen, rows = np.unique(ri, return_inverse=True)
-    cols_seen, cols = np.unique(ci, return_inverse=True)
+    _, core_chk, core_var = reference_peel_edges(*pair._span_edges, pair.coarse.span.rows, remaining)
     peeled = int(np.count_nonzero(~erased_row) - np.count_nonzero(remaining))
-    return peeled, rows, cols, (rows_seen.size, cols_seen.size)
+    return peeled, core_chk, core_var
 
 
 @pytest.fixture(scope="module")
@@ -422,23 +447,27 @@ class TestBlockDriver:
         erased = np.concatenate(
             [rng.random((5, pair.n)) < eps for eps in (0.0, 0.3, 0.6, 1.0)]
         )
-        peels, rounds = secrecy._peel_block(pair, erased)
-        assert len(peels) == len(erased)
+        peeled, cores, rounds = secrecy._peel_block(pair, erased)
+        assert len(peeled) == len(cores) == len(erased)
         # the block peels for as many rounds as its slowest pattern
         assert rounds == max(
             len(reference_peel_edges(*pair._span_edges, pair.coarse.span.rows, ~row)[0])
             for row in erased
         )
-        for row, got in zip(erased, peels):
-            want = peel_alone(pair, row)
-            assert got[0] == want[0] and got[3] == want[3]
-            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-        shapes = [p[3] for p in peels]
-        assert shapes[0][0] == pair.coarse.span.rows  # nothing erased: the whole span
-        assert shapes[-1] == (0, 0) and peels[-1][0] == 0  # everything erased
+        # pattern t's run holds the edges of copy t of the span, in edge
+        # order: t blocks of checks and of variables past the reference's
+        num_checks = pair.coarse.span.rows
+        for t, (row, count, core) in enumerate(zip(erased, peeled, cores)):
+            want, want_chk, want_var = peel_alone(pair, row)
+            assert count == want
+            assert np.array_equal(core >> _kernels._KEY_SHIFT, want_chk + t * num_checks)
+            assert np.array_equal(core & _kernels._KEY_LOW, want_var + t * pair.n)
+        shapes = [key_shape(core) for core in cores]
+        assert shapes[0][0] == num_checks  # nothing erased: the whole span
+        assert shapes[-1] == (0, 0) and peeled[-1] == 0  # everything erased
         assert all(s[0] > 0 for s in shapes[5:10])  # cores at 0.3
-        empty = [p for p in peels[10:15] if p[3] == (0, 0)]
-        assert empty and all(p[0] > 0 for p in empty)  # empty cores at 0.6
+        empty = [p for p, s in zip(peeled[10:15], shapes[10:15]) if s == (0, 0)]
+        assert empty and all(p > 0 for p in empty)  # empty cores at 0.6
 
     @pytest.mark.parametrize("which,eps", [
         ("dual", 0.45), ("dual", 0.60), ("spanless", 0.30), ("spanless", 0.60),
@@ -463,7 +492,7 @@ class TestBlockDriver:
                 paths["none"] += 1
             elif not ncols_seen:
                 paths["empty_core"] += 1
-            elif which == "dual" and ncols_seen == [peel_one(pair, erased)[3][1]]:
+            elif which == "dual" and ncols_seen == [core_shape(pair, erased)[1]]:
                 paths["core"] += 1
             else:
                 paths["dense_rest"] += 1
@@ -485,7 +514,7 @@ class TestBlockDriver:
         for start in range(0, trials, secrecy._BLOCK):
             erased = rng.random((min(secrecy._BLOCK, trials - start), pair.n)) < eps
             live = erased[erased.any(axis=1)]
-            rounds = decoders._peel_edges(pair._span_keys(len(live)), ~live.reshape(-1))[0]
+            rounds = _kernels._peel_edges(pair._span_keys(len(live)), ~live.reshape(-1))[0]
             want.append(len(rounds))
         assert est.detail["peel_rounds"] == want
         assert len(want) == 3 and (eps in (0.0, 1.0)) == (max(want) == 0)
@@ -662,8 +691,8 @@ def peel_code(code, unknown):
     """``_peel_edges`` on the check matrix of ``code``, clearing the positions
     it resolves in ``unknown``: per round its resolving ``(chk, var)``
     edges, then the core's."""
-    keys = codes._edge_keys(*code.edge_lists(), code.checks.rows, code.n)
-    rounds, core = decoders._peel_edges(keys, unknown)
+    keys = _kernels._edge_keys(*code.edge_lists(), code.checks.rows, code.n)
+    rounds, core = _kernels._peel_edges(keys, unknown)
     return [(r >> 32, r & 0xFFFFFFFF) for r in rounds], (core >> 32, core & 0xFFFFFFFF)
 
 
@@ -770,14 +799,14 @@ class TestPeeling:
 
     def test_threshold_behaviour_at_n_10k(self):
         code = codes.regular_ldpc(10_000, 3, 6, seed=20)
-        keys = codes._edge_keys(*code.edge_lists(), code.checks.rows, code.n)
+        keys = _kernels._edge_keys(*code.edge_lists(), code.checks.rows, code.n)
         outcomes = {}
         for eps in (0.40, 0.46):
             rng = np.random.default_rng(77)
             ok_count = 0
             for _ in range(200):
                 unknown = rng.random(10_000) < eps
-                decoders._peel_edges(keys, unknown)
+                _kernels._peel_edges(keys, unknown)
                 ok_count += not unknown.any()
             outcomes[eps] = ok_count / 200
         assert outcomes[0.40] >= 0.99  # below threshold 0.4294
@@ -790,14 +819,14 @@ class TestPeeling:
         # 1 - 0.4294 = 0.5706.
         pair = ldpc_dual_pair
         parent = codes.regular_ldpc(2000, 3, 6, seed=101)
-        keys = codes._edge_keys(*parent.edge_lists(), parent.checks.rows, parent.n)
+        keys = _kernels._edge_keys(*parent.edge_lists(), parent.checks.rows, parent.n)
         empty = {}
         for eps in (0.50, 0.57, 0.60):
             erased = np.random.default_rng(int(100 * eps)).random((64, pair.n)) < eps
             ranks, _ = secrecy._erased_ranks(pair, erased)
             for (_, path), row in zip(ranks, erased):
                 unknown = ~row
-                decoders._peel_edges(keys, unknown)
+                _kernels._peel_edges(keys, unknown)
                 assert (path == "empty_core") == (not unknown.any())
             empty[eps] = sum(path == "empty_core" for _, path in ranks)
             est = secrecy.mc_equivocation_bec(pair, eps, 64, np.random.default_rng(int(100 * eps)))
