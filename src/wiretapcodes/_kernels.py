@@ -194,9 +194,10 @@ def _edges(m) -> tuple[np.ndarray, np.ndarray]:
     took 0.99 against 1.64 ms on the n=2000 (3,6) checks and 10.6 against
     15.6 ms on the n=10002 (4,6) ones (medians of 9 interleaved runs, numpy
     2.4.6, 2 vCPUs).  The words are found by a 2-D ``nonzero``, which reads
-    the strided word prefixes that :func:`.bitlinalg.rref` probes in place:
-    ``flatnonzero`` would copy them, 6.8 MB for the widest probe at
-    n=10002, and it raised the peak RSS of building that code by 2-3 MB.
+    the strided word blocks that :func:`.bitlinalg.rref` probes in place:
+    ``flatnonzero`` would copy them, 3.4 MB for the widest block at
+    n=10002, and copying the 128-word prefix raised the peak RSS of
+    building that code by 2-3 MB.
     """
     words = m.words
     row, word = np.nonzero(words)

@@ -202,131 +202,162 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     The longest whole-word column prefix ``[0, j0)`` that peels completely
     (:func:`_peeled_prefix`) is solved without elimination: every prefix
     column ``q`` is a pivot, and the check ``c(q)`` that resolved it holds,
-    besides ``q``, only prefix columns resolved before it.  So, as Python
-    ints over the columns from ``j0`` on and in peel order, the prefix rows
-    are ``R_q = suffix(c(q)) ^ XOR R_q'`` over those earlier columns
-    ``q'`` (a unit lower-triangular solve, Richardson and Urbanke's
-    approximate lower triangulation), and each unmatched row ``u`` leaves
-    ``S_u = suffix(u) ^ XOR R_q`` over its prefix columns: the Schur
-    complement.  ``_eliminate`` reduces ``S`` alone, which gives the pivots
-    from ``j0`` on, and the same recursion run again on each
-    ``suffix(c(q))`` cleared at ``S``'s pivot columns gives the reduced
-    prefix rows, written straight into the output words.  A dense matrix
-    peels no word (``j0 = 0``), and ``S`` is the whole matrix.  The RREF of
-    a matrix is unique, so the result does not depend on the split.
+    besides ``q``, only prefix columns resolved in earlier peel rounds.  So
+    the prefix rows over the columns from ``j0`` on are ``R_q = c(q) ^ XOR
+    R_p`` over those earlier columns ``p`` (a unit lower-triangular solve,
+    Richardson and Urbanke's approximate lower triangulation), and each
+    unmatched row ``u`` leaves ``S_u = u ^ XOR R_p`` over its prefix
+    columns: the Schur complement.  The solve is level-synchronous: the
+    rows of one peel round depend only on earlier rounds, so each round is
+    one gather of its checks' words and one XOR per dependency slot
+    (:func:`_xor_dependencies`), written to the output rows in one
+    assignment, and all of ``S`` is one such step.  ``_eliminate`` reduces
+    ``S`` alone, which gives the pivots from ``j0`` on.  The same rounds
+    run again on the checks' words with the reduced rows of ``S`` added at
+    the pivot bits they hold, which gives the reduced prefix rows.  A
+    dense matrix peels no word (``j0 = 0``), and ``S`` is the whole matrix.
+    The RREF of a matrix is unique, so the result does not depend on the
+    split.
     """
     rows, cols = m.rows, m.cols
     nw = _nwords(cols)
-    w0, resolved, via, ptr, prefix_of = _peeled_prefix(m)
+    w0, resolved, via, bounds, ptr, prefix_of = _peeled_prefix(m)
     j0 = 64 * w0
-    row_bytes, start = 8 * nw, 8 * w0
-    size = row_bytes - start  # bytes of a row from column j0 on
-    # Byte views of the rows; nothing reads them when j0 = 0, and an empty
-    # array has none.
-    checks = memoryview(np.ascontiguousarray(m.words)).cast("B") if j0 else None
+    tail_words = m.words[:, w0:]
     out = np.zeros((rows, nw), dtype=np.uint64)
-    # Row q of out holds R_q from the time column q resolves: the prefix
-    # rows are read back from the output words, not held as Python ints
-    # (3 MB at n=10002, whose freed heap stayed in the process's RSS).
-    written = memoryview(out).cast("B") if j0 else None
+    solved = out[:, w0:]  # row q holds R_q from the round that resolves q
 
-    def suffix(data, i):
-        """Row ``i`` of the packed rows ``data`` from column ``j0`` on."""
-        return int.from_bytes(data[i * row_bytes + start : (i + 1) * row_bytes], "little")
+    def prefix_columns(checks, own=None):
+        """``(owner, column)`` per prefix column of each ``checks[i]``
+        other than ``own[i]``, in check order."""
+        start = ptr[checks]
+        count = ptr[checks + 1] - start
+        owner = np.repeat(np.arange(checks.size), count)
+        at = np.arange(owner.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        column = prefix_of[at]
+        if own is None:
+            return owner, column
+        keep = column != own[owner]
+        return np.compress(keep, owner), np.compress(keep, column)
 
-    def solve(q, x, others):
-        """Write ``R_q = x ^ XOR R_p`` over ``others`` into row ``q``."""
-        for p in others:
-            if p != q:
-                x ^= suffix(written, p)
-        written[q * row_bytes + start : (q + 1) * row_bytes] = x.to_bytes(size, "little")
+    # the prefix columns of each c(q) but q, by position in peel order
+    owner, column = prefix_columns(via, resolved)
+    dep_bounds = np.searchsorted(owner, bounds)
 
-    for q, c in zip(resolved, via):
-        solve(q, suffix(checks, c), prefix_of[ptr[c] : ptr[c + 1]])
+    def solve_prefix(is_pivot):
+        """Write every ``R_q``, round by round, with the rows of ``S`` at
+        the ``is_pivot`` bits of ``c(q)`` added; row ``j0 + i`` of ``out``
+        is the reduced row of the ``i``-th pivot."""
+        pivot_mask = pack_vector(is_pivot, cols - j0)
+        pivot_words = np.flatnonzero(pivot_mask)  # none in the first solve
+        pivot_mask = pivot_mask[pivot_words]
+        pivot_row = j0 - 1 + np.cumsum(is_pivot)
+        for a, b, d, e in zip(bounds[:-1], bounds[1:], dep_bounds[:-1], dep_bounds[1:]):
+            checks = via[a:b]
+            words = tail_words[np.ix_(checks, pivot_words)] & pivot_mask
+            at, bit = _edges(BitMatrix(b - a, 64 * pivot_words.size, words))
+            bit = 64 * pivot_words[bit >> 6] + (bit & 63)
+            order, acc = _xor_dependencies(
+                tail_words, checks, np.concatenate([owner[d:e] - a, at]),
+                np.concatenate([column[d:e], pivot_row[bit]]), solved)
+            solved[resolved[a:b][order]] = acc
+
+    is_pivot = np.zeros(cols - j0, dtype=bool)
+    solve_prefix(is_pivot)
     unmatched = np.ones(rows, dtype=bool)
     unmatched[via] = False
     unmatched = np.flatnonzero(unmatched)
-    s = m.words[unmatched, w0:]
-    for i in np.flatnonzero(np.diff(ptr)[unmatched]).tolist():
-        u = int(unmatched[i])
-        x = suffix(checks, u)
-        for p in prefix_of[ptr[u] : ptr[u + 1]]:
-            x ^= suffix(written, p)
-        s[i] = np.frombuffer(x.to_bytes(size, "little"), dtype=np.uint64)
+    _, s = _xor_dependencies(tail_words, unmatched, *prefix_columns(unmatched), solved)
     tail = _eliminate(s, cols - j0)
-    out[j0 : j0 + len(tail), w0:] = s[: len(tail)]
+    solved[j0 : j0 + len(tail)] = s[: len(tail)]
     del s
-
-    # Again in peel order, each suffix(c(q)) cleared at the pivot columns
-    # of s (row j0 + i of out is the pivot row of tail[i]) gives the
-    # reduced R_q, over the reduced rows of the earlier columns; it
-    # overwrites the unreduced R_q.
-    pivot_row = {p: j0 + i for i, p in enumerate(tail)}
-    pivot_mask = sum(1 << p for p in tail)
-    for q, c in zip(resolved, via):
-        x = suffix(checks, c)
-        y = x & pivot_mask
-        while y:
-            low = y & -y
-            x ^= suffix(written, pivot_row[low.bit_length() - 1])
-            y ^= low
-        solve(q, x, prefix_of[ptr[c] : ptr[c + 1]])
+    # Again with the reduced rows of S, which clear the pivot bits of each
+    # c(q), and the reduced rows of the earlier columns: the reduced R_q.
+    is_pivot[tail] = True
+    solve_prefix(is_pivot)
     q = np.arange(j0)
     out[q, q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)
     return BitMatrix(rows, cols, out), list(range(j0)) + [j0 + p for p in tail]
+
+
+def _xor_dependencies(words, index, owner, source, solved):
+    """Each row ``words[index[i]]`` XORed with the rows ``solved[source[k]]``
+    of the ``k`` with ``owner[k] == i``, as ``(order, acc)``: ``acc[r]`` is
+    the sum for ``i = order[r]``.
+
+    The rows are taken by falling dependency count, so step ``j`` XORs one
+    gather into the prefix of ``acc`` whose rows have more than ``j``
+    dependencies: the work and the memory of each step are its own rows,
+    and no row is padded to the largest count.
+    """
+    count = np.bincount(owner, minlength=index.size)
+    order = np.argsort(-count, kind="stable")
+    count = count[order]
+    acc = words[index[order]]
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    source = source[np.argsort(place[owner], kind="stable")]
+    start = np.cumsum(count) - count
+    live = np.searchsorted(-count, -np.arange(count.max(initial=0)), side="left")
+    for j, k in enumerate(live.tolist()):
+        acc[:k] ^= solved[source[start[:k] + j]]
+    return order, acc
 
 
 def _peeled_prefix(m: BitMatrix):
     """The longest prefix of whole words whose columns all resolve when
     ``_peel_edges`` peels the checks ``m`` with only those columns unknown.
 
-    Returns ``(w0, resolved, via, ptr, prefix_of)``: the prefix's word
-    count; its columns in peel order and the check that resolved each (the
-    first in edge order when two resolve one column in the same round);
-    and check ``c``'s prefix columns ``prefix_of[ptr[c] : ptr[c + 1]]``.
-    All four are memoryviews of int64 arrays, whose items read as Python
-    ints; as lists, their int objects took 1.3 MB at n=10002.
+    Returns ``(w0, resolved, via, bounds, ptr, prefix_of)``, all but ``w0``
+    int64 arrays: the prefix's word count; its columns in peel order and
+    the check that resolved each (the first in edge order when two resolve
+    one column in the same round), round ``t`` being
+    ``resolved[bounds[t] : bounds[t + 1]]``; and check ``c``'s prefix
+    columns ``prefix_of[ptr[c] : ptr[c + 1]]``.
 
     A zero column never resolves, yet leaves no core, so the test is that
     no column stays unknown.  Fewer unknown columns can only peel further,
     so a prefix peels exactly when it is at most ``w0`` words long: the
     search gallops over 1, 2, 4, ... words and bisects the last step.  Each
-    galloping probe extracts the edges of its own words only; the
-    bisection reads the edges of the probe that failed.
+    galloping step extracts the edges of the words it adds only and sorts
+    them into the row-major keys of the words before; the bisection reads
+    the keys of the step that failed.
     """
 
-    def probe(w, chk, var):
-        keep = var < 64 * w
-        chk, var = np.compress(keep, chk), np.compress(keep, var)
+    def probe(w, keys):
+        keys = np.compress((keys & _KEY_LOW) < 64 * w, keys)
         unknown = np.ones(64 * w, dtype=bool)
-        rounds, _ = _peel_edges(_edge_keys(chk, var, m.rows, 64 * w), unknown)
-        return None if unknown.any() else (w, rounds, chk, var)
+        rounds, _ = _peel_edges(keys, unknown)
+        return None if unknown.any() else (w, rounds, keys)
 
     full = m.cols // 64
-    best = (0, [], np.empty(0, np.int64), np.empty(0, np.int64))
+    best = (0, [], np.empty(0, np.int64))
+    pool = np.empty(0, np.int64)
     lo, hi, w = 0, full + 1, 1  # lo words peel, hi do not (or are past the last)
     while w <= full:
-        pool = _edges(BitMatrix(m.rows, 64 * w, m.words[:, :w]))
-        if (got := probe(w, *pool)) is None:
+        chk, var = _edges(BitMatrix(m.rows, 64 * (w - lo), m.words[:, lo:w]))
+        pool = np.sort(np.concatenate([pool, _edge_keys(chk, var + 64 * lo, m.rows, 64 * w)]))
+        if (got := probe(w, pool)) is None:
             hi = w
             break
         lo, best = w, got
         w = min(2 * w, full) if w < full else full + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if (got := probe(mid, *pool)) is None:
+        if (got := probe(mid, pool)) is None:
             hi = mid
         else:
             lo, best = mid, got
-    w0, rounds, chk, var = best
-    keys = np.concatenate([np.empty(0, np.int64), *rounds])
-    _, first = np.unique(keys & _KEY_LOW, return_index=True)
+    w0, rounds, keys = best
+    peeled = np.concatenate([np.empty(0, np.int64), *rounds])
+    level = np.repeat(np.arange(len(rounds)), [r.size for r in rounds])
+    _, first = np.unique(peeled & _KEY_LOW, return_index=True)
     first.sort()
-    keys = keys[first]
+    bounds = np.searchsorted(level[first], np.arange(len(rounds) + 1))
+    peeled = peeled[first]
     ptr = np.zeros(m.rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(chk, minlength=m.rows), out=ptr[1:])
-    return (w0, memoryview(keys & _KEY_LOW), memoryview(keys >> _KEY_SHIFT),
-            memoryview(ptr), memoryview(var))
+    np.cumsum(np.bincount(keys >> _KEY_SHIFT, minlength=m.rows), out=ptr[1:])
+    return w0, peeled & _KEY_LOW, peeled >> _KEY_SHIFT, bounds, ptr, keys & _KEY_LOW
 
 
 def nullspace_basis(m: BitMatrix) -> BitMatrix:

@@ -287,7 +287,9 @@ def mc_equivocation_bec(
     blocks of ``_BLOCK``.  The half-width is the 95% normal interval
     of the per-trial ranks, normalized by the block length.
     ``detail["rank_paths"]`` counts the trials that took each path of
-    ``_RANK_PATHS``, and ``detail["peel_rounds"]`` lists, per block, the
+    ``_RANK_PATHS``, ``detail["perfect"]`` the trials whose rank is ``m``
+    (the pattern leaves the message perfectly secret), and
+    ``detail["peel_rounds"]`` lists, per block, the
     rounds its peel ran (0 when no pattern of the block needed one); it is
     empty when the pair has no sparse span to peel.
     """
@@ -313,7 +315,7 @@ def mc_equivocation_bec(
         method="exact-rank",
         detail={
             "erasure_prob": erasure_prob, "n": pair.n, "m": pair.m, "rank_paths": paths,
-            "peel_rounds": peel_rounds,
+            "perfect": int(np.count_nonzero(ranks == pair.m)), "peel_rounds": peel_rounds,
         },
     )
 

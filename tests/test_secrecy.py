@@ -398,6 +398,19 @@ class TestRankPathChoice:
                 seen["core" if ncols_seen == [width] else "dense_rest"] += 1
         assert seen == est.detail["rank_paths"]
 
+    @pytest.mark.parametrize("eps,perfect", [(0.48, 0), (0.52, 43), (0.55, 64)])
+    def test_perfect_counts_the_trials_of_rank_m(self, ldpc_dual_pair, eps, perfect):
+        # the same seeded patterns, each ranked alone: a pattern of rank m
+        # leaves the message perfectly secret
+        pair = ldpc_dual_pair
+        est = secrecy.mc_equivocation_bec(pair, eps, 64, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        count = sum(
+            secrecy.exact_equivocation_bec(pair, np.nonzero(rng.random(pair.n) < eps)[0]) == pair.m
+            for _ in range(64)
+        )
+        assert est.detail["perfect"] == count == perfect
+
     @pytest.mark.parametrize("eps", [0.20, 0.45])
     def test_cores_are_compacted_only_when_ranked(self, ldpc_dual_pair, monkeypatch, eps):
         # at 0.20 every trial ranks the dense rest, so no core is renumbered;
