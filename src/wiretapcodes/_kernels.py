@@ -27,17 +27,16 @@ on (3,6) pairs at n=5004 and n=10002 (218-4 995 rows, 40-125 words) it was
 rows (109 against 157 ms on a dense 2000 x 5000 matrix), which no rank in
 the package has.
 
-The BEC peeling decoder ``_peel_edges`` lives here too, below
-:mod:`.codes` and :mod:`.decoders`, with its edge helpers ``_edges`` and
-``_edge_keys``.  It has two users: the exact erasure ranks of
-:mod:`.secrecy`, which peel each erasure pattern before ranking its core,
-and :func:`.bitlinalg.rref`, which peels a sparse column prefix once per
-matrix and eliminates only the rest.  It runs on one sorted int64 key per
-edge, ``chk << 32 | var``.  Each round compresses the live keys once, which
-keeps them sorted by check, so a degree-one check shows as an edge whose
-neighbours both belong to other checks: one compare of adjacent checks
-replaces a count of edges per check, and the rounds and the stopping-set
-core are the ones the count gives.
+The BEC peeling decoder ``_peel_edges`` lives here too, with its edge
+helpers ``_edges`` and ``_edge_keys``.  It has two users: the exact
+erasure ranks of :mod:`.secrecy`, which peel each erasure pattern before
+ranking its core, and :func:`.bitlinalg.rref`, which peels a sparse column
+prefix once per matrix and eliminates only the rest.  It runs on one
+sorted int64 key per edge, ``chk << 32 | var``.  Each round compresses the
+live keys once, which keeps them sorted by check, so a degree-one check
+shows as an edge whose neighbours both belong to other checks: one compare
+of adjacent checks replaces a count of edges per check, and the rounds and
+the stopping-set core are the ones the count gives.
 Every selection by a mask is ``np.compress(mask, a)``, never ``a[mask]``:
 both keep the masked order, but on numpy 2.4 boolean indexing took 172
 against 34 us on 24 000 keys with 40% kept, 41 against 14 us on 9 600 keys
@@ -184,9 +183,9 @@ def _rank_words_numpy(words: np.ndarray, ncols: int) -> int:
     return rank
 
 
-def _edges(m) -> tuple[np.ndarray, np.ndarray]:
+def _edges(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row_index, column_index) int64 arrays of the ones of the packed
-    matrix ``m`` (a :class:`.bitlinalg.BitMatrix`), row-major.
+    words ``words`` (the layout of :class:`.bitlinalg.BitMatrix`), row-major.
 
     Unpacks only the nonzero words, so a sparse matrix is never made dense,
     and one flat index per set bit among them gives its word (``>> 6``) and
@@ -197,9 +196,9 @@ def _edges(m) -> tuple[np.ndarray, np.ndarray]:
     the strided word blocks that :func:`.bitlinalg.rref` probes in place:
     ``flatnonzero`` would copy them, 3.4 MB for the widest block at
     n=10002, and copying the 128-word prefix raised the peak RSS of
-    building that code by 2-3 MB.
+    building that code by 2-3 MB.  It takes bare words, so ``rref`` reads a
+    strip of them without wrapping it in a checked matrix.
     """
-    words = m.words
     row, word = np.nonzero(words)
     bits = np.flatnonzero(np.unpackbits(words[row, word].view(np.uint8), bitorder="little"))
     at = bits >> 6

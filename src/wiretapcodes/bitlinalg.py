@@ -9,10 +9,8 @@ All public operations are pure: they never mutate their inputs (elimination
 runs on a working copy), so values can be shared freely between concurrent
 workers.
 
-``rref`` peels a sparse column prefix before it eliminates.  The peel,
-``_peel_edges``, lives in :mod:`._kernels` with its edge helpers, because
-:mod:`.decoders` imports :mod:`.codes`, which imports this module; its two
-users are ``rref`` and the exact erasure ranks of :mod:`.secrecy`.
+``rref`` peels a sparse column prefix (``_kernels._peel_edges``) before it
+eliminates.
 """
 
 from __future__ import annotations
@@ -100,12 +98,16 @@ def _popcount_rows(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
-def _as_bits(a: np.ndarray) -> np.ndarray:
-    """``a`` as uint8; ValueError unless every entry equals 0 or 1 (``True``
-    and ``1.0`` do; 2, -1 and 0.5 do not, where a cast would wrap or round
-    them to a bit)."""
-    if not ((a == 0) | (a == 1)).all():
-        raise ValueError("entries must be 0 or 1")
+def _as_bits(v, what: str, size: int | None = None) -> np.ndarray:
+    """``v`` as a uint8 array; ValueError naming ``what`` unless every entry
+    equals 0 or 1 (``True`` and ``1.0`` do; 2, -1 and 0.5 do not, where a
+    cast would wrap or round them to a bit) and, when ``size`` is given,
+    ``v`` is a vector of ``size`` entries.  Every function that takes bits
+    checks them here."""
+    a = np.asarray(v)
+    if (size is not None and a.shape != (size,)) or not ((a == 0) | (a == 1)).all():
+        count = "" if size is None else f" {size}"
+        raise ValueError(f"{what} must be{count} bits, each 0 or 1")
     return a.astype(np.uint8)
 
 
@@ -148,7 +150,7 @@ class BitMatrix:
         dense = np.asarray(array)
         if dense.ndim != 2:
             raise ValueError("expected a 2-D array of bits")
-        dense = _as_bits(dense)
+        dense = _as_bits(dense, "matrix")
         rows, cols = dense.shape
         return cls(rows, cols, _pack_rows(dense, cols))
 
@@ -255,7 +257,7 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
         for a, b, d, e in zip(bounds[:-1], bounds[1:], dep_bounds[:-1], dep_bounds[1:]):
             checks = via[a:b]
             words = tail_words[np.ix_(checks, pivot_words)] & pivot_mask
-            at, bit = _edges(BitMatrix(b - a, 64 * pivot_words.size, words))
+            at, bit = _edges(words)
             bit = 64 * pivot_words[bit >> 6] + (bit & 63)
             order, acc = _xor_dependencies(
                 tail_words, checks, np.concatenate([owner[d:e] - a, at]),
@@ -335,7 +337,7 @@ def _peeled_prefix(m: BitMatrix):
     pool = np.empty(0, np.int64)
     lo, hi, w = 0, full + 1, 1  # lo words peel, hi do not (or are past the last)
     while w <= full:
-        chk, var = _edges(BitMatrix(m.rows, 64 * (w - lo), m.words[:, lo:w]))
+        chk, var = _edges(m.words[:, lo:w])
         pool = np.sort(np.concatenate([pool, _edge_keys(chk, var + 64 * lo, m.rows, 64 * w)]))
         if (got := probe(w, pool)) is None:
             hi = w
@@ -423,7 +425,7 @@ def mat_vec(m: BitMatrix, v) -> np.ndarray:
     vec = np.asarray(v)
     if vec.ndim != 1 or vec.shape[0] != m.cols:
         raise ValueError(f"vector length {vec.shape} does not match {m.cols} columns")
-    vec = _as_bits(vec)
+    vec = _as_bits(vec, "vector")
     packed = pack_vector(vec, m.cols)
     counts = np.bitwise_count(m.words & packed[None, :]).sum(axis=1)
     return (counts & 1).astype(np.uint8)
@@ -435,7 +437,7 @@ def vec_mat(v, m: BitMatrix) -> np.ndarray:
     vec = np.asarray(v)
     if vec.ndim != 1 or vec.shape[0] != m.rows:
         raise ValueError(f"vector length {vec.shape} does not match {m.rows} rows")
-    vec = _as_bits(vec)
+    vec = _as_bits(vec, "vector")
     acc = np.bitwise_xor.reduce(m.words[np.nonzero(vec)[0]], axis=0)
     return _unpack_rows(acc[None, :], m.cols)[0]
 

@@ -44,6 +44,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .bitlinalg import _as_bits
+
 ERASED = 0
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -184,6 +186,7 @@ def c_biawgn(snr: float) -> float:
 
 def signal_amplitude(snr: float) -> float:
     """Mean magnitude sqrt(2*snr) of the received symbol."""
+    BIAWGN(snr)  # the model checks the range
     return float(np.sqrt(2.0 * snr))
 
 
@@ -293,30 +296,29 @@ CHANNELS = {cls.name: cls for cls in (BEC, BSC, BIAWGN)}
 
 
 def modulate(bits) -> np.ndarray:
-    """Map bits to symbols: 0 -> +1, 1 -> -1."""
-    b = np.asarray(bits, dtype=np.int8)
-    return (1 - 2 * b).astype(np.int8)
+    """Map bits to symbols: 0 -> +1, 1 -> -1, as int8."""
+    return 1 - 2 * _as_bits(bits, "input").view(np.int8)
 
 
 def bsc_transmit(bits, crossover_prob: float, rng: np.random.Generator) -> np.ndarray:
     """Flip each bit independently with the given probability."""
     BSC(crossover_prob)  # the model checks the range
-    b = np.asarray(bits, dtype=np.uint8)
+    b = _as_bits(bits, "input")
     flips = (rng.random(b.shape) < crossover_prob).astype(np.uint8)
     return b ^ flips
 
 
 def biawgn_transmit(symbols, snr: float, rng: np.random.Generator) -> np.ndarray:
     """y = x * sqrt(2*snr) + n with n standard normal."""
-    BIAWGN(snr)  # the model checks the range
+    amplitude = signal_amplitude(snr)  # which checks the range
     x = np.asarray(symbols, dtype=np.float64)
-    return x * signal_amplitude(snr) + rng.standard_normal(x.shape)
+    return x * amplitude + rng.standard_normal(x.shape)
 
 
 def awgn_llr(z, snr: float) -> np.ndarray:
     """Per-symbol LLR log[p(z|bit 0)/p(z|bit 1)] = 2*sqrt(2*snr)*z."""
-    BIAWGN(snr)  # the model checks the range
-    return 2.0 * signal_amplitude(snr) * np.asarray(z, dtype=np.float64)
+    amplitude = signal_amplitude(snr)  # which checks the range
+    return 2.0 * amplitude * np.asarray(z, dtype=np.float64)
 
 
 def biawgn_density(z, x_symbol: int, snr: float) -> np.ndarray:
@@ -389,10 +391,7 @@ def bsc_degraded_transmit(
     Rejects ``q > 1/2`` and bits other than 0 and 1.
     """
     BSC(crossover_prob).check_degradable()
-    b = np.asarray(bits)
-    if not ((b == 0) | (b == 1)).all():
-        raise ValueError("bits must each be 0 or 1")
-    b = b.astype(np.uint8)
+    b = _as_bits(bits, "input")
     z = bsc_transmit(b, crossover_prob, rng)
     ratio = np.where(z == b, crossover_prob / (1.0 - crossover_prob), 1.0)
     return _erase_by_ratio(modulate(b), ratio, rng), z

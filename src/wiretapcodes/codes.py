@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitlinalg
-from ._kernels import _edge_keys, _edges
+from ._kernels import _edges
 from .bitlinalg import BitMatrix, _check_count
 
 _LDPC_FIXUP_ROUNDS = 1000
@@ -165,7 +165,7 @@ class LinearCode:
 
     def _edge_layout(self):
         if self._edge_cache is None:
-            chk, var = _edges(self.checks)
+            chk, var = _edges(self.checks.words)
             self._edge_cache = (chk, var, *_check_layout(chk, var, self.checks.rows, self.n))
         return self._edge_cache
 
@@ -327,41 +327,17 @@ class NestedCodePair:
     ``{x : h1 @ x = w}`` of the coarse code.  ``h1`` holds the identity at
     the coarse code's pivots, so ``w`` written at the pivots lands in coset
     ``w`` and decoding is the single multiply ``h1 @ y``.
+
+    ``_rank_plan`` is the erasure-rank estimator's own state for the pair,
+    which :func:`.secrecy._rank_plan` builds on the pair's first rank.
     """
 
-    __slots__ = (
-        "coarse", "h1", "_h1_columns_cache", "_unit_rows", "_span_edges", "_span_keys_cache",
-    )
+    __slots__ = ("coarse", "h1", "_rank_plan")
 
     def __init__(self, coarse: LinearCode):
         self.coarse = coarse
         self.h1 = coarse.h
-        self._h1_columns_cache = None
-        # Per column of h1, the row its identity puts there, or -1 off the pivots.
-        self._unit_rows = np.full(self.n, -1, dtype=np.int64)
-        self._unit_rows[coarse.pivots] = np.arange(coarse.pivots.size)
-        # Edges of the coarse code's sparse span, peeled per erasure pattern.
-        self._span_edges = None if coarse.span is None else _edges(coarse.span)
-        self._span_keys_cache = np.empty(0, dtype=np.int64)
-
-    def _span_keys(self, copies: int) -> np.ndarray:
-        """The sorted edge keys (:func:`_edge_keys`) of ``copies`` stacked
-        copies of the span, peeled one erasure pattern per copy.  Built on
-        first use and rebuilt only for more copies than any call before; a
-        smaller block peels a prefix."""
-        chk, var = self._span_edges
-        size = copies * chk.size
-        if self._span_keys_cache.size < size:
-            self._span_keys_cache = _edge_keys(chk, var, self.coarse.span.rows, self.n, copies)
-        return self._span_keys_cache[:size]
-
-    @property
-    def _h1_columns(self) -> BitMatrix:
-        """Columns of ``h1`` packed as rows, built on first use: the
-        per-trial erasure-pattern ranks reduce to a row gather from them."""
-        if self._h1_columns_cache is None:
-            self._h1_columns_cache = self.h1.transpose()
-        return self._h1_columns_cache
+        self._rank_plan = None
 
     @property
     def n(self) -> int:
@@ -473,7 +449,7 @@ def read_alist(path) -> LinearCode:
 def write_alist(code: LinearCode, path) -> None:
     """Write the raw check matrix of ``code`` in alist format."""
     m, n = code.checks.shape
-    chk, var = _edges(code.checks)  # row-major: the row lists
+    chk, var = _edges(code.checks.words)  # row-major: the row lists
     by_col = np.lexsort((chk, var))  # column-major: the column lists
     col_deg = np.bincount(var, minlength=n)
     row_deg = np.bincount(chk, minlength=m)

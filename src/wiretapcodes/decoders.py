@@ -2,8 +2,7 @@
 
 Sum-product decoding runs on ``code.checks`` (the check matrix as
 constructed, which for LDPC ensembles is the sparse low-density one, not the
-rank-normalized view).  The BEC peeling decoder, ``_peel_edges``, lives
-in :mod:`._kernels`, below :mod:`.codes`, where its users import it from.
+rank-normalized view).
 
 Sums and parities over each check's or each variable's edges run on the
 code's check-major layout (:meth:`.LinearCode.check_layout`): slot ``j`` of

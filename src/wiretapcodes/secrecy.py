@@ -37,8 +37,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bitlinalg
-from ._kernels import _KEY_LOW, _KEY_SHIFT, _peel_edges, rank_words
-from .bitlinalg import _check_count
+from ._kernels import _KEY_LOW, _KEY_SHIFT, _edge_keys, _edges, _peel_edges, rank_words
+from .bitlinalg import _as_bits, _check_count
 from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
 from .codes import NestedCodePair, _pack_edges
 from .decoders import _sum_product
@@ -83,7 +83,8 @@ _RANK_PATHS = ("none", "empty_core", "core", "dense_rest")
 # 0.22, 0.21 ms at 0.60; 2.62, 2.29, 2.29, 2.39, 2.35 ms at 0.45; 2.67, 2.69,
 # 2.64, 2.70, 2.62 ms at 0.30.  Blocks of 32 won at 0.60 in all three runs
 # and at 0.30 in two, but at 0.45 they won in none (8, 4 and 1 won there);
-# no size won at all three rates in any run.
+# no size won at all three rates in any run.  A pair's rank plan holds
+# _BLOCK stacked copies of its span, so no block may be larger.
 _BLOCK = 8
 
 
@@ -118,20 +119,11 @@ class EquivocationEstimate:
             )
 
 
-def _bits(v, size: int, what: str) -> np.ndarray:
-    """``v`` as a uint8 vector of ``size`` bits; ValueError unless every
-    entry is 0 or 1."""
-    a = np.asarray(v)
-    if a.shape != (size,) or not ((a == 0) | (a == 1)).all():
-        raise ValueError(f"{what} must be {size} bits, each 0 or 1")
-    return a.astype(np.uint8)
-
-
 def coset_word(pair: NestedCodePair, message, dither) -> np.ndarray:
     """The codeword selected inside coset ``message`` by ``dither``: ``w``
     written at the coarse code's pivots, xor ``dither @ g1``."""
-    w = _bits(message, pair.m, "message")
-    dith = _bits(dither, pair.coarse.k, "dither")
+    w = _as_bits(message, "message", pair.m)
+    dith = _as_bits(dither, "dither", pair.coarse.k)
     x = _coset_leader(pair, w)
     if pair.coarse.k:
         x ^= bitlinalg.vec_mat(dith, pair.coarse.g)
@@ -148,14 +140,14 @@ def _coset_leader(pair: NestedCodePair, w: np.ndarray) -> np.ndarray:
 
 def encode(pair: NestedCodePair, message, rng: np.random.Generator) -> CosetCodeword:
     """Encode a message as a uniformly random member of its coset."""
-    w = _bits(message, pair.m, "message")
+    w = _as_bits(message, "message", pair.m)
     dither = rng.integers(0, 2, size=pair.coarse.k, dtype=np.uint8)
     return CosetCodeword(w, dither, coset_word(pair, w, dither))
 
 
 def main_decode(pair: NestedCodePair, received) -> np.ndarray:
     """Recover the message from a noiseless observation: ``h1 @ y``."""
-    return bitlinalg.mat_vec(pair.h1, _bits(received, pair.n, "received word"))
+    return bitlinalg.mat_vec(pair.h1, _as_bits(received, "received word", pair.n))
 
 
 def _compact(idx: np.ndarray) -> tuple[np.ndarray, int]:
@@ -166,12 +158,31 @@ def _compact(idx: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.cumsum(present) - 1)[idx], int(np.count_nonzero(present))
 
 
+def _rank_plan(pair: NestedCodePair) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(h1_columns, span_keys)``: what the erasure ranks of ``pair`` read,
+    built on its first rank, kept on the pair and never rebuilt.
+
+    ``h1_columns`` is ``h1.transpose().words``, the columns of ``h1`` packed
+    as rows, from which the dense rest gathers its erased columns.
+    ``span_keys`` is the sorted edge keys (:func:`._kernels._edge_keys`) of
+    ``_BLOCK`` stacked copies of the coarse code's sparse span, one copy per
+    pattern of a block; None when the coarse code has no span.  A pair that
+    never ranks (the approach-1 and BP pipelines) never builds either.
+    """
+    if pair._rank_plan is None:
+        span = pair.coarse.span
+        keys = None if span is None else _edge_keys(*_edges(span.words), span.rows, pair.n, _BLOCK)
+        pair._rank_plan = pair.h1.transpose().words, keys
+    return pair._rank_plan
+
+
 def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, list, int]:
     """Peel the coarse code's sparse span ``S`` on the unerased positions of
-    each pattern (row) of the ``(T, n)`` erasure mask ``erased``, in one
-    ``_peel_edges`` call on the stacked keys of ``T`` copies of ``S`` (copy
-    ``t`` offset by ``t`` blocks of checks and of variables), which peel as
-    they would alone: no check or variable is shared between copies.
+    each pattern (row) of the ``(T, n)`` erasure mask ``erased``, ``T`` at
+    most ``_BLOCK``, in one ``_peel_edges`` call on the first ``T`` stacked
+    copies of ``S`` in the pair's rank plan (copy ``t`` offset by ``t``
+    blocks of checks and of variables), which peel as they would alone: no
+    check or variable is shared between copies.
 
     A column of a restriction that is the only one left in some row adds
     exactly one to its rank: the rank is the number peeled plus that of the
@@ -183,9 +194,13 @@ def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, list, i
     copy's core is one sorted run.
     """
     trials = len(erased)
+    if trials > _BLOCK:  # the plan holds no span copies for the rest
+        raise ValueError(f"a block peels at most {_BLOCK} patterns, not {trials}")
     remaining = ~erased
     unerased = np.count_nonzero(remaining, axis=1)
-    rounds, core = _peel_edges(pair._span_keys(trials), remaining.reshape(-1))
+    span_keys = _rank_plan(pair)[1]
+    copy_size = span_keys.size // _BLOCK
+    rounds, core = _peel_edges(span_keys[: trials * copy_size], remaining.reshape(-1))
     peeled = (unerased - np.count_nonzero(remaining, axis=1)).tolist()
     starts = pair.coarse.span.rows * np.arange(trials + 1)
     bounds = np.searchsorted(core >> _KEY_SHIFT, starts).tolist()
@@ -212,27 +227,30 @@ def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int |
     found, one of ``_RANK_PATHS``, and the rounds the block's peel ran (0
     when no pattern needed one, None when the pair has no sparse span).
 
-    An erased pivot column of ``h1`` (an identity column) is a pivot on
-    its own, and so is the row holding its one; the other erased columns
+    ``T`` is at most ``_BLOCK`` when the pair has a span.  An erased pivot
+    column of ``h1`` (an identity column, at ``coarse.pivots``) is a pivot
+    on its own, and so is the row holding its one; the other erased columns
     are eliminated on the other rows.
     When the coarse code has a sparse span ``S``, the same rank is
     ``m - |Ebar| + rank(S_Ebar)`` over the unerased positions ``Ebar``
     (``h1`` is a parity-check matrix of the code ``S`` spans), and peeling
     leaves only the core of ``S_Ebar`` to eliminate; the patterns are
-    peeled together (``_peel_block``).  Whichever of the two eliminations is less
-    work runs: the sparse core costs about its edge count, the dense rest
+    peeled together (``_peel_block``).  Whichever of the two eliminations
+    is less work runs: the sparse core costs about its edge count, the dense rest
     about ``s**2`` for its smaller side ``s``, and the core runs when
     ``_CORE_WORK * edges < s**2`` (the two break even near erasure rate
     0.34 on the n=2000 (3,6)-dual pair).  The dense rest ranks the erased
-    non-pivot columns of ``h1``, packed as rows of its transpose and masked
-    to the rows no erased pivot holds.
+    non-pivot columns of ``h1``, gathered from the rank plan's packed
+    transpose (:func:`_rank_plan`) and masked to the rows no erased pivot
+    holds.
     """
-    m = pair.m
+    m, pivots = pair.m, pair.coarse.pivots
+    h1_columns = _rank_plan(pair)[0]
     unerased = (pair.n - np.count_nonzero(erased, axis=1)).tolist()
     live = [t for t, u in enumerate(unerased) if m and u < pair.n]
     ranks = [(0, "none")] * len(unerased)  # nothing erased, or no message
     peeled, cores, rounds = [None] * len(live), [None] * len(live), None
-    if pair._span_edges is not None:
+    if pair.coarse.span is not None:
         peeled, cores, rounds = _peel_block(pair, erased[live])
     for t, count, core in zip(live, peeled, cores):
         if core is not None:
@@ -240,18 +258,17 @@ def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int |
             if not core.size:  # empty core: peeling found the whole rank
                 ranks[t] = rank, "empty_core"
                 continue
-        erased_idx = np.flatnonzero(erased[t])
-        unit_rows = pair._unit_rows[erased_idx]
-        pivoted = np.zeros(m, dtype=bool)
-        pivoted[unit_rows[unit_rows >= 0]] = True
-        other_cols = erased_idx[unit_rows < 0]
+        pivoted = erased[t, pivots]  # row i of h1 has its unit at pivots[i]
+        other = erased[t].copy()
+        other[pivots] = False
+        other_cols = np.flatnonzero(other)
         other_rows = np.flatnonzero(~pivoted)
         if core is not None:
             s = min(other_cols.size, other_rows.size)
             if _CORE_WORK * core.size < s * s:
                 ranks[t] = rank + _core_rank(core), "core"
                 continue
-        words = pair._h1_columns.words[other_cols]
+        words = h1_columns[other_cols]
         words &= bitlinalg.pack_vector(~pivoted, m)
         ranks[t] = m - other_rows.size + int(rank_words(words, m)), "dense_rest"
     return ranks, rounds
@@ -284,8 +301,10 @@ def mc_equivocation_bec(
 
     Each trial's conditional entropy is exact (rank identity); only the
     pattern average is sampled.  The patterns are drawn and ranked in
-    blocks of ``_BLOCK``.  The half-width is the 95% normal interval
-    of the per-trial ranks, normalized by the block length.
+    blocks of ``_BLOCK``; the pair's rank plan (:func:`_rank_plan`) is
+    built on its first rank, here or in :func:`exact_equivocation_bec`.
+    The half-width is the 95% normal interval of the per-trial ranks,
+    normalized by the block length.
     ``detail["rank_paths"]`` counts the trials that took each path of
     ``_RANK_PATHS``, ``detail["perfect"]`` the trials whose rank is ``m``
     (the pattern leaves the message perfectly secret), and

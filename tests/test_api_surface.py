@@ -126,3 +126,19 @@ def test_private_imports_come_from_their_defining_module():
                         relayed.append(f"{mod}: from .{node.module} import {alias.name}")
     assert checked >= 10
     assert relayed == []
+
+
+def test_the_pair_keeps_only_the_code_and_the_rank_plan():
+    # the erasure-rank estimator's per-pair state is one slot, which only
+    # secrecy reads or fills; codes only declares it and starts it at None
+    private = [s for s in wiretapcodes.NestedCodePair.__slots__ if s.startswith("_")]
+    assert private == ["_rank_plan"]
+    package = ROOT / "src" / "wiretapcodes"
+    naming = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_rank_plan":
+                store = isinstance(node.ctx, ast.Store)
+                if not (path.stem == "codes" and store and ast.unparse(node.value) == "self"):
+                    naming.add(path.stem)
+    assert naming == {"secrecy"}

@@ -436,7 +436,7 @@ def test_edges_are_the_ones_row_major(shape):
     if m.words.shape[1] > 1:  # a one-word prefix, not contiguous in memory
         cases.append((BitMatrix(m.rows, 64, m.words[:, :1]), dense[:, :64]))
     for mat, want in cases:
-        chk, var = _kernels._edges(mat)
+        chk, var = _kernels._edges(mat.words)
         assert chk.dtype == var.dtype == np.int64
         assert np.array_equal(chk, np.nonzero(want)[0])
         assert np.array_equal(var, np.nonzero(want)[1])
@@ -584,11 +584,11 @@ class TestMatVec:
     def test_entries_that_are_not_bits(self, right, left):
         # 2 is 0 over GF(2) and 0.5 no bit at all; neither may be read as one
         m = BitMatrix.from_dense([[1, 0, 0], [0, 1, 1]])
-        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        with pytest.raises(ValueError, match="must be bits, each 0 or 1"):
             bitlinalg.mat_vec(m, right)
-        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        with pytest.raises(ValueError, match="must be bits, each 0 or 1"):
             bitlinalg.vec_mat(left, m)
-        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        with pytest.raises(ValueError, match="must be bits, each 0 or 1"):
             BitMatrix.from_dense([right, [0, 1, 1]])
 
     def test_bool_entries(self):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import erfc
 
-from wiretapcodes import channels, codes, secrecy, thresholds
+from wiretapcodes import bitlinalg, channels, codes, secrecy, thresholds
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.channels import BEC, BIAWGN, BSC
 from wiretapcodes.codes import DegreeDistribution
@@ -126,6 +127,8 @@ OUT_OF_RANGE = {
     "bsc_transmit": (lambda v: channels.bsc_transmit(_X, v, _RNG(0)), BSC, -0.1),
     "biawgn_transmit": (lambda v: channels.biawgn_transmit(_X, v, _RNG(0)), BIAWGN, -1.0),
     "awgn_llr": (lambda v: channels.awgn_llr(_X, v), BIAWGN, -1.0),
+    "signal_amplitude": (channels.signal_amplitude, BIAWGN, -1.0),
+    "biawgn_density": (lambda v: channels.biawgn_density(_X, 1, v), BIAWGN, -1.0),
     "mc_equivocation_bec": (
         lambda v: secrecy.mc_equivocation_bec(_pair(), v, 4, _RNG(0)), BEC, 1.5),
     "approach1_equivocation_bound": (
@@ -146,6 +149,64 @@ def test_out_of_range_parameter_raises_the_models_error(name):
         model(value)
     with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         call(value)
+
+
+@pytest.mark.parametrize("snr", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    channels.signal_amplitude, lambda snr: channels.biawgn_density(_X, -1, snr),
+], ids=["signal_amplitude", "biawgn_density"])
+def test_amplitude_and_density_reject_a_bad_snr_without_a_warning(call, snr):
+    # a negative or NaN SNR used to give nan and a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            call(snr)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: channels.biawgn_transmit(_X, 0.5, _RNG(0)),
+    lambda: channels.awgn_llr(_X, 0.5),
+], ids=["biawgn_transmit", "awgn_llr"])
+def test_one_range_check_per_call(call, monkeypatch):
+    built = []
+
+    def counting(snr):
+        built.append(snr)
+        return BIAWGN(snr)
+
+    monkeypatch.setattr(channels, "BIAWGN", counting)
+    call()
+    assert built == [0.5]
+
+
+_BIT_PAIR = codes.nested_pair_from_coarse(
+    codes.from_parity_check(BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])))
+_M = BitMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
+
+# function of a bit vector of length 2 (with the bad entry first) that must
+# reject the entry; the ones given a generator must not draw from it first
+TAKES_BITS = {
+    "from_dense": lambda b, rng: BitMatrix.from_dense([b, [0, 1]]),
+    "mat_vec": lambda b, rng: bitlinalg.mat_vec(_M, [*b, 0]),
+    "vec_mat": lambda b, rng: bitlinalg.vec_mat(b, _M),
+    "coset_word": lambda b, rng: secrecy.coset_word(_BIT_PAIR, b, [0]),
+    "encode": lambda b, rng: secrecy.encode(_BIT_PAIR, b, rng),
+    "main_decode": lambda b, rng: secrecy.main_decode(_BIT_PAIR, [*b, 1]),
+    "bsc_degraded_transmit": lambda b, rng: channels.bsc_degraded_transmit(b, 0.1, rng),
+    "modulate": lambda b, rng: channels.modulate(b),
+    "bsc_transmit": lambda b, rng: channels.bsc_transmit(b, 0.0, rng),
+}
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5])
+@pytest.mark.parametrize("name", sorted(TAKES_BITS))
+def test_every_bit_input_rejects_a_non_bit(name, bad):
+    # modulate([2, 0.5]) used to give [-3, 1] and bsc_transmit([2], 0.0)
+    # gave [2]; every bit input now goes through one check
+    rng = _RNG(0)
+    with pytest.raises(ValueError, match="must be( \\d+)? bits, each 0 or 1"):
+        TAKES_BITS[name]([bad, 1], rng)
+    assert rng.random() == _RNG(0).random()
 
 
 @pytest.mark.parametrize("snr", [math.nan, math.inf])

@@ -489,14 +489,14 @@ CONSTRUCTION_PINS = {
         "h": "58d131779110479c00b4bad185e2c7f99fc3b4cf27015f899f5d84a06b6bb8e6",
         "g": "8e12ba7c3a763164017d19aff4d48ef88d7284ad308658b56e2d802c2e119bf5",
         "d": "367dfbd7952dffaa212bbbd3faaf422dbcd6b98ea7f8a0299e8c0623f55f6373",
-        "_h1_columns": "6a1d03bd357b11a85bb61e2d47ab056bbd375eebf9b424adc817bf7fa37e7e3e",
+        "h1_transpose": "6a1d03bd357b11a85bb61e2d47ab056bbd375eebf9b424adc817bf7fa37e7e3e",
     },
     "dual-ldpc2000": {
         "checks": "48c3d3023ccb605a146bac149f82279567c11837d829f5909441558f7b354832",
         "h": "48c3d3023ccb605a146bac149f82279567c11837d829f5909441558f7b354832",
         "g": "d5b59075e55f997ae97f039bae8c3db94c2636a35e0d65458cee7a2eb498affc",
         "d": "b4be367bad8d8deb87399b5a71d81160281092cd1bda0eed53f66f37e0b68a2b",
-        "_h1_columns": "5d169867b3ea6b55b99f0601866e46dfd446875ea7b5c30b12186cf00e0acbff",
+        "h1_transpose": "5d169867b3ea6b55b99f0601866e46dfd446875ea7b5c30b12186cf00e0acbff",
     },
 }
 
@@ -507,7 +507,7 @@ def test_construction_is_bit_identical(label):
     pair = codes.nested_pair_from_coarse(coarse)
     got = {
         "checks": sha(coarse.checks), "h": sha(coarse.h), "g": sha(coarse.g),
-        "d": sha(unit_map(coarse.pivots, coarse.n)), "_h1_columns": sha(pair._h1_columns),
+        "d": sha(unit_map(coarse.pivots, coarse.n)), "h1_transpose": sha(pair.h1.transpose()),
     }
     assert got == CONSTRUCTION_PINS[label]
 

@@ -217,7 +217,7 @@ def assert_peel_matches_reference(chk, var, m, n, unknown, copies=1):
 def criterion7_span():
     # the sparse span of the (3,6)-dual pair of acceptance criterion 7
     span = codes.dual(codes.regular_ldpc(2000, 3, 6, seed=101)).span
-    return (*_kernels._edges(span), span.rows, span.cols)
+    return (*_kernels._edges(span.words), span.rows, span.cols)
 
 
 class TestKeyedPeel:
@@ -247,7 +247,7 @@ class TestKeyedPeel:
             [0, 0, 1, 1, 1, 0, 1],
             [0, 0, 0, 0, 0, 0, 1],
         ], dtype=np.uint8)
-        chk, var = _kernels._edges(BitMatrix.from_dense(h))
+        chk, var = _kernels._edges(BitMatrix.from_dense(h).words)
         assert (chk[0], chk[-1]) == (0, 5) and chk[1] != 0 and chk[-2] != 5
         m, n = h.shape
         for pattern in range(1 << n):
@@ -274,7 +274,7 @@ class TestKeyedPeel:
         unknown = np.ones(n, dtype=bool)
         assert _kernels._peel_edges(_kernels._edge_keys(chk, var, m, n), unknown)[1].size == chk.size
         h = BitMatrix.from_dense(np.eye(4, 6, dtype=np.uint8))
-        chk, var = _kernels._edges(h)
+        chk, var = _kernels._edges(h.words)
         for unknown in (np.ones(6, dtype=bool), np.zeros(6, dtype=bool)):
             assert assert_peel_matches_reference(chk, var, 4, 6, np.tile(unknown, 2), copies=2) \
                 == unknown.all()
@@ -283,13 +283,6 @@ class TestKeyedPeel:
         empty = np.empty(0, dtype=np.int64)
         for unknown in (np.ones(5, dtype=bool), np.zeros(5, dtype=bool)):
             assert assert_peel_matches_reference(empty, empty, 2, 5, unknown) == 0
-
-    def test_span_keys_are_a_prefix_of_the_largest_block(self):
-        pair = codes.nested_pair_from_coarse(codes.dual(codes.regular_ldpc(60, 3, 6, seed=2)))
-        chk, var = pair._span_edges
-        m, n = pair.coarse.span.rows, pair.n
-        for copies in (3, 8, 1, 8, 5, 11):
-            assert np.array_equal(pair._span_keys(copies), _kernels._edge_keys(chk, var, m, n, copies))
 
 
 @st.composite

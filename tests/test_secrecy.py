@@ -228,7 +228,7 @@ def peeled_identity_rank(pair, erased):
 
 def dense_rank(pair, erased):
     """rank(h1_E) by eliminating the gathered columns of h1 directly."""
-    return bitlinalg.rank(BitMatrix(erased.size, pair.m, pair._h1_columns.words[erased]))
+    return bitlinalg.rank(BitMatrix(erased.size, pair.m, secrecy._rank_plan(pair)[0][erased]))
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +244,7 @@ class TestPeelPath:
         rng = np.random.default_rng(800 + seed)
         n = int(rng.integers(1, 11))
         pair = sparse_dual_pair(rng, n)
-        assert pair._span_edges is not None
+        assert pair.coarse.span is not None
         table = secrecy.brute_force_equivocation_bec(pair, 0.5)
         for pattern in range(1 << n):
             erased = [i for i in range(n) if (pattern >> i) & 1]
@@ -308,7 +308,7 @@ class TestDenseOrientation:
         # either side of eps = 0.5, above which more columns are erased than
         # h1 has rows
         pair = spanless_pair
-        assert pair._span_edges is None
+        assert pair.coarse.span is None
         h1 = pair.h1.to_dense()
         ncols_seen = spy_rank_ncols(monkeypatch)
         rng = np.random.default_rng(77)
@@ -436,12 +436,14 @@ class TestRankPathChoice:
 
 
 def peel_alone(pair, erased_row):
-    """``(peeled, core_chk, core_var)`` of one erasure mask row, from the
-    reference peel on a single copy of the span."""
+    """``(peeled, core_chk, core_var, rounds)`` of one erasure mask row, from
+    the reference peel on a single copy of the span."""
     remaining = ~erased_row
-    _, core_chk, core_var = reference_peel_edges(*pair._span_edges, pair.coarse.span.rows, remaining)
+    span = pair.coarse.span
+    rounds, core_chk, core_var = reference_peel_edges(
+        *_kernels._edges(span.words), span.rows, remaining)
     peeled = int(np.count_nonzero(~erased_row) - np.count_nonzero(remaining))
-    return peeled, core_chk, core_var
+    return peeled, core_chk, core_var, len(rounds)
 
 
 @pytest.fixture(scope="module")
@@ -453,28 +455,30 @@ def spanless_pair(ldpc_dual_pair):
 
 class TestBlockDriver:
     def test_split_matches_peeling_each_pattern_alone(self, ldpc_dual_pair):
-        # one block mixing nothing erased, stopping-set cores, empty cores and
+        # blocks mixing nothing erased, stopping-set cores, empty cores and
         # everything erased, so unequal cores lie side by side
         pair = ldpc_dual_pair
         rng = np.random.default_rng(19)
         erased = np.concatenate(
             [rng.random((5, pair.n)) < eps for eps in (0.0, 0.3, 0.6, 1.0)]
         )
-        peeled, cores, rounds = secrecy._peel_block(pair, erased)
-        assert len(peeled) == len(cores) == len(erased)
-        # the block peels for as many rounds as its slowest pattern
-        assert rounds == max(
-            len(reference_peel_edges(*pair._span_edges, pair.coarse.span.rows, ~row)[0])
-            for row in erased
-        )
-        # pattern t's run holds the edges of copy t of the span, in edge
-        # order: t blocks of checks and of variables past the reference's
         num_checks = pair.coarse.span.rows
-        for t, (row, count, core) in enumerate(zip(erased, peeled, cores)):
-            want, want_chk, want_var = peel_alone(pair, row)
-            assert count == want
-            assert np.array_equal(core >> _kernels._KEY_SHIFT, want_chk + t * num_checks)
-            assert np.array_equal(core & _kernels._KEY_LOW, want_var + t * pair.n)
+        peeled, cores = [], []
+        for start in range(0, len(erased), secrecy._BLOCK):
+            block = erased[start : start + secrecy._BLOCK]
+            got_peeled, got_cores, rounds = secrecy._peel_block(pair, block)
+            assert len(got_peeled) == len(got_cores) == len(block)
+            want = [peel_alone(pair, row) for row in block]
+            # the block peels for as many rounds as its slowest pattern
+            assert rounds == max(w[3] for w in want)
+            # pattern t's run holds the edges of copy t of the span, in edge
+            # order: t blocks of checks and of variables past the reference's
+            for t, (count, core, w) in enumerate(zip(got_peeled, got_cores, want)):
+                assert count == w[0]
+                assert np.array_equal(core >> _kernels._KEY_SHIFT, w[1] + t * num_checks)
+                assert np.array_equal(core & _kernels._KEY_LOW, w[2] + t * pair.n)
+            peeled += got_peeled
+            cores += got_cores
         shapes = [key_shape(core) for core in cores]
         assert shapes[0][0] == num_checks  # nothing erased: the whole span
         assert shapes[-1] == (0, 0) and peeled[-1] == 0  # everything erased
@@ -521,13 +525,15 @@ class TestBlockDriver:
         # 19 trials: two blocks of 8 and one of 3; a direct _peel_edges call
         # on each block's patterns that erase something gives its count
         pair, trials = ldpc_dual_pair, 19
+        span = pair.coarse.span
         est = secrecy.mc_equivocation_bec(pair, eps, trials, np.random.default_rng(31))
         rng = np.random.default_rng(31)
         want = []
         for start in range(0, trials, secrecy._BLOCK):
             erased = rng.random((min(secrecy._BLOCK, trials - start), pair.n)) < eps
             live = erased[erased.any(axis=1)]
-            rounds = _kernels._peel_edges(pair._span_keys(len(live)), ~live.reshape(-1))[0]
+            keys = _kernels._edge_keys(*_kernels._edges(span.words), span.rows, pair.n, len(live))
+            rounds = _kernels._peel_edges(keys, ~live.reshape(-1))[0]
             want.append(len(rounds))
         assert est.detail["peel_rounds"] == want
         assert len(want) == 3 and (eps in (0.0, 1.0)) == (max(want) == 0)
@@ -539,6 +545,58 @@ class TestBlockDriver:
         assert est.detail["peel_rounds"] == []
         lb = secrecy.equivocation_lb(spanless_pair, BIAWGN(0.5), 9, np.random.default_rng(2))
         assert lb.detail["peel_rounds"] == []
+
+
+class TestRankPlan:
+    def test_built_once_on_the_first_rank(self):
+        pair = codes.nested_pair_from_coarse(codes.dual(codes.regular_ldpc(60, 3, 6, seed=2)))
+        assert pair._rank_plan is None
+        secrecy.exact_equivocation_bec(pair, [0, 5, 7])
+        plan = pair._rank_plan
+        assert plan is not None
+        for eps in (0.0, 0.4, 1.0):
+            secrecy.mc_equivocation_bec(pair, eps, 19, np.random.default_rng(3))
+            secrecy.equivocation_lb(pair, BSC(eps / 2), 3, np.random.default_rng(3))
+        assert pair._rank_plan is plan and secrecy._rank_plan(pair) is plan
+
+    def test_construction_coding_and_approach1_never_build_it(self):
+        code = codes.regular_ldpc(60, 3, 6, seed=2)
+        for coarse in (code, codes.dual(code)):
+            pair = codes.nested_pair_from_coarse(coarse)
+            rng = np.random.default_rng(5)
+            sent = secrecy.encode(pair, rng.integers(0, 2, pair.m, dtype=np.uint8), rng)
+            secrecy.main_decode(pair, sent.word)
+            secrecy.approach1_equivocation_bound(pair, 1.0, 3, 5, rng)
+            assert pair._rank_plan is None
+
+    def test_a_block_past_the_plans_copies_is_refused(self, ldpc_dual_pair):
+        # the plan holds _BLOCK copies of the span; a larger block would
+        # peel its last patterns on no edges and call every core empty
+        erased = np.ones((secrecy._BLOCK + 1, ldpc_dual_pair.n), dtype=bool)
+        with pytest.raises(ValueError, match=f"at most {secrecy._BLOCK} patterns"):
+            secrecy._erased_ranks(ldpc_dual_pair, erased)
+
+    def test_holds_the_transpose_and_the_stacked_span_keys(self, ldpc_dual_pair):
+        pair = ldpc_dual_pair
+        h1_columns, span_keys = secrecy._rank_plan(pair)
+        assert np.array_equal(h1_columns, pair.h1.transpose().words)
+        span = pair.coarse.span
+        want = _kernels._edge_keys(*_kernels._edges(span.words), span.rows, pair.n, secrecy._BLOCK)
+        assert np.array_equal(span_keys, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spanless_pair_has_no_span_keys_and_ranks_exactly(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(2, 11))
+        pair = random_pair(rng, n)
+        assert pair.coarse.span is None
+        table = secrecy.brute_force_equivocation_bec(pair, 0.5)
+        for pattern in range(1 << n):
+            erased = [i for i in range(n) if (pattern >> i) & 1]
+            assert secrecy.exact_equivocation_bec(pair, erased) == table.per_pattern[pattern]
+        h1_columns, span_keys = secrecy._rank_plan(pair)
+        assert span_keys is None
+        assert np.array_equal(h1_columns, pair.h1.transpose().words)
 
 
 @pytest.fixture(scope="module")
@@ -558,7 +616,7 @@ class TestWideRanks:
         got = secrecy._erased_ranks(pair, erasure_mask(pair, erased))[0][0]
         assert got[1] == path
         assert len(ncols_seen) == 1 and bitlinalg._nwords(ncols_seen[0]) >= 40
-        columns = BitMatrix(erased.size, pair.m, pair._h1_columns.words[erased])
+        columns = BitMatrix(erased.size, pair.m, pair.h1.transpose().words[erased])
         assert got[0] == len(bitlinalg.rref(columns)[1])
 
 
@@ -836,7 +894,8 @@ class TestPeeling:
         empty = {}
         for eps in (0.50, 0.57, 0.60):
             erased = np.random.default_rng(int(100 * eps)).random((64, pair.n)) < eps
-            ranks, _ = secrecy._erased_ranks(pair, erased)
+            ranks = [rank for start in range(0, 64, secrecy._BLOCK) for rank in
+                     secrecy._erased_ranks(pair, erased[start : start + secrecy._BLOCK])[0]]
             for (_, path), row in zip(ranks, erased):
                 unknown = ~row
                 _kernels._peel_edges(keys, unknown)
