@@ -4,7 +4,8 @@ A :class:`LinearCode` keeps three views of the same code: the raw check
 matrix it was built from (``checks``, kept sparse-friendly for the iterative
 decoders), a full-row-rank parity-check matrix ``h``, and a generator ``g``.
 A dual code also keeps its parent's check rows as ``span``, a sparse
-spanning set of the code itself, which the BEC rank estimators peel.
+spanning set of the code itself; the BEC rank estimators peel it, or
+``checks`` for a code without one.
 The true dimension ``k`` is always computed from rank, never assumed from a
 design rate, because finite-length LDPC matrices are routinely rank-deficient
 and the coset message length must be exact.
@@ -98,11 +99,12 @@ class LinearCode:
         Generator matrix, ``k x n``, with ``g @ h.T = 0``.
     checks : BitMatrix
         The check matrix as originally given (possibly redundant rows, ``n``
-        columns); the iterative decoders run on this structure.
+        columns); the iterative decoders, and the BEC rank estimators when
+        ``span`` is None, run on this structure.
     span : BitMatrix or None
         Rows spanning the code itself (possibly redundant, ``n`` columns),
         when a sparse set is known: the dual of a code keeps the parent's
-        ``checks``.
+        ``checks``, and the BEC rank estimators peel it in their place.
     pivots : numpy.ndarray
         Per row ``i`` of ``h``, the column where ``h`` holds row ``i`` of the
         identity, increasing; ``g`` holds the identity on the other columns

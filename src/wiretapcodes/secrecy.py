@@ -11,8 +11,7 @@ message survives:
   and its entropy equals the GF(2) rank of ``h1`` restricted to the erased
   columns.  Monte Carlo over patterns averages these exact per-pattern
   values.  The rank is found by peeling first: the erased pivot columns of
-  ``h1`` and, when the coarse code has a sparse span (a dual pair), that
-  span on the unerased positions.
+  ``h1``, and the coarse code's sparse span (a dual pair) or else its checks.
 * For AWGN and BSC eavesdroppers the BEC-embedding degradations make the
   same rank average a lower bound on the true equivocation rate (the
   message, the embedded BEC output, and the final observation form a Markov
@@ -84,7 +83,7 @@ _RANK_PATHS = ("none", "empty_core", "core", "dense_rest")
 # 2.64, 2.70, 2.62 ms at 0.30.  Blocks of 32 won at 0.60 in all three runs
 # and at 0.30 in two, but at 0.45 they won in none (8, 4 and 1 won there);
 # no size won at all three rates in any run.  A pair's rank plan holds
-# _BLOCK stacked copies of its span, so no block may be larger.
+# _BLOCK stacked copies of its peel source, so no block may be larger.
 _BLOCK = 8
 
 
@@ -158,53 +157,59 @@ def _compact(idx: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.cumsum(present) - 1)[idx], int(np.count_nonzero(present))
 
 
-def _rank_plan(pair: NestedCodePair) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(h1_columns, span_keys)``: what the erasure ranks of ``pair`` read,
-    built on its first rank, kept on the pair and never rebuilt.
+def _rank_plan(pair: NestedCodePair) -> tuple[np.ndarray, np.ndarray, int, str]:
+    """``(h1_columns, keys, rows, source)``: what the erasure ranks of ``pair``
+    read, built on its first rank, kept on the pair and never rebuilt.
 
     ``h1_columns`` is ``h1.transpose().words``, the columns of ``h1`` packed
-    as rows, from which the dense rest gathers its erased columns.
-    ``span_keys`` is the sorted edge keys (:func:`._kernels._edge_keys`) of
-    ``_BLOCK`` stacked copies of the coarse code's sparse span, one copy per
-    pattern of a block; None when the coarse code has no span.  A pair that
-    never ranks (the approach-1 and BP pipelines) never builds either.
+    as rows, from which the dense rest gathers its erased columns.  The
+    peel source, chosen here once, is the coarse code's sparse span when it
+    has one (``source`` is ``"span"``), else its own checks (``"checks"``);
+    ``keys`` is the sorted edge keys (:func:`._kernels._edge_keys`) of
+    ``_BLOCK`` stacked copies of it, one per pattern of a block, and
+    ``rows`` its row count.  A pair that never ranks (the approach-1 and BP
+    pipelines) never builds any of it.
     """
     if pair._rank_plan is None:
         span = pair.coarse.span
-        keys = None if span is None else _edge_keys(*_edges(span.words), span.rows, pair.n, _BLOCK)
-        pair._rank_plan = pair.h1.transpose().words, keys
+        source, matrix = ("checks", pair.coarse.checks) if span is None else ("span", span)
+        keys = _edge_keys(*_edges(matrix.words), matrix.rows, pair.n, _BLOCK)
+        pair._rank_plan = pair.h1.transpose().words, keys, matrix.rows, source
     return pair._rank_plan
 
 
 def _peel_block(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, list, int]:
-    """Peel the coarse code's sparse span ``S`` on the unerased positions of
-    each pattern (row) of the ``(T, n)`` erasure mask ``erased``, ``T`` at
-    most ``_BLOCK``, in one ``_peel_edges`` call on the first ``T`` stacked
-    copies of ``S`` in the pair's rank plan (copy ``t`` offset by ``t``
-    blocks of checks and of variables), which peel as they would alone: no
-    check or variable is shared between copies.
+    """Peel the pair's peel source (:func:`_rank_plan`) for each pattern
+    (row) of the ``(T, n)`` erasure mask ``erased``, ``T`` at most
+    ``_BLOCK``, in one ``_peel_edges`` call on the first ``T`` stacked
+    copies in the plan (copy ``t`` offset by ``t`` blocks of checks and of
+    variables), which peel as they would alone: no check or variable is
+    shared between copies.
 
     A column of a restriction that is the only one left in some row adds
-    exactly one to its rank: the rank is the number peeled plus that of the
-    stopping-set core left.  Returns ``(peeled, cores, rounds)``: per
-    pattern the number peeled and the sorted keys of its core's edges, and
-    the number of rounds the peel ran.
+    exactly one to its rank, so ``rank(h1_E)`` is ``top`` minus the unknowns
+    left plus the rank of the stopping-set core.  A span ``S`` peels the
+    unerased positions ``Ebar`` with ``top = m``, as ``rank(h1_E) = m -
+    |Ebar| + rank(S_Ebar)`` (``h1`` checks the code ``S`` spans); the
+    checks peel ``E`` with ``top = |E|``, as ``h1`` has their row space.
+    Returns ``(found, cores, rounds)``: per pattern the rank peeling found
+    and the sorted keys of its core's edges, and the rounds the peel ran.
     The core is the largest stopping set of the pattern, whatever order the
     peel resolves in, and its edges keep their order in the keys, so each
     copy's core is one sorted run.
     """
     trials = len(erased)
-    if trials > _BLOCK:  # the plan holds no span copies for the rest
+    if trials > _BLOCK:  # the plan holds no copies for the rest
         raise ValueError(f"a block peels at most {_BLOCK} patterns, not {trials}")
-    remaining = ~erased
-    unerased = np.count_nonzero(remaining, axis=1)
-    span_keys = _rank_plan(pair)[1]
-    copy_size = span_keys.size // _BLOCK
-    rounds, core = _peel_edges(span_keys[: trials * copy_size], remaining.reshape(-1))
-    peeled = (unerased - np.count_nonzero(remaining, axis=1)).tolist()
-    starts = pair.coarse.span.rows * np.arange(trials + 1)
-    bounds = np.searchsorted(core >> _KEY_SHIFT, starts).tolist()
-    return peeled, [core[a:b] for a, b in zip(bounds, bounds[1:])], len(rounds)
+    _, keys, rows, source = _rank_plan(pair)
+    if source == "span":
+        unknown, top = ~erased, pair.m
+    else:
+        unknown, top = erased.copy(), np.count_nonzero(erased, axis=1)
+    rounds, core = _peel_edges(keys[: trials * (keys.size // _BLOCK)], unknown.reshape(-1))
+    found = (top - np.count_nonzero(unknown, axis=1)).tolist()
+    bounds = np.searchsorted(core >> _KEY_SHIFT, rows * np.arange(trials + 1)).tolist()
+    return found, [core[a:b] for a, b in zip(bounds, bounds[1:])], len(rounds)
 
 
 def _core_rank(keys: np.ndarray) -> int:
@@ -221,53 +226,42 @@ def _core_rank(keys: np.ndarray) -> int:
     return int(rank_words(_pack_edges(rows, cols, nrows, ncols).words[order], ncols))
 
 
-def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int | None]:
+def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int]:
     """``(ranks, rounds)``: ``(rank(h1_E), path)`` for each row ``E`` of the
-    ``(T, n)`` erasure mask ``erased``, with ``path`` the way the rank was
-    found, one of ``_RANK_PATHS``, and the rounds the block's peel ran (0
-    when no pattern needed one, None when the pair has no sparse span).
+    ``(T, n)`` erasure mask ``erased``, ``T`` at most ``_BLOCK``, with
+    ``path`` the way the rank was found, one of ``_RANK_PATHS``, and the
+    rounds the block's peel ran (0 when no pattern needed one).
 
-    ``T`` is at most ``_BLOCK`` when the pair has a span.  An erased pivot
-    column of ``h1`` (an identity column, at ``coarse.pivots``) is a pivot
-    on its own, and so is the row holding its one; the other erased columns
-    are eliminated on the other rows.
-    When the coarse code has a sparse span ``S``, the same rank is
-    ``m - |Ebar| + rank(S_Ebar)`` over the unerased positions ``Ebar``
-    (``h1`` is a parity-check matrix of the code ``S`` spans), and peeling
-    leaves only the core of ``S_Ebar`` to eliminate; the patterns are
-    peeled together (``_peel_block``).  Whichever of the two eliminations
-    is less work runs: the sparse core costs about its edge count, the dense rest
-    about ``s**2`` for its smaller side ``s``, and the core runs when
-    ``_CORE_WORK * edges < s**2`` (the two break even near erasure rate
-    0.34 on the n=2000 (3,6)-dual pair).  The dense rest ranks the erased
-    non-pivot columns of ``h1``, gathered from the rank plan's packed
-    transpose (:func:`_rank_plan`) and masked to the rows no erased pivot
-    holds.
+    An erased pivot column of ``h1`` (an identity column, at
+    ``coarse.pivots``) is a pivot on its own, and so is the row holding its
+    one; the other erased columns are eliminated on the other rows (the
+    dense rest).  Peeling the patterns together (:func:`_peel_block`)
+    leaves a stopping-set core to eliminate instead.  Whichever of the two
+    eliminations is less work runs: the sparse core costs about its edge
+    count, the dense rest about ``s**2`` for its smaller side ``s``, and
+    the core runs when ``_CORE_WORK * edges < s**2``.  The dense rest ranks
+    the erased non-pivot columns of ``h1``, gathered from the rank plan's
+    packed transpose (:func:`_rank_plan`) and masked to the rows no erased
+    pivot holds.
     """
     m, pivots = pair.m, pair.coarse.pivots
     h1_columns = _rank_plan(pair)[0]
-    unerased = (pair.n - np.count_nonzero(erased, axis=1)).tolist()
-    live = [t for t, u in enumerate(unerased) if m and u < pair.n]
-    ranks = [(0, "none")] * len(unerased)  # nothing erased, or no message
-    peeled, cores, rounds = [None] * len(live), [None] * len(live), None
-    if pair.coarse.span is not None:
-        peeled, cores, rounds = _peel_block(pair, erased[live])
-    for t, count, core in zip(live, peeled, cores):
-        if core is not None:
-            rank = m - unerased[t] + count
-            if not core.size:  # empty core: peeling found the whole rank
-                ranks[t] = rank, "empty_core"
-                continue
+    live = np.flatnonzero(erased.any(axis=1)).tolist() if m else []
+    ranks = [(0, "none")] * len(erased)  # nothing erased, or no message
+    found, cores, rounds = _peel_block(pair, erased[live])
+    for t, rank, core in zip(live, found, cores):
+        if not core.size:  # empty core: peeling found the whole rank
+            ranks[t] = rank, "empty_core"
+            continue
         pivoted = erased[t, pivots]  # row i of h1 has its unit at pivots[i]
         other = erased[t].copy()
         other[pivots] = False
         other_cols = np.flatnonzero(other)
         other_rows = np.flatnonzero(~pivoted)
-        if core is not None:
-            s = min(other_cols.size, other_rows.size)
-            if _CORE_WORK * core.size < s * s:
-                ranks[t] = rank + _core_rank(core), "core"
-                continue
+        s = min(other_cols.size, other_rows.size)
+        if _CORE_WORK * core.size < s * s:
+            ranks[t] = rank + _core_rank(core), "core"
+            continue
         words = h1_columns[other_cols]
         words &= bitlinalg.pack_vector(~pivoted, m)
         ranks[t] = m - other_rows.size + int(rank_words(words, m)), "dense_rest"
@@ -306,11 +300,13 @@ def mc_equivocation_bec(
     The half-width is the 95% normal interval of the per-trial ranks,
     normalized by the block length.
     ``detail["rank_paths"]`` counts the trials that took each path of
-    ``_RANK_PATHS``, ``detail["perfect"]`` the trials whose rank is ``m``
-    (the pattern leaves the message perfectly secret), and
-    ``detail["peel_rounds"]`` lists, per block, the
-    rounds its peel ran (0 when no pattern of the block needed one); it is
-    empty when the pair has no sparse span to peel.
+    ``_RANK_PATHS`` and ``detail["peel_source"]`` names the matrix peeled,
+    ``"span"`` or ``"checks"``: an ``empty_core`` is the parent code's
+    peeling decoder recovering the unerased positions, or the coarse code's
+    recovering the erased ones (rank ``|E|``).  ``detail["perfect"]``
+    counts the trials of rank ``m`` (perfectly secret), and
+    ``detail["peel_rounds"]`` lists, per block, the rounds its peel ran (0
+    when no pattern of the block needed one).
     """
     BEC(erasure_prob)  # the model checks the range
     trials = _check_count(trials, "trials")
@@ -323,8 +319,7 @@ def mc_equivocation_bec(
         for t, (rank, path) in enumerate(block, start):
             ranks[t] = rank
             paths[path] += 1
-        if rounds is not None:
-            peel_rounds.append(rounds)
+        peel_rounds.append(rounds)
     mean = float(ranks.mean())
     sd = float(ranks.std(ddof=1)) if trials > 1 else 0.0
     return EquivocationEstimate(
@@ -334,6 +329,7 @@ def mc_equivocation_bec(
         method="exact-rank",
         detail={
             "erasure_prob": erasure_prob, "n": pair.n, "m": pair.m, "rank_paths": paths,
+            "peel_source": _rank_plan(pair)[3],
             "perfect": int(np.count_nonzero(ranks == pair.m)), "peel_rounds": peel_rounds,
         },
     )

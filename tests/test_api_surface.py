@@ -142,3 +142,15 @@ def test_the_pair_keeps_only_the_code_and_the_rank_plan():
                 if not (path.stem == "codes" and store and ast.unparse(node.value) == "self"):
                     naming.add(path.stem)
     assert naming == {"secrecy"}
+
+
+def test_secrecy_chooses_the_peel_source_in_one_function():
+    # the rank plan alone reads the coarse code's span and checks, so the
+    # choice of what the erasure ranks peel is made in one place
+    tree = ast.parse((ROOT / "src" / "wiretapcodes" / "secrecy.py").read_text())
+    readers = {"span": set(), "checks": set()}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in readers:
+                readers[node.attr].add(getattr(top, "name", None))
+    assert readers == {"span": {"_rank_plan"}, "checks": {"_rank_plan"}}

@@ -187,10 +187,14 @@ class TestExactEquivocation:
             assert table.per_pattern[pattern] == secrecy.exact_equivocation_bec(pair, erased)
 
 
-def sparse_dual_pair(rng, n):
+def sparse_code(rng, n):
     rows = int(rng.integers(1, n + 1))
     checks = BitMatrix.from_dense((rng.random((rows, n)) < 0.3).astype(np.uint8))
-    return codes.nested_pair_from_coarse(codes.dual(codes.from_parity_check(checks)))
+    return codes.from_parity_check(checks)
+
+
+def sparse_dual_pair(rng, n):
+    return codes.nested_pair_from_coarse(codes.dual(sparse_code(rng, n)))
 
 
 def erasure_mask(pair, erased):
@@ -201,10 +205,10 @@ def erasure_mask(pair, erased):
 
 
 def peel_one(pair, erased):
-    """``(peeled, core)`` of the one-pattern block ``erased``: the number
-    peeled and the sorted keys of the stopping-set core's edges."""
-    peeled, cores, _ = secrecy._peel_block(pair, erasure_mask(pair, erased))
-    return peeled[0], cores[0]
+    """``(found, core)`` of the one-pattern block ``erased``: the rank
+    peeling found and the sorted keys of the stopping-set core's edges."""
+    found, cores, _ = secrecy._peel_block(pair, erasure_mask(pair, erased))
+    return found[0], cores[0]
 
 
 def key_shape(core) -> tuple[int, int]:
@@ -220,10 +224,8 @@ def core_shape(pair, erased) -> tuple[int, int]:
 
 def peeled_identity_rank(pair, erased):
     """rank(h1_E) through peeling and the core, whatever its size."""
-    erased = np.asarray(erased, dtype=np.int64)
-    peeled, core = peel_one(pair, erased)
-    core_rank = secrecy._core_rank(core) if core.size else 0
-    return pair.m - (pair.n - erased.size) + peeled + core_rank
+    found, core = peel_one(pair, np.asarray(erased, dtype=np.int64))
+    return found + (secrecy._core_rank(core) if core.size else 0)
 
 
 def dense_rank(pair, erased):
@@ -303,8 +305,9 @@ def spy_rank_ncols(monkeypatch) -> list:
 
 class TestDenseOrientation:
     def test_gathered_columns_match_uint8_elimination(self, spanless_pair, monkeypatch):
-        # the criterion-7 h1 without its sparse span, so every rank is the
-        # dense rest, ranked on the gathered columns of h1 (ncols = m) on
+        # the criterion-7 h1 without its sparse span: its dense checks peel
+        # nothing and make every core more work than the dense rest, which
+        # is ranked on the gathered columns of h1 (ncols = m) on
         # either side of eps = 0.5, above which more columns are erased than
         # h1 has rows
         pair = spanless_pair
@@ -436,19 +439,20 @@ class TestRankPathChoice:
 
 
 def peel_alone(pair, erased_row):
-    """``(peeled, core_chk, core_var, rounds)`` of one erasure mask row, from
-    the reference peel on a single copy of the span."""
+    """``(found, core_chk, core_var, rounds)`` of one erasure mask row, from
+    the reference peel on a single copy of the span: ``found`` is ``m``
+    less the unerased positions left unknown."""
     remaining = ~erased_row
     span = pair.coarse.span
     rounds, core_chk, core_var = reference_peel_edges(
         *_kernels._edges(span.words), span.rows, remaining)
-    peeled = int(np.count_nonzero(~erased_row) - np.count_nonzero(remaining))
-    return peeled, core_chk, core_var, len(rounds)
+    return pair.m - int(np.count_nonzero(remaining)), core_chk, core_var, len(rounds)
 
 
 @pytest.fixture(scope="module")
 def spanless_pair(ldpc_dual_pair):
-    # the criterion-7 h1 without its sparse span: every rank is the dense rest
+    # the criterion-7 h1 without its sparse span: its checks are the dense
+    # generator of the (3,6) code, and every rank is the dense rest
     c = ldpc_dual_pair.coarse
     return codes.nested_pair_from_coarse(codes.LinearCode(c.h, c.g, c.checks, c.pivots))
 
@@ -463,28 +467,33 @@ class TestBlockDriver:
             [rng.random((5, pair.n)) < eps for eps in (0.0, 0.3, 0.6, 1.0)]
         )
         num_checks = pair.coarse.span.rows
-        peeled, cores = [], []
+        found, cores = [], []
         for start in range(0, len(erased), secrecy._BLOCK):
             block = erased[start : start + secrecy._BLOCK]
-            got_peeled, got_cores, rounds = secrecy._peel_block(pair, block)
-            assert len(got_peeled) == len(got_cores) == len(block)
+            got_found, got_cores, rounds = secrecy._peel_block(pair, block)
+            assert len(got_found) == len(got_cores) == len(block)
             want = [peel_alone(pair, row) for row in block]
             # the block peels for as many rounds as its slowest pattern
             assert rounds == max(w[3] for w in want)
             # pattern t's run holds the edges of copy t of the span, in edge
             # order: t blocks of checks and of variables past the reference's
-            for t, (count, core, w) in enumerate(zip(got_peeled, got_cores, want)):
-                assert count == w[0]
+            for t, (rank, core, w) in enumerate(zip(got_found, got_cores, want)):
+                assert rank == w[0]
                 assert np.array_equal(core >> _kernels._KEY_SHIFT, w[1] + t * num_checks)
                 assert np.array_equal(core & _kernels._KEY_LOW, w[2] + t * pair.n)
-            peeled += got_peeled
+            found += got_found
             cores += got_cores
         shapes = [key_shape(core) for core in cores]
         assert shapes[0][0] == num_checks  # nothing erased: the whole span
-        assert shapes[-1] == (0, 0) and peeled[-1] == 0  # everything erased
+        assert shapes[-1] == (0, 0) and found[-1] == pair.m  # everything erased
         assert all(s[0] > 0 for s in shapes[5:10])  # cores at 0.3
-        empty = [p for p, s in zip(peeled[10:15], shapes[10:15]) if s == (0, 0)]
-        assert empty and all(p > 0 for p in empty)  # empty cores at 0.6
+        # empty cores at 0.6: the peel resolved positions (the rank found is
+        # above m - |Ebar|) and found the whole rank
+        empty = [(r, row) for r, s, row in zip(found[10:15], shapes[10:15], erased[10:15])
+                 if s == (0, 0)]
+        assert empty
+        for r, row in empty:
+            assert pair.m - np.count_nonzero(~row) < r == dense_rank(pair, np.flatnonzero(row))
 
     @pytest.mark.parametrize("which,eps", [
         ("dual", 0.45), ("dual", 0.60), ("spanless", 0.30), ("spanless", 0.60),
@@ -509,7 +518,7 @@ class TestBlockDriver:
                 paths["none"] += 1
             elif not ncols_seen:
                 paths["empty_core"] += 1
-            elif which == "dual" and ncols_seen == [core_shape(pair, erased)[1]]:
+            elif ncols_seen == [core_shape(pair, erased)[1]]:
                 paths["core"] += 1
             else:
                 paths["dense_rest"] += 1
@@ -539,12 +548,27 @@ class TestBlockDriver:
         assert len(want) == 3 and (eps in (0.0, 1.0)) == (max(want) == 0)
         lb = secrecy.equivocation_lb(pair, BEC(eps), trials, np.random.default_rng(31))
         assert lb.detail["peel_rounds"] == want
+        assert est.detail["peel_source"] == lb.detail["peel_source"] == "span"
 
-    def test_peel_rounds_are_empty_without_a_span(self, spanless_pair):
-        est = secrecy.mc_equivocation_bec(spanless_pair, 0.45, 9, np.random.default_rng(2))
-        assert est.detail["peel_rounds"] == []
-        lb = secrecy.equivocation_lb(spanless_pair, BIAWGN(0.5), 9, np.random.default_rng(2))
-        assert lb.detail["peel_rounds"] == []
+    def test_every_block_records_its_rounds_without_a_span(self, spanless_pair):
+        # the twin peels its coarse code's checks on the erased positions, a
+        # direct _peel_edges call on each block's patterns that erase
+        # something; its dense checks resolve at most one round
+        pair, checks = spanless_pair, spanless_pair.coarse.checks
+        for eps, channel in ((0.45, BEC(0.45)), (BIAWGN(0.5).erasure_rate, BIAWGN(0.5))):
+            rng = np.random.default_rng(2)
+            want = []
+            for start in range(0, 9, secrecy._BLOCK):
+                erased = rng.random((min(secrecy._BLOCK, 9 - start), pair.n)) < eps
+                live = erased[erased.any(axis=1)]
+                keys = _kernels._edge_keys(
+                    *_kernels._edges(checks.words), checks.rows, pair.n, len(live))
+                want.append(len(_kernels._peel_edges(keys, live.reshape(-1))[0]))
+            assert len(want) == 2 and set(want) <= {0, 1}
+            est = secrecy.mc_equivocation_bec(pair, eps, 9, np.random.default_rng(2))
+            lb = secrecy.equivocation_lb(pair, channel, 9, np.random.default_rng(2))
+            assert est.detail["peel_rounds"] == lb.detail["peel_rounds"] == want
+            assert est.detail["peel_source"] == lb.detail["peel_source"] == "checks"
 
 
 class TestRankPlan:
@@ -570,7 +594,7 @@ class TestRankPlan:
             assert pair._rank_plan is None
 
     def test_a_block_past_the_plans_copies_is_refused(self, ldpc_dual_pair):
-        # the plan holds _BLOCK copies of the span; a larger block would
+        # the plan holds _BLOCK copies of the peel source; a larger block would
         # peel its last patterns on no edges and call every core empty
         erased = np.ones((secrecy._BLOCK + 1, ldpc_dual_pair.n), dtype=bool)
         with pytest.raises(ValueError, match=f"at most {secrecy._BLOCK} patterns"):
@@ -578,11 +602,12 @@ class TestRankPlan:
 
     def test_holds_the_transpose_and_the_stacked_span_keys(self, ldpc_dual_pair):
         pair = ldpc_dual_pair
-        h1_columns, span_keys = secrecy._rank_plan(pair)
+        h1_columns, keys, rows, source = secrecy._rank_plan(pair)
         assert np.array_equal(h1_columns, pair.h1.transpose().words)
         span = pair.coarse.span
         want = _kernels._edge_keys(*_kernels._edges(span.words), span.rows, pair.n, secrecy._BLOCK)
-        assert np.array_equal(span_keys, want)
+        assert np.array_equal(keys, want)
+        assert (rows, source) == (span.rows, "span")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_spanless_pair_has_no_span_keys_and_ranks_exactly(self, seed):
@@ -594,8 +619,13 @@ class TestRankPlan:
         for pattern in range(1 << n):
             erased = [i for i in range(n) if (pattern >> i) & 1]
             assert secrecy.exact_equivocation_bec(pair, erased) == table.per_pattern[pattern]
-        h1_columns, span_keys = secrecy._rank_plan(pair)
-        assert span_keys is None
+        # it stacks its coarse code's own checks instead
+        h1_columns, keys, rows, source = secrecy._rank_plan(pair)
+        checks = pair.coarse.checks
+        want = _kernels._edge_keys(
+            *_kernels._edges(checks.words), checks.rows, pair.n, secrecy._BLOCK)
+        assert np.array_equal(keys, want)
+        assert (rows, source) == (checks.rows, "checks")
         assert np.array_equal(h1_columns, pair.h1.transpose().words)
 
 
@@ -904,6 +934,77 @@ class TestPeeling:
             est = secrecy.mc_equivocation_bec(pair, eps, 64, np.random.default_rng(int(100 * eps)))
             assert est.detail["rank_paths"]["empty_core"] == empty[eps]
         assert empty[0.50] == 0 and empty[0.60] >= 60
+
+
+@pytest.fixture(scope="module")
+def plain_pair():
+    # the (3,6) code of acceptance criterion 7 nested as the coarse code
+    return codes.nested_pair_from_coarse(codes.regular_ldpc(2000, 3, 6, seed=101))
+
+
+class TestChecksPeel:
+    """A pair without a span peels its coarse code's checks on the erased
+    positions: ``rank(h1_E) = rank(checks_E)``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tiny_pairs_match_brute_force_on_every_pattern(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        n = int(rng.integers(1, 11))
+        pair = codes.nested_pair_from_coarse(sparse_code(rng, n))
+        assert pair.coarse.span is None
+        table = secrecy.brute_force_equivocation_bec(pair, 0.5)
+        for pattern in range(1 << n):
+            erased = [i for i in range(n) if (pattern >> i) & 1]
+            assert secrecy.exact_equivocation_bec(pair, erased) == table.per_pattern[pattern]
+            assert peeled_identity_rank(pair, erased) == table.per_pattern[pattern]
+
+    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.45, 0.6, 0.9])
+    @pytest.mark.parametrize("which", ["n240", "n606", "n2000"])
+    def test_equals_uint8_elimination(self, plain_pair, which, eps):
+        n = int(which[1:])
+        pair = plain_pair if n == 2000 else codes.nested_pair_from_coarse(
+            codes.regular_ldpc(n, 3, 6, seed=n))
+        h1 = pair.h1.to_dense()
+        rng = np.random.default_rng(int(1000 * eps) + n)
+        for _ in range(10):
+            erased = np.nonzero(rng.random(pair.n) < eps)[0]
+            want = uint8_rank(h1[:, erased].T)
+            assert secrecy.exact_equivocation_bec(pair, erased) == want
+            assert peeled_identity_rank(pair, erased) == want
+
+    def test_empty_cores_are_the_coarse_code_peeling_its_erasures(self, plain_pair):
+        # the mirror of an empty core on a dual pair: here it is the coarse
+        # code peeling its own erasures at rate eps, pattern by pattern,
+        # around the (3,6) BEC threshold 0.4294
+        pair = plain_pair
+        empty = {}
+        for eps in (0.38, 0.43, 0.46):
+            erased = np.random.default_rng(int(100 * eps)).random((64, pair.n)) < eps
+            ranks = [rank for start in range(0, 64, secrecy._BLOCK) for rank in
+                     secrecy._erased_ranks(pair, erased[start : start + secrecy._BLOCK])[0]]
+            for (rank, path), row in zip(ranks, erased):
+                unknown = row.copy()
+                peel_code(pair.coarse, unknown)
+                assert (path == "empty_core") == (not unknown.any())
+            empty[eps] = sum(path == "empty_core" for _, path in ranks)
+            est = secrecy.mc_equivocation_bec(pair, eps, 64, np.random.default_rng(int(100 * eps)))
+            assert est.detail["rank_paths"]["empty_core"] == empty[eps]
+        assert empty[0.38] >= 60 and 0 < empty[0.43] < 64 and empty[0.46] == 0
+
+    def test_below_the_threshold_every_trial_ranks_its_erasures(self, plain_pair):
+        # at eps = 0.30 the (3,6) code's peeling decoder recovers every
+        # pattern, so each rank is |E| and no elimination runs
+        pair, trials = plain_pair, 40
+        est = secrecy.mc_equivocation_bec(pair, 0.30, trials, np.random.default_rng(30))
+        assert est.detail["rank_paths"] == {
+            **dict.fromkeys(secrecy._RANK_PATHS, 0), "empty_core": trials}
+        assert est.detail["peel_source"] == "checks"
+        rng = np.random.default_rng(30)
+        sizes = np.array([np.count_nonzero(rng.random(pair.n) < 0.30) for _ in range(trials)],
+                         dtype=np.float64)
+        # each rank is at most |E|, so an equal mean makes every one equal
+        assert est.value == float(sizes.mean()) / pair.n
+        assert est.detail["perfect"] == 0
 
 
 class TestBpDecode:
