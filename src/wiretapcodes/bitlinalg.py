@@ -94,10 +94,6 @@ def _transpose_words(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(blocks.transpose(1, 2, 0).reshape(64 * cw, rb)[:cols])
 
 
-def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-
-
 def _as_bits(v, what: str, size: int | None = None) -> np.ndarray:
     """``v`` as a uint8 array; ValueError naming ``what`` unless every entry
     equals 0 or 1 (``True`` and ``1.0`` do; 2, -1 and 0.5 do not, where a
@@ -169,12 +165,6 @@ class BitMatrix:
         no dense array is built."""
         return BitMatrix(self.cols, self.rows, _transpose_words(self.words, self.rows, self.cols))
 
-    def row_weights(self) -> np.ndarray:
-        return _popcount_rows(self.words)
-
-    def column_weights(self) -> np.ndarray:
-        return _popcount_rows(_transpose_words(self.words, self.rows, self.cols))
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -221,9 +211,17 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     The RREF of a matrix is unique, so the result does not depend on the
     split.
     """
+    return _rref(m, None)
+
+
+def _rref(m: BitMatrix, keys: np.ndarray | None) -> tuple[BitMatrix, list[int]]:
+    """:func:`rref` of ``m``, whose sorted edge keys (:func:`._kernels._edge_keys`)
+    are ``keys``, or None when the caller has none: the code constructors
+    hand over the keys of the sparse checks they packed, and the peel reads
+    its prefix from them instead of the packed words."""
     rows, cols = m.rows, m.cols
     nw = _nwords(cols)
-    w0, resolved, via, bounds, ptr, prefix_of = _peeled_prefix(m)
+    w0, resolved, via, bounds, ptr, prefix_of = _peeled_prefix(m, keys)
     j0 = 64 * w0
     tail_words = m.words[:, w0:]
     out = np.zeros((rows, nw), dtype=np.uint64)
@@ -306,7 +304,7 @@ def _xor_dependencies(words, index, owner, source, solved):
     return order, acc
 
 
-def _peeled_prefix(m: BitMatrix):
+def _peeled_prefix(m: BitMatrix, keys: np.ndarray | None = None):
     """The longest prefix of whole words whose columns all resolve when
     ``_peel_edges`` peels the checks ``m`` with only those columns unknown.
 
@@ -321,8 +319,11 @@ def _peeled_prefix(m: BitMatrix):
     no column stays unknown.  Fewer unknown columns can only peel further,
     so a prefix peels exactly when it is at most ``w0`` words long: the
     search gallops over 1, 2, 4, ... words and bisects the last step.  Each
-    galloping step extracts the edges of the words it adds only and sorts
-    them into the row-major keys of the words before; the bisection reads
+    probe peels the keys of its prefix's columns, taken from a pool of
+    sorted keys: ``keys``, the keys of all of ``m``, when the caller has
+    them.  Without them, each galloping step extracts the edges of the words
+    it adds only and sorts them into the keys of the words before, so a
+    dense matrix never has its whole edge list built; the bisection reads
     the keys of the step that failed.
     """
 
@@ -334,11 +335,12 @@ def _peeled_prefix(m: BitMatrix):
 
     full = m.cols // 64
     best = (0, [], np.empty(0, np.int64))
-    pool = np.empty(0, np.int64)
+    pool = np.empty(0, np.int64) if keys is None else keys
     lo, hi, w = 0, full + 1, 1  # lo words peel, hi do not (or are past the last)
     while w <= full:
-        chk, var = _edges(m.words[:, lo:w])
-        pool = np.sort(np.concatenate([pool, _edge_keys(chk, var + 64 * lo, m.rows, 64 * w)]))
+        if keys is None:
+            chk, var = _edges(m.words[:, lo:w])
+            pool = np.sort(np.concatenate([pool, _edge_keys(chk, var + 64 * lo, m.rows, 64 * w)]))
         if (got := probe(w, pool)) is None:
             hi = w
             break

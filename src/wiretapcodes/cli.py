@@ -13,7 +13,9 @@ split off with ``numpy.random.SeedSequence((seed, index))`` (a counter-based
 scheme), so reruns of the same configuration produce byte-identical CSV
 bodies regardless of execution order.  Reports start with a commented
 ``key=value`` echo of the configuration, including a hash of its canonical
-JSON form.
+JSON form.  The ``--json`` sidecar holds the configuration, the columns and
+rows, and per row the ``detail`` of the row's estimate or threshold (how it
+was computed: rank paths, peel rounds, BP iterations), or ``{}``.
 
 One table, ``_COMMANDS``, gives each subcommand's runs, one per ``--channel``
 of ``threshold`` or ``--estimator`` of ``simulate``, and each run's flags: those
@@ -31,6 +33,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from typing import Callable, NamedTuple
 
@@ -111,7 +114,23 @@ def _config_dict(args) -> dict:
     return cfg
 
 
-def _write_report(args, config: dict, columns, rows) -> None:
+def _json_safe(value):
+    """``value`` with tuples as lists, numpy scalars as Python ones and
+    non-finite floats as their CSV text, so the sidecar is strict JSON."""
+    if isinstance(value, dict):
+        return {str(k): _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
+
+
+def _write_report(args, config: dict, columns, rows, details=None) -> None:
+    """Write the CSV report and, with ``--json``, its sidecar; ``details``
+    holds one ``detail`` dict per row (none: every row's is ``{}``)."""
     buf = io.StringIO()
     for key in sorted(config):
         buf.write(f"# {key}={_fmt(config[key])}\n")
@@ -131,6 +150,7 @@ def _write_report(args, config: dict, columns, rows) -> None:
             "config": config,
             "columns": list(columns),
             "rows": [[_fmt(v) for v in row] for row in rows],
+            "details": _json_safe(details or [{}] * len(rows)),
         }
         with open(json_path, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -198,12 +218,14 @@ def cmd_threshold(args) -> None:
         else:
             rows.append((res.method, res.value, res.bracket[0], res.bracket[1], args.trials,
                          res.detail["wer"], args.seed, ""))
+    details = [res.detail]
     if args.delta_star is not None:
         rows.append(
             ("user-supplied (typical-pair)", args.delta_star, args.delta_star,
              args.delta_star, "", "", "", "user override")
         )
-    _write_report(args, _config_dict(args), columns, rows)
+        details.append({})
+    _write_report(args, _config_dict(args), columns, rows, details)
 
 
 def _condition_columns(channel, delta_star):
@@ -230,7 +252,7 @@ def cmd_simulate(args) -> None:
         "computed_delta_star", "computed_ok", "computed_margin",
         "configured_lambda_star", "configured_lambda_ok",
     )
-    rows = []
+    rows, details = [], []
     for i, p in enumerate(grid):
         rng = _spawn_rng(args.seed, 1 + i)
         channel = _ESTIMATORS[args.estimator](p)
@@ -259,7 +281,8 @@ def cmd_simulate(args) -> None:
                 *cond_cols, *lam_cols,
             )
         )
-    _write_report(args, _config_dict(args), columns, rows)
+        details.append(est.detail)
+    _write_report(args, _config_dict(args), columns, rows, details)
 
 
 def cmd_region(args) -> None:

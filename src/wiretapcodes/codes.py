@@ -6,6 +6,14 @@ decoders), a full-row-rank parity-check matrix ``h``, and a generator ``g``.
 A dual code also keeps its parent's check rows as ``span``, a sparse
 spanning set of the code itself; the BEC rank estimators peel it, or
 ``checks`` for a code without one.
+A code also keeps the sorted edge keys (``chk << 32 | var``) of the sparse
+matrix its builder packed: :func:`regular_ldpc` and :func:`read_alist` hand
+over the keys of ``checks`` from the edges they packed it from, and
+:func:`dual` hands its parent's on for the ``span``.  ``rref``, the
+decoders' edge layout, the degree count, the alist writer and the rank
+estimators' plan read these keys; only a matrix without them (a code from
+:func:`from_parity_check`, or the dense ``checks`` of a dual) is read off
+its packed words.
 The true dimension ``k`` is always computed from rank, never assumed from a
 design rate, because finite-length LDPC matrices are routinely rank-deficient
 and the coset message length must be exact.
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitlinalg
-from ._kernels import _edges
+from ._kernels import _KEY_LOW, _KEY_SHIFT, _edge_keys, _edges
 from .bitlinalg import BitMatrix, _check_count
 
 _LDPC_FIXUP_ROUNDS = 1000
@@ -110,9 +118,14 @@ class LinearCode:
         identity, increasing; ``g`` holds the identity on the other columns
         in the same way.  Every code is in this systematic form; the
         constructor raises ``ValueError`` otherwise.
+
+    The code keeps, as ``_keys``, the pair ``(matrix, keys)``: the sorted
+    edge keys of ``checks`` or ``span`` that its builder handed over (see
+    the module docstring), or ``(None, None)``.  Every reader of those edges
+    goes through :meth:`_keys_of`.
     """
 
-    __slots__ = ("n", "k", "h", "g", "checks", "span", "pivots", "_edge_cache")
+    __slots__ = ("n", "k", "h", "g", "checks", "span", "pivots", "_keys", "_edge_cache")
 
     def __init__(self, h, g, checks, pivots, span=None):
         n, k = h.cols, g.rows
@@ -135,6 +148,7 @@ class LinearCode:
         self.checks = checks
         self.span = span
         self.pivots = pivots
+        self._keys = None, None
         self._edge_cache = None
 
     @property
@@ -165,19 +179,30 @@ class LinearCode:
         """
         return self._edge_layout()[2:]
 
+    def _keys_of(self, matrix: BitMatrix) -> np.ndarray:
+        """The sorted edge keys (:func:`._kernels._edge_keys`) of ``matrix``,
+        the code's ``checks`` or ``span``: the ones its builder handed over,
+        else read off the packed words on each call."""
+        held, keys = self._keys
+        if keys is None or held is not matrix:
+            keys = _edge_keys(*_edges(matrix.words), matrix.rows, matrix.cols)
+        return keys
+
     def _edge_layout(self):
         if self._edge_cache is None:
-            chk, var = _edges(self.checks.words)
+            keys = self._keys_of(self.checks)
+            chk, var = keys >> _KEY_SHIFT, keys & _KEY_LOW
             self._edge_cache = (chk, var, *_check_layout(chk, var, self.checks.rows, self.n))
         return self._edge_cache
 
     def degree_distribution(self) -> DegreeDistribution:
         """Empirical edge-perspective degree distribution of ``checks``."""
-        col_w = self.checks.column_weights()
-        row_w = self.checks.row_weights()
-        edges = int(col_w.sum())
+        keys = self._keys_of(self.checks)
+        edges = keys.size
         if edges == 0:
             raise ValueError("check matrix has no edges")
+        col_w = np.bincount(keys & _KEY_LOW)
+        row_w = np.bincount(keys >> _KEY_SHIFT)
         var_edge: dict[int, float] = {}
         for d in np.unique(col_w[col_w > 0]):
             var_edge[int(d)] = float(d * np.count_nonzero(col_w == d) / edges)
@@ -256,15 +281,18 @@ def from_parity_check(h: BitMatrix) -> LinearCode:
     return _from_checks(h.copy())
 
 
-def _from_checks(checks: BitMatrix) -> LinearCode:
-    """:func:`from_parity_check` keeping ``checks`` itself, not a copy."""
+def _from_checks(checks: BitMatrix, keys: np.ndarray | None = None) -> LinearCode:
+    """:func:`from_parity_check` keeping ``checks`` itself, not a copy, and
+    its sorted edge keys ``keys`` when the caller has them."""
     if checks.cols < 1:
         raise ValueError("block length must be at least 1")
-    reduced, pivots = bitlinalg.rref(checks)
+    reduced, pivots = bitlinalg._rref(checks, keys)
     r = len(pivots)
     h = BitMatrix(r, checks.cols, reduced.words[:r])
     g = bitlinalg._nullspace_from_rref(h, pivots)
-    return LinearCode(h, g, checks, pivots)
+    code = LinearCode(h, g, checks, pivots)
+    code._keys = checks, keys
+    return code
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -272,10 +300,15 @@ def dual(code: LinearCode) -> LinearCode:
 
     The parent's raw ``checks`` span the dual, so they are kept as its
     ``span``; the parent's ``g`` holds the identity off its ``pivots``.
-    Codes are immutable, so the dual shares the parent's matrices.
+    Codes are immutable, so the dual shares the parent's matrices, and the
+    edge keys of the parent's ``checks``, its own ``span``, when the
+    parent's builder handed them over.
     """
     free = np.setdiff1d(np.arange(code.n), code.pivots)
-    return LinearCode(code.g, code.h, code.g, free, span=code.checks)
+    d = LinearCode(code.g, code.h, code.g, free, span=code.checks)
+    if code._keys[0] is code.checks:
+        d._keys = code._keys
+    return d
 
 
 def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
@@ -288,7 +321,8 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
     ``1 - dv/dc`` and the true rate can only be larger.
 
     Deterministic: the same ``(n, dv, dc, seed)`` always yields the same
-    matrix.
+    matrix.  The code keeps the sorted edge keys of the matching, from
+    which ``checks`` is packed.
     """
     n = _check_count(n, "n", 0)  # n < dc is refused below, naming dc
     dv = _check_count(dv, "dv")
@@ -300,15 +334,27 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
     if n < dc:
         raise ValueError(f"block length {n} cannot support row weight {dc}")
     m = n * dv // dc
-    rng = np.random.default_rng(seed)
+    keys = _matched_sockets(n, dv, m, dc, np.random.default_rng(seed))
+    return _from_checks(_pack_edges(keys >> _KEY_SHIFT, keys & _KEY_LOW, m, n), keys)
+
+
+def _matched_sockets(n: int, dv: int, m: int, dc: int, rng) -> np.ndarray:
+    """The sorted edge keys (:func:`._kernels._edge_keys`) of
+    :func:`regular_ldpc`'s socket matching: ``dv`` sockets per variable and
+    ``dc`` per check, matched by ``rng``, with parallel edges re-drawn."""
     edges = n * dv
     var_of_socket = np.repeat(np.arange(n, dtype=np.int64), dv)
     chk_of_socket = np.repeat(np.arange(m, dtype=np.int64), dc)[rng.permutation(edges)]
 
+    var_high = var_of_socket << _KEY_SHIFT
     for _ in range(_LDPC_FIXUP_ROUNDS):
-        order = np.lexsort((chk_of_socket, var_of_socket))
-        same = (np.diff(var_of_socket[order]) == 0) & (np.diff(chk_of_socket[order]) == 0)
-        bad = order[np.nonzero(same)[0]]
+        # The sockets by variable, then check, ties in socket order.  The
+        # order picks the sockets re-drawn, so it must stay the permutation
+        # np.lexsort((chk, var)) gives, which takes 6.5 against 0.53 ms at
+        # n=10002 (numpy 2.4.6, 2 vCPUs).
+        by_var = var_high | chk_of_socket
+        order = np.argsort(by_var, kind="stable")
+        bad = order[np.flatnonzero(np.diff(by_var[order]) == 0)]
         if bad.size == 0:
             break
         partners = rng.integers(0, edges, size=bad.size)
@@ -318,8 +364,7 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
         raise RuntimeError(
             f"could not remove parallel edges after {_LDPC_FIXUP_ROUNDS} rounds"
         )
-
-    return _from_checks(_pack_edges(chk_of_socket, var_of_socket, m, n))
+    return np.sort(chk_of_socket << _KEY_SHIFT | var_of_socket)
 
 
 class NestedCodePair:
@@ -445,13 +490,14 @@ def read_alist(path) -> LinearCode:
         raise AlistParseError(
             f"line {5 + n + differ[0]}: row list disagrees with column lists"
         )
-    return _from_checks(h)
+    return _from_checks(h, np.sort(row_idx << _KEY_SHIFT | col_of))
 
 
 def write_alist(code: LinearCode, path) -> None:
     """Write the raw check matrix of ``code`` in alist format."""
     m, n = code.checks.shape
-    chk, var = _edges(code.checks.words)  # row-major: the row lists
+    keys = code._keys_of(code.checks)
+    chk, var = keys >> _KEY_SHIFT, keys & _KEY_LOW  # row-major: the row lists
     by_col = np.lexsort((chk, var))  # column-major: the column lists
     col_deg = np.bincount(var, minlength=n)
     row_deg = np.bincount(chk, minlength=m)

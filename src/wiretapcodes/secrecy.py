@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bitlinalg
-from ._kernels import _KEY_LOW, _KEY_SHIFT, _edge_keys, _edges, _peel_edges, rank_words
+from ._kernels import _KEY_LOW, _KEY_SHIFT, _edge_keys, _peel_edges, rank_words
 from .bitlinalg import _as_bits, _check_count
 from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
 from .codes import NestedCodePair, _pack_edges
@@ -166,14 +166,16 @@ def _rank_plan(pair: NestedCodePair) -> tuple[np.ndarray, np.ndarray, int, str]:
     peel source, chosen here once, is the coarse code's sparse span when it
     has one (``source`` is ``"span"``), else its own checks (``"checks"``);
     ``keys`` is the sorted edge keys (:func:`._kernels._edge_keys`) of
-    ``_BLOCK`` stacked copies of it, one per pattern of a block, and
+    ``_BLOCK`` stacked copies of it, one per pattern of a block, stacked
+    from the keys the code keeps (:meth:`.LinearCode._keys_of`), and
     ``rows`` its row count.  A pair that never ranks (the approach-1 and BP
     pipelines) never builds any of it.
     """
     if pair._rank_plan is None:
-        span = pair.coarse.span
-        source, matrix = ("checks", pair.coarse.checks) if span is None else ("span", span)
-        keys = _edge_keys(*_edges(matrix.words), matrix.rows, pair.n, _BLOCK)
+        coarse, span = pair.coarse, pair.coarse.span
+        source, matrix = ("checks", coarse.checks) if span is None else ("span", span)
+        keys = coarse._keys_of(matrix)
+        keys = _edge_keys(keys >> _KEY_SHIFT, keys & _KEY_LOW, matrix.rows, pair.n, _BLOCK)
         pair._rank_plan = pair.h1.transpose().words, keys, matrix.rows, source
     return pair._rank_plan
 

@@ -382,6 +382,31 @@ class TestPlumbing:
         payload = json.loads((tmp_path / "cap.csv.json").read_text())
         assert payload["columns"][0] == "param"
         assert payload["config"]["channel"] == "bec"
+        assert payload["details"] == [{}]
+
+    @pytest.mark.parametrize("estimator,grid,keys", [
+        ("bec-exact", "0.4,0.6", {"erasure_prob", "n", "m", "rank_paths", "peel_source",
+                                  "perfect", "peel_rounds"}),
+        ("approach1", "0.4,1.5", {"snr", "capacity", "word_error_rate", "wer_wilson",
+                                  "coarse_rate", "n", "bp_iterations"}),
+    ])
+    def test_json_sidecar_carries_each_rows_detail(self, tmp_path, estimator, grid, keys):
+        # the CSV is what the goldens pin; the sidecar adds how each row's
+        # estimate was computed, one detail per row
+        out = tmp_path / "sim.csv"
+        assert run("simulate", "--estimator", estimator, "--ensemble", "3,6", "--n", "60",
+                   "--grid", grid, "--trials", "5", "--seed", "1",
+                   "--out", str(out), "--json") == 0
+        payload = json.loads((tmp_path / "sim.csv.json").read_text())
+        assert len(payload["details"]) == len(payload["rows"]) == 2
+        for detail in payload["details"]:
+            assert set(detail) == keys
+        if estimator == "bec-exact":
+            assert all(sum(d["rank_paths"].values()) == 5 for d in payload["details"])
+            assert {d["peel_source"] for d in payload["details"]} == {"span"}
+        else:
+            assert all(len(d["bp_iterations"]) == 5 for d in payload["details"])
+            assert all(len(d["wer_wilson"]) == 2 for d in payload["details"])
 
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"

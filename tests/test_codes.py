@@ -1,10 +1,12 @@
 import hashlib
+import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from wiretapcodes import bitlinalg, codes
+from wiretapcodes import _kernels, bitlinalg, codes, secrecy
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.codes import AlistParseError, DegreeDistribution
 
@@ -117,16 +119,18 @@ class TestFromParityCheck:
         assert code.checks == want
 
     def test_reduces_once_with_the_nullspace_basis_of_h(self, monkeypatch):
+        # the constructors reduce through rref's keyed entry point, handing
+        # over the keys of the checks they packed
         calls = []
-        rref = bitlinalg.rref
+        rref = bitlinalg._rref
 
-        def counting_rref(m):
-            calls.append(m.shape)
-            return rref(m)
+        def counting_rref(m, keys):
+            calls.append((m.shape, None if keys is None else keys.size))
+            return rref(m, keys)
 
-        monkeypatch.setattr(bitlinalg, "rref", counting_rref)
+        monkeypatch.setattr(bitlinalg, "_rref", counting_rref)
         code = codes.regular_ldpc(2000, 3, 6, seed=101)
-        assert calls == [(1000, 2000)]
+        assert calls == [((1000, 2000), 6000)]
         monkeypatch.undo()
         assert code.g == bitlinalg.nullspace_basis(code.h)
 
@@ -565,3 +569,119 @@ def test_construction_holds_no_dense_check_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 2668 * 4002
+
+
+def test_fixup_sort_is_the_lexsort_order():
+    # regular_ldpc orders its sockets by one stable argsort of var << 32 | chk;
+    # lexsort((chk, var)) picked the same sockets to re-draw before it, so
+    # the two must agree on ties and parallel edges
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 60))
+        var = np.sort(rng.integers(0, max(1, size // 3), size))
+        chk = rng.integers(0, int(rng.integers(1, 6)), size)
+        for v in (var, rng.permutation(var)):
+            want = np.lexsort((chk, v))
+            assert np.array_equal(np.argsort(v << 32 | chk, kind="stable"), want)
+
+
+# (n, dv, dc) over seeds 0-7: small and dense, so the fix-up re-draws parallel
+# edges over several rounds
+FIXUP_GRID = [(6, 2, 3), (8, 3, 4), (10, 4, 5), (12, 3, 6), (12, 5, 6), (15, 2, 5),
+              (20, 3, 4), (24, 5, 6), (30, 4, 5), (60, 3, 6), (102, 4, 6), (120, 3, 6),
+              (500, 2, 4)]
+
+
+def test_regular_ldpc_grid_is_bit_identical():
+    # sha256 of the checks words of every code in the grid, recorded with the
+    # lexsort fix-up
+    digest = hashlib.sha256()
+    for args, seed in itertools.product(FIXUP_GRID, range(8)):
+        digest.update(codes.regular_ldpc(*args, seed=seed).checks.words.tobytes())
+    assert digest.hexdigest() == (
+        "70cafc14fe581263d0cacf8bbad0528817baad3db6c093a024dce708f313c792")
+
+
+def _alist_code(tmp_path):
+    path = tmp_path / "code.alist"
+    codes.write_alist(codes.regular_ldpc(600, 3, 6, seed=2), path)
+    return codes.read_alist(path)
+
+
+def _sparse_code(tmp_path):
+    rng = np.random.default_rng(5)
+    return codes.from_parity_check(BitMatrix.from_dense((rng.random((90, 300)) < 0.02)))
+
+
+def _dense_code(tmp_path):
+    rng = np.random.default_rng(6)
+    return codes.from_parity_check(BitMatrix.from_dense(rng.integers(0, 2, (70, 260))))
+
+
+KEYED_CODES = {
+    "ldpc2000": lambda tmp_path: codes.regular_ldpc(2000, 3, 6, seed=101),
+    "ldpc5004": lambda tmp_path: codes.regular_ldpc(5004, 3, 6, seed=3),
+    "ldpc10002": lambda tmp_path: codes.regular_ldpc(10002, 4, 6, seed=8),
+    "alist": _alist_code,
+    "sparse": _sparse_code,
+    "dense": _dense_code,
+    "dual-ldpc2000": lambda tmp_path: codes.dual(codes.regular_ldpc(2000, 3, 6, seed=101)),
+    "dual-dual": lambda tmp_path: codes.dual(codes.dual(codes.regular_ldpc(300, 3, 6, seed=4))),
+}
+
+
+@pytest.mark.parametrize("label", KEYED_CODES)
+def test_code_keys_are_the_words_edges_and_rref_agrees(label, tmp_path):
+    code = KEYED_CODES[label](tmp_path)
+    for matrix in (code.checks, code.span):
+        if matrix is None:
+            continue
+        keys = code._keys_of(matrix)
+        want = _kernels._edge_keys(*_kernels._edges(matrix.words), matrix.rows, matrix.cols)
+        assert keys.dtype == np.int64 and np.array_equal(keys, want)
+        reduced, pivots = bitlinalg._rref(matrix, keys)
+        want_reduced, want_pivots = bitlinalg.rref(matrix)
+        assert np.array_equal(reduced.words, want_reduced.words) and pivots == want_pivots
+    # the builder handed its keys over, and a dual holds its parent's array
+    handed = {"ldpc2000", "ldpc5004", "ldpc10002", "alist", "dual-ldpc2000"}
+    held, keys = code._keys
+    assert (keys is not None) == (label in handed)
+    if label == "dual-ldpc2000":
+        assert held is code.span and code._keys_of(code.span) is keys
+
+
+def test_degree_distribution_counts_the_ones(tmp_path):
+    # the degrees counted from the kept keys against the ones of the words
+    for build in KEYED_CODES.values():
+        code = build(tmp_path)
+        chk, var = _kernels._edges(code.checks.words)
+        col_w, row_w, edges = np.bincount(var), np.bincount(chk), var.size
+        dd = code.degree_distribution()
+        for got, weights in ((dd.var_edge, col_w), (dd.chk_edge, row_w)):
+            want = {int(d): float(d * np.count_nonzero(weights == d) / edges)
+                    for d in np.unique(weights[weights > 0])}
+            assert got == want and list(got) == sorted(got)
+
+
+def test_sparse_checks_are_never_read_back_from_their_words(monkeypatch):
+    # regular_ldpc hands its edge keys to the code, and rref, the decoders'
+    # layout, the degree count and the rank plan of the dual pair read them:
+    # none of them may extract the edges of the checks from the packed words
+    calls = []
+    edges = _kernels._edges
+
+    def spy(words):
+        calls.append(words)
+        return edges(words)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("wiretapcodes") and (
+                getattr(module, "_edges", None) is edges):
+            monkeypatch.setattr(module, "_edges", spy)
+    code = codes.regular_ldpc(2000, 3, 6, seed=101)
+    code.edge_lists()
+    code.degree_distribution()
+    pair = codes.nested_pair_from_coarse(codes.dual(code))
+    secrecy.mc_equivocation_bec(pair, 0.45, 8, np.random.default_rng(1))
+    assert calls, "the spy saw no call: rref's solve extracts the pivot bits it gathers"
+    assert not any(np.shares_memory(words, code.checks.words) for words in calls)

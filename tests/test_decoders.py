@@ -126,7 +126,8 @@ def test_bp_matches_reference_on_padded_layouts():
     dual = codes.dual(codes.regular_ldpc(60, 3, 6, seed=2))
     full = codes.from_parity_check(BitMatrix.from_dense(np.zeros((1, 8), dtype=np.uint8)))
     slot_var, var_slots = irregular.check_layout()
-    d, dv = irregular.checks.row_weights().max(), irregular.checks.column_weights().max()
+    degrees = irregular.degree_distribution()
+    d, dv = max(degrees.chk_edge), max(degrees.var_edge)
     assert slot_var.shape == (d, 13) and var_slots.shape == (dv, 25)
     assert (slot_var[:, -2:] == 24).all() and (var_slots[:, [7, 24]] == 12).all()
     assert full.check_layout()[0].shape == (0, 2)
