@@ -121,9 +121,12 @@ class BitMatrix:
     ``j // 64``) but should be treated as read-only.  The constructor raises
     ValueError unless ``words`` is uint64, of that shape, with every bit past
     column ``cols`` zero.
+
+    A matrix packed from its edges (:func:`_pack_keys`) keeps their sorted
+    keys as ``_keys``; any other, a :meth:`copy` too, starts without them.
     """
 
-    __slots__ = ("rows", "cols", "words")
+    __slots__ = ("rows", "cols", "words", "_keys")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         rows, cols = _check_count(rows, "rows", 0), _check_count(cols, "cols", 0)
@@ -140,6 +143,7 @@ class BitMatrix:
         self.rows = rows
         self.cols = cols
         self.words = words
+        self._keys = None
 
     @classmethod
     def from_dense(cls, array) -> "BitMatrix":
@@ -180,6 +184,26 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+def _pack_keys(keys: np.ndarray, rows: int, cols: int) -> BitMatrix:
+    """The ``rows x cols`` matrix whose ones are the sorted, distinct edge
+    keys ``keys`` (:func:`._kernels._edge_keys`), packed without a dense
+    intermediate, and keeping ``keys``."""
+    words = np.zeros((rows, _nwords(cols)), dtype=np.uint64)
+    var = keys & _KEY_LOW
+    bit = np.uint64(1) << (var & 63).astype(np.uint64)
+    # One bit per edge; ufunc.at ORs the edges that share a word together.
+    np.bitwise_or.at(words, (keys >> _KEY_SHIFT, var >> 6), bit)
+    m = BitMatrix(rows, cols, words)
+    m._keys = keys
+    return m
+
+
+def _keys_of(m: BitMatrix) -> np.ndarray:
+    """The sorted edge keys of ``m``: the ones it keeps, else read off its
+    words."""
+    return _edge_keys(*_edges(m.words), m.rows, m.cols) if m._keys is None else m._keys
+
+
 def rank(m: BitMatrix) -> int:
     """GF(2) rank (dimension of the row space)."""
     return rank_words(m.words, m.cols)
@@ -209,19 +233,11 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     the pivot bits they hold, which gives the reduced prefix rows.  A
     dense matrix peels no word (``j0 = 0``), and ``S`` is the whole matrix.
     The RREF of a matrix is unique, so the result does not depend on the
-    split.
+    split, nor on whether the peel reads the keys ``m`` keeps.
     """
-    return _rref(m, None)
-
-
-def _rref(m: BitMatrix, keys: np.ndarray | None) -> tuple[BitMatrix, list[int]]:
-    """:func:`rref` of ``m``, whose sorted edge keys (:func:`._kernels._edge_keys`)
-    are ``keys``, or None when the caller has none: the code constructors
-    hand over the keys of the sparse checks they packed, and the peel reads
-    its prefix from them instead of the packed words."""
     rows, cols = m.rows, m.cols
     nw = _nwords(cols)
-    w0, resolved, via, bounds, ptr, prefix_of = _peeled_prefix(m, keys)
+    w0, resolved, via, bounds, ptr, prefix_of = _peeled_prefix(m)
     j0 = 64 * w0
     tail_words = m.words[:, w0:]
     out = np.zeros((rows, nw), dtype=np.uint64)
@@ -304,7 +320,7 @@ def _xor_dependencies(words, index, owner, source, solved):
     return order, acc
 
 
-def _peeled_prefix(m: BitMatrix, keys: np.ndarray | None = None):
+def _peeled_prefix(m: BitMatrix):
     """The longest prefix of whole words whose columns all resolve when
     ``_peel_edges`` peels the checks ``m`` with only those columns unknown.
 
@@ -320,11 +336,10 @@ def _peeled_prefix(m: BitMatrix, keys: np.ndarray | None = None):
     so a prefix peels exactly when it is at most ``w0`` words long: the
     search gallops over 1, 2, 4, ... words and bisects the last step.  Each
     probe peels the keys of its prefix's columns, taken from a pool of
-    sorted keys: ``keys``, the keys of all of ``m``, when the caller has
-    them.  Without them, each galloping step extracts the edges of the words
-    it adds only and sorts them into the keys of the words before, so a
-    dense matrix never has its whole edge list built; the bisection reads
-    the keys of the step that failed.
+    sorted keys: the ones ``m`` keeps, if any.  Otherwise each galloping
+    step extracts the edges of the words it adds only and sorts them into
+    the keys of the words before, so a dense matrix never has its whole
+    edge list built; the bisection reads the keys of the step that failed.
     """
 
     def probe(w, keys):
@@ -335,6 +350,7 @@ def _peeled_prefix(m: BitMatrix, keys: np.ndarray | None = None):
 
     full = m.cols // 64
     best = (0, [], np.empty(0, np.int64))
+    keys = m._keys
     pool = np.empty(0, np.int64) if keys is None else keys
     lo, hi, w = 0, full + 1, 1  # lo words peel, hi do not (or are past the last)
     while w <= full:

@@ -6,14 +6,9 @@ decoders), a full-row-rank parity-check matrix ``h``, and a generator ``g``.
 A dual code also keeps its parent's check rows as ``span``, a sparse
 spanning set of the code itself; the BEC rank estimators peel it, or
 ``checks`` for a code without one.
-A code also keeps the sorted edge keys (``chk << 32 | var``) of the sparse
-matrix its builder packed: :func:`regular_ldpc` and :func:`read_alist` hand
-over the keys of ``checks`` from the edges they packed it from, and
-:func:`dual` hands its parent's on for the ``span``.  ``rref``, the
-decoders' edge layout, the degree count, the alist writer and the rank
-estimators' plan read these keys; only a matrix without them (a code from
-:func:`from_parity_check`, or the dense ``checks`` of a dual) is read off
-its packed words.
+:func:`regular_ldpc` and :func:`read_alist` pack ``checks`` from its edges,
+so the matrix keeps their sorted keys (:func:`.bitlinalg._pack_keys`), and
+a dual's ``span`` is that same matrix.
 The true dimension ``k`` is always computed from rank, never assumed from a
 design rate, because finite-length LDPC matrices are routinely rank-deficient
 and the coset message length must be exact.
@@ -29,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitlinalg
-from ._kernels import _KEY_LOW, _KEY_SHIFT, _edge_keys, _edges
-from .bitlinalg import BitMatrix, _check_count
+from ._kernels import _KEY_LOW, _KEY_SHIFT
+from .bitlinalg import BitMatrix, _check_count, _keys_of, _pack_keys
 
 _LDPC_FIXUP_ROUNDS = 1000
 
@@ -118,14 +113,9 @@ class LinearCode:
         identity, increasing; ``g`` holds the identity on the other columns
         in the same way.  Every code is in this systematic form; the
         constructor raises ``ValueError`` otherwise.
-
-    The code keeps, as ``_keys``, the pair ``(matrix, keys)``: the sorted
-    edge keys of ``checks`` or ``span`` that its builder handed over (see
-    the module docstring), or ``(None, None)``.  Every reader of those edges
-    goes through :meth:`_keys_of`.
     """
 
-    __slots__ = ("n", "k", "h", "g", "checks", "span", "pivots", "_keys", "_edge_cache")
+    __slots__ = ("n", "k", "h", "g", "checks", "span", "pivots", "_edge_cache")
 
     def __init__(self, h, g, checks, pivots, span=None):
         n, k = h.cols, g.rows
@@ -148,7 +138,6 @@ class LinearCode:
         self.checks = checks
         self.span = span
         self.pivots = pivots
-        self._keys = None, None
         self._edge_cache = None
 
     @property
@@ -179,25 +168,16 @@ class LinearCode:
         """
         return self._edge_layout()[2:]
 
-    def _keys_of(self, matrix: BitMatrix) -> np.ndarray:
-        """The sorted edge keys (:func:`._kernels._edge_keys`) of ``matrix``,
-        the code's ``checks`` or ``span``: the ones its builder handed over,
-        else read off the packed words on each call."""
-        held, keys = self._keys
-        if keys is None or held is not matrix:
-            keys = _edge_keys(*_edges(matrix.words), matrix.rows, matrix.cols)
-        return keys
-
     def _edge_layout(self):
         if self._edge_cache is None:
-            keys = self._keys_of(self.checks)
+            keys = _keys_of(self.checks)
             chk, var = keys >> _KEY_SHIFT, keys & _KEY_LOW
             self._edge_cache = (chk, var, *_check_layout(chk, var, self.checks.rows, self.n))
         return self._edge_cache
 
     def degree_distribution(self) -> DegreeDistribution:
         """Empirical edge-perspective degree distribution of ``checks``."""
-        keys = self._keys_of(self.checks)
+        keys = _keys_of(self.checks)
         edges = keys.size
         if edges == 0:
             raise ValueError("check matrix has no edges")
@@ -258,15 +238,6 @@ def _check_layout(chk, var, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return slot_var, var_slots
 
 
-def _pack_edges(rows, cols, nrows: int, ncols: int) -> BitMatrix:
-    """The ``nrows x ncols`` matrix with its ones at ``(rows[i], cols[i])``,
-    packed without a dense intermediate: the inverse of :func:`_edges`."""
-    words = np.zeros((nrows, bitlinalg._nwords(ncols)), dtype=np.uint64)
-    # One bit per edge; ufunc.at ORs the edges that share a word together.
-    np.bitwise_or.at(words, (rows, cols // 64), np.uint64(1) << (cols % 64).astype(np.uint64))
-    return BitMatrix(nrows, ncols, words)
-
-
 def from_parity_check(h: BitMatrix) -> LinearCode:
     """Build a code from a parity-check matrix.
 
@@ -281,18 +252,15 @@ def from_parity_check(h: BitMatrix) -> LinearCode:
     return _from_checks(h.copy())
 
 
-def _from_checks(checks: BitMatrix, keys: np.ndarray | None = None) -> LinearCode:
-    """:func:`from_parity_check` keeping ``checks`` itself, not a copy, and
-    its sorted edge keys ``keys`` when the caller has them."""
+def _from_checks(checks: BitMatrix) -> LinearCode:
+    """:func:`from_parity_check` keeping ``checks`` itself, not a copy."""
     if checks.cols < 1:
         raise ValueError("block length must be at least 1")
-    reduced, pivots = bitlinalg._rref(checks, keys)
+    reduced, pivots = bitlinalg.rref(checks)
     r = len(pivots)
     h = BitMatrix(r, checks.cols, reduced.words[:r])
     g = bitlinalg._nullspace_from_rref(h, pivots)
-    code = LinearCode(h, g, checks, pivots)
-    code._keys = checks, keys
-    return code
+    return LinearCode(h, g, checks, pivots)
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -300,15 +268,10 @@ def dual(code: LinearCode) -> LinearCode:
 
     The parent's raw ``checks`` span the dual, so they are kept as its
     ``span``; the parent's ``g`` holds the identity off its ``pivots``.
-    Codes are immutable, so the dual shares the parent's matrices, and the
-    edge keys of the parent's ``checks``, its own ``span``, when the
-    parent's builder handed them over.
+    Codes are immutable, so the dual shares the parent's matrices.
     """
     free = np.setdiff1d(np.arange(code.n), code.pivots)
-    d = LinearCode(code.g, code.h, code.g, free, span=code.checks)
-    if code._keys[0] is code.checks:
-        d._keys = code._keys
-    return d
+    return LinearCode(code.g, code.h, code.g, free, span=code.checks)
 
 
 def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
@@ -321,8 +284,8 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
     ``1 - dv/dc`` and the true rate can only be larger.
 
     Deterministic: the same ``(n, dv, dc, seed)`` always yields the same
-    matrix.  The code keeps the sorted edge keys of the matching, from
-    which ``checks`` is packed.
+    matrix.  ``checks`` is packed from, and keeps, the sorted edge keys of
+    the matching.
     """
     n = _check_count(n, "n", 0)  # n < dc is refused below, naming dc
     dv = _check_count(dv, "dv")
@@ -335,7 +298,7 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
         raise ValueError(f"block length {n} cannot support row weight {dc}")
     m = n * dv // dc
     keys = _matched_sockets(n, dv, m, dc, np.random.default_rng(seed))
-    return _from_checks(_pack_edges(keys >> _KEY_SHIFT, keys & _KEY_LOW, m, n), keys)
+    return _from_checks(_pack_keys(keys, m, n))
 
 
 def _matched_sockets(n: int, dv: int, m: int, dc: int, rng) -> np.ndarray:
@@ -482,21 +445,24 @@ def read_alist(path) -> LinearCode:
             block += idx
         return np.array(own, dtype=np.int64), np.array(block, dtype=np.int64) - 1
 
+    def pack(chk, var):
+        return _pack_keys(np.sort(chk << _KEY_SHIFT | var), m, n)
+
     col_of, row_idx = read_index_block(5, n, col_deg, m, "row")
-    h = _pack_edges(row_idx, col_of, m, n)
-    from_rows = _pack_edges(*read_index_block(5 + n, m, row_deg, n, "column"), m, n)
+    h = pack(row_idx, col_of)
+    from_rows = pack(*read_index_block(5 + n, m, row_deg, n, "column"))
     differ = np.flatnonzero((h.words != from_rows.words).any(axis=1))
     if differ.size:
         raise AlistParseError(
             f"line {5 + n + differ[0]}: row list disagrees with column lists"
         )
-    return _from_checks(h, np.sort(row_idx << _KEY_SHIFT | col_of))
+    return _from_checks(h)
 
 
 def write_alist(code: LinearCode, path) -> None:
     """Write the raw check matrix of ``code`` in alist format."""
     m, n = code.checks.shape
-    keys = code._keys_of(code.checks)
+    keys = _keys_of(code.checks)
     chk, var = keys >> _KEY_SHIFT, keys & _KEY_LOW  # row-major: the row lists
     by_col = np.lexsort((chk, var))  # column-major: the column lists
     col_deg = np.bincount(var, minlength=n)

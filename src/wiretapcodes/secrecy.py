@@ -37,9 +37,9 @@ import numpy as np
 
 from . import bitlinalg
 from ._kernels import _KEY_LOW, _KEY_SHIFT, _edge_keys, _peel_edges, rank_words
-from .bitlinalg import _as_bits, _check_count
+from .bitlinalg import _as_bits, _check_count, _keys_of, _pack_keys
 from .channels import BEC, BIAWGN, BSC, ChannelModel, awgn_llr, biawgn_transmit, c_biawgn, modulate
-from .codes import NestedCodePair, _pack_edges
+from .codes import NestedCodePair
 from .decoders import _sum_product
 from .thresholds import Z95, wilson_interval
 
@@ -167,14 +167,14 @@ def _rank_plan(pair: NestedCodePair) -> tuple[np.ndarray, np.ndarray, int, str]:
     has one (``source`` is ``"span"``), else its own checks (``"checks"``);
     ``keys`` is the sorted edge keys (:func:`._kernels._edge_keys`) of
     ``_BLOCK`` stacked copies of it, one per pattern of a block, stacked
-    from the keys the code keeps (:meth:`.LinearCode._keys_of`), and
-    ``rows`` its row count.  A pair that never ranks (the approach-1 and BP
-    pipelines) never builds any of it.
+    from its own keys (:func:`.bitlinalg._keys_of`), and ``rows`` its row
+    count.  A pair that never ranks (the approach-1 and BP pipelines) never
+    builds any of it.
     """
     if pair._rank_plan is None:
         coarse, span = pair.coarse, pair.coarse.span
         source, matrix = ("checks", coarse.checks) if span is None else ("span", span)
-        keys = coarse._keys_of(matrix)
+        keys = _keys_of(matrix)
         keys = _edge_keys(keys >> _KEY_SHIFT, keys & _KEY_LOW, matrix.rows, pair.n, _BLOCK)
         pair._rank_plan = pair.h1.transpose().words, keys, matrix.rows, source
     return pair._rank_plan
@@ -225,7 +225,7 @@ def _core_rank(keys: np.ndarray) -> int:
     rows, nrows = _compact(keys >> _KEY_SHIFT)
     cols, ncols = _compact(keys & _KEY_LOW)
     order = np.argsort(np.bincount(rows), kind="stable")
-    return int(rank_words(_pack_edges(rows, cols, nrows, ncols).words[order], ncols))
+    return int(rank_words(_pack_keys(rows << _KEY_SHIFT | cols, nrows, ncols).words[order], ncols))
 
 
 def _erased_ranks(pair: NestedCodePair, erased: np.ndarray) -> tuple[list, int]:

@@ -144,6 +144,25 @@ def test_the_pair_keeps_only_the_code_and_the_rank_plan():
     assert naming == {"secrecy"}
 
 
+def test_only_bitlinalg_names_a_matrix_edge_keys():
+    # a matrix's edge keys are a private slot of BitMatrix, which only
+    # bitlinalg reads or fills; codes packs and reads edges through its
+    # helpers, never extracting them from the words itself
+    package = ROOT / "src" / "wiretapcodes"
+    naming, edges_in_codes = set(), False
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_keys":
+                naming.add(path.stem)
+            if path.stem == "codes" and (
+                isinstance(node, ast.ImportFrom) and any(a.name == "_edges" for a in node.names)
+                or isinstance(node, ast.Attribute) and node.attr == "_edges"
+            ):
+                edges_in_codes = True
+    assert naming == {"bitlinalg"}
+    assert not edges_in_codes
+
+
 def test_secrecy_chooses_the_peel_source_in_one_function():
     # the rank plan alone reads the coarse code's span and checks, so the
     # choice of what the erasure ranks peel is made in one place

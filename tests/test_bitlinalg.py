@@ -377,8 +377,17 @@ class TestPeeledRref:
         assert len(seen) == 1 and seen[0][0] < checks.rows // 4
 
     @pytest.fixture(scope="class")
-    def long_checks(self):
+    def long_code_checks(self):
         return codes.regular_ldpc(10002, 4, 6, seed=8).checks
+
+    @pytest.fixture(params=["keyed", "keyless"])
+    def long_checks(self, request, long_code_checks):
+        """The long code's checks, which keep their edge keys, or a copy
+        without them: the peel's two pools, the keys and the galloping
+        word strips."""
+        checks = long_code_checks if request.param == "keyed" else long_code_checks.copy()
+        assert (checks._keys is not None) == (request.param == "keyed")
+        return checks
 
     def test_long_code_round_by_round(self, long_checks):
         # 31 peel rounds of up to 599 columns (665 resolving edges), and a
@@ -425,6 +434,30 @@ class TestPeeledRref:
         last = slice(bounds[-2], bounds[-1])
         assert w0 == 4 and list(resolved[last]) == [255] and list(via[last]) == [320]
         assert self.check(m) == 4
+
+
+class TestEdgeKeys:
+    """A matrix packed from its edges keeps their sorted keys, and no other
+    matrix has any, so no keys outlive the words they were read from."""
+
+    @pytest.fixture(scope="class")
+    def checks(self):
+        return codes.regular_ldpc(606, 3, 6, seed=1).checks
+
+    def test_a_copy_carries_none_and_reduces_after_a_flip(self, checks):
+        assert checks._keys is not None
+        copy = checks.copy()
+        assert copy._keys is None
+        copy.words[0, 0] = ~copy.words[0, 0]  # a word of the peeled prefix
+        reduced, pivots = bitlinalg.rref(copy)
+        expect, expect_piv = dense_rref(copy.to_dense())
+        assert pivots == expect_piv and np.array_equal(reduced.to_dense(), expect)
+
+    def test_only_the_packer_gives_keys(self, checks):
+        assert checks.transpose()._keys is None
+        assert BitMatrix.from_dense(checks.to_dense())._keys is None
+        assert BitMatrix.identity(5)._keys is None
+        assert BitMatrix(checks.rows, checks.cols, checks.words)._keys is None
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 70), (3, 0), (5, 64), (7, 130), (40, 300)])
@@ -856,7 +889,7 @@ class TestWordChecks:
         bitlinalg.nullspace_basis(code.h.transpose())
         bitlinalg.right_inverse(code.h)
         BitMatrix.identity(3)
-        assert "_pack_edges" in sites and "from_dense" in sites
+        assert "_pack_keys" in sites and "from_dense" in sites
         assert sites <= built, sites - built
 
 

@@ -119,16 +119,16 @@ class TestFromParityCheck:
         assert code.checks == want
 
     def test_reduces_once_with_the_nullspace_basis_of_h(self, monkeypatch):
-        # the constructors reduce through rref's keyed entry point, handing
-        # over the keys of the checks they packed
+        # the constructors reduce through the public rref, the name a
+        # tracer wraps, on the checks they packed, which keep their keys
         calls = []
-        rref = bitlinalg._rref
+        rref = bitlinalg.rref
 
-        def counting_rref(m, keys):
-            calls.append((m.shape, None if keys is None else keys.size))
-            return rref(m, keys)
+        def counting_rref(m):
+            calls.append((m.shape, None if m._keys is None else m._keys.size))
+            return rref(m)
 
-        monkeypatch.setattr(bitlinalg, "_rref", counting_rref)
+        monkeypatch.setattr(bitlinalg, "rref", counting_rref)
         code = codes.regular_ldpc(2000, 3, 6, seed=101)
         assert calls == [((1000, 2000), 6000)]
         monkeypatch.undo()
@@ -633,21 +633,23 @@ KEYED_CODES = {
 @pytest.mark.parametrize("label", KEYED_CODES)
 def test_code_keys_are_the_words_edges_and_rref_agrees(label, tmp_path):
     code = KEYED_CODES[label](tmp_path)
-    for matrix in (code.checks, code.span):
+    # the packed checks keep their keys, and a dual's span is its parent's
+    # checks, keys and all; every other matrix has none
+    keyed = {"ldpc2000": "checks", "ldpc5004": "checks", "ldpc10002": "checks",
+             "alist": "checks", "dual-ldpc2000": "span"}
+    for name in ("checks", "span"):
+        matrix = getattr(code, name)
         if matrix is None:
             continue
-        keys = code._keys_of(matrix)
+        assert (matrix._keys is not None) == (keyed.get(label) == name)
+        keys = bitlinalg._keys_of(matrix)
         want = _kernels._edge_keys(*_kernels._edges(matrix.words), matrix.rows, matrix.cols)
         assert keys.dtype == np.int64 and np.array_equal(keys, want)
-        reduced, pivots = bitlinalg._rref(matrix, keys)
-        want_reduced, want_pivots = bitlinalg.rref(matrix)
+        reduced, pivots = bitlinalg.rref(matrix)
+        keyless = matrix.copy()
+        assert keyless._keys is None
+        want_reduced, want_pivots = bitlinalg.rref(keyless)
         assert np.array_equal(reduced.words, want_reduced.words) and pivots == want_pivots
-    # the builder handed its keys over, and a dual holds its parent's array
-    handed = {"ldpc2000", "ldpc5004", "ldpc10002", "alist", "dual-ldpc2000"}
-    held, keys = code._keys
-    assert (keys is not None) == (label in handed)
-    if label == "dual-ldpc2000":
-        assert held is code.span and code._keys_of(code.span) is keys
 
 
 def test_degree_distribution_counts_the_ones(tmp_path):
