@@ -11,21 +11,20 @@ a list indexed by bit length, so each reduction step is one list lookup and
 one big-int XOR and no numpy call runs per pivot.
 Every dense reduction (what ``rref`` leaves after its peel, and
 ``right_inverse``) is ``_eliminate``, the Method of Four Russians (Albrecht,
-Bard and Hart, ACM TOMS 2010, the "M4RI" library) on byte-aligned blocks:
-the pivots of each 8-column byte come from the byte values of the
-unreduced rows, in row order, and every row below them is fixed by one
-gather from the table of all XOR combinations of the pivot rows.  A second
-pass back-substitutes the bytes from last to first, so rows above a pivot
-are cleared once, after later pivots have been removed from the pivot
-rows.
+Bard and Hart, ACM TOMS 2010, the "M4RI" library) on byte-aligned blocks,
+in one Gauss-Jordan pass: the pivots of each 8-column byte come from the
+byte values of the unreduced rows, in row order, and every row, above the
+pivot rows and below them, is fixed by one gather from the table of all XOR
+combinations of the pivot rows.  There is no back-substitution pass.
 
 On the per-trial erasure ranks the basis beats ``_eliminate`` at every
 width: on each rank of 40 words or more that ``mc_equivocation_bec`` makes
-on (3,6) pairs at n=5004 and n=10002 (218-4 995 rows, 40-125 words) it was
-1.2-6.0x faster, 1.4-68 ms against 4.7-165 ms (best of 9 per rank; numpy
-2.4.6, Python 3.11, 2 vCPUs).  ``_eliminate`` wins only on dense, full-rank
-rows (109 against 157 ms on a dense 2000 x 5000 matrix), which no rank in
-the package has.
+on (3,6)-dual pairs at n=5004 and n=10002 (509-4 995 rows, 40-125 words) it
+was 2.1-20x faster, 3.3-28 ms against 7.6-532 ms (best of 9 per rank; numpy
+2.4.6, Python 3.11, 2 vCPUs).  ``_eliminate`` updates every row at every
+byte, so its cost is rows x words whatever the rows hold; it wins only on
+dense, full-rank rows (72 against 78 ms on a dense 2000 x 5000 matrix),
+which no rank in the package has.
 
 The BEC peeling decoder ``_peel_edges`` lives here too, with its edge
 helpers ``_edges`` and ``_edge_keys``.  It has two users: the exact
@@ -77,23 +76,22 @@ def _combinations(rows: np.ndarray) -> np.ndarray:
 
 def _eliminate(words: np.ndarray, ncols: int) -> list[int]:
     """In-place reduced row echelon form over the first ``ncols`` columns,
-    one byte (8 columns) at a time.  Returns pivot columns.
+    one byte (8 columns) at a time, in one Gauss-Jordan pass.  Returns
+    pivot columns.
 
-    The forward pass clears each byte below its pivot rows.  Rows at and
-    below ``r`` are zero left of the byte, so their byte values decide its
-    pivots: an XOR basis of them keyed by lowest bit, grown from the
-    nonzero rows in row order, one row per basis value (no sort or
-    ``np.unique``).  Every row below then XORs the entry of the table
-    of all combinations of those rows that has its pivot bits, which zeroes
-    the byte, and the reduced pivot rows are table entries too.  A second
-    pass walks the bytes from last to first and clears each byte's pivot
-    columns in the rows above its pivot rows, which later bytes have already
-    freed of later pivots.
+    Rows at and below ``r`` are zero left of the byte, so their byte values
+    decide its pivots: an XOR basis of them keyed by lowest bit, grown from
+    the nonzero rows in row order, one row per basis value (no sort or
+    ``np.unique``).  Every row, above and below, then XORs in place the
+    entry of the table of all combinations of those rows that has its pivot
+    bits, which clears the byte's pivot columns: a row without them takes
+    entry 0, which is zero, and the rows the basis came from clear
+    themselves.  The reduced pivot rows are table entries too, written to
+    rows ``r`` on.
     """
     rows = words.shape[0]
     octets = words.view(np.uint8)
     pivots: list[int] = []
-    blocks: list[tuple[int, int, int]] = []  # (byte, first pivot row, pivot mask)
     r = 0
     for byte in range((ncols + 7) // 8):
         if r == rows:
@@ -126,8 +124,8 @@ def _eliminate(words: np.ndarray, ncols: int) -> list[int]:
         table = _combinations(words[found, w:])
         entry = np.empty(1 << k, dtype=np.intp)
         entry[extract[table.view(np.uint8)[:, byte % 8]]] = np.arange(1 << k)
-        sub = words[r:, w:]
-        sub[nz] ^= table[entry[extract[vals]]]
+        sub = words[:, w:]
+        sub ^= np.take(table, entry[extract[octets[:, byte]]], axis=0)
         # Pivot rows go to rows r..r+k-1; the rows they displace fill the holes.
         found_set = set(found)
         moved = [t for t in range(r, r + k) if t not in found_set]
@@ -135,17 +133,7 @@ def _eliminate(words: np.ndarray, ncols: int) -> list[int]:
         words[holes] = words[moved]
         words[r : r + k, w:] = table[entry[1 << np.arange(k)]]
         pivots.extend(8 * byte + b for b in range(8) if mask >> b & 1)
-        blocks.append((byte, r, mask))
         r += k
-    for byte, a, mask in reversed(blocks):
-        sel = _EXTRACT[mask][octets[:a, byte]]
-        nz = np.flatnonzero(sel)
-        if not nz.size:
-            continue
-        w = byte // 8
-        table = _combinations(words[a : a + mask.bit_count(), w:])
-        sub = words[:a, w:]
-        sub[nz] ^= table[sel[nz]]
     return pivots
 
 

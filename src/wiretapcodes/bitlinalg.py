@@ -409,8 +409,10 @@ def _nullspace_from_rref(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
     bits set.  ``a`` is never built whole: each strip of
     ``_STRIP_WORDS`` word columns that holds a free column is written
     straight into 64x64 bit blocks, transposed, and its free rows gathered
-    into the output.  Besides the ``k x cols`` output, memory is one strip,
-    ``cols x 512`` bits.
+    into the output.  Only the 64-row blocks of ``a`` that hold a pivot are
+    written and transposed; the others are zero, and so are the words of
+    the output they would give.  Besides the ``k x cols`` output, memory is
+    one strip of the pivot-holding row blocks, at most ``cols x 512`` bits.
     """
     cols = reduced.cols
     nw = _nwords(cols)
@@ -419,20 +421,21 @@ def _nullspace_from_rref(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
     free[piv] = False
     free = np.flatnonzero(free)
     basis = np.zeros((free.size, nw), dtype=np.uint64)
-    piv_block, piv_bit = piv // 64, piv % 64
+    held, piv_block = np.unique(piv // 64, return_inverse=True)
+    piv_bit = piv % 64
     pivot_rows = reduced.words[: piv.size]
     for w0 in range(0, nw, _STRIP_WORDS):
         w1 = min(w0 + _STRIP_WORDS, nw)
         t0, t1 = np.searchsorted(free, (64 * w0, 64 * w1))
         if t0 == t1:
             continue  # the strip holds only pivot columns
-        # blocks[I, J, i] is word w0 + J of row 64 I + i of a
-        blocks = np.zeros((nw, w1 - w0, 64), dtype=np.uint64)
+        # blocks[h, J, i] is word w0 + J of row 64 held[h] + i of a
+        blocks = np.zeros((held.size, w1 - w0, 64), dtype=np.uint64)
         blocks.transpose(0, 2, 1)[piv_block, piv_bit] = pivot_rows[:, w0:w1]
         _transpose_blocks(blocks)
-        # now blocks[I, J, j] is word I of row 64 (w0 + J) + j of a's transpose
+        # now blocks[h, J, j] is word held[h] of row 64 (w0 + J) + j of a's transpose
         f = free[t0:t1] - 64 * w0
-        basis[t0:t1] = blocks[:, f // 64, f % 64].T
+        basis[t0:t1, held] = blocks[:, f // 64, f % 64].T
     basis[np.arange(free.size), free // 64] |= np.uint64(1) << (free % 64).astype(np.uint64)
     return BitMatrix(free.size, cols, basis)
 

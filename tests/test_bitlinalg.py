@@ -398,11 +398,11 @@ class TestPeeledRref:
         assert self.check(long_checks, oracle=False) == 78
 
     def test_peak_memory_of_the_long_code(self, long_checks):
-        # The peak, 3.42 MiB above the 7.99 MiB output, is in _eliminate:
-        # the 1.01 MiB Schur complement and the elimination's gathers.
-        # Gathering the words of all 4992 resolving checks at once holds
-        # 3.0 MiB more: 6.43 MiB above the output when the first solve does
-        # it, 4.64 MiB when the second does.
+        # The peak, 2.76 MiB above the 7.99 MiB output, is in _eliminate:
+        # the 1.01 MiB Schur complement and one table-row temporary per
+        # byte.  Gathering the words of all 4992 resolving checks at once
+        # would set the peak instead: 6.43 MiB above the output when the
+        # first solve does it, 4.64 MiB when the second does.
         bitlinalg.rref(long_checks)
         tracemalloc.start()
         try:
@@ -564,6 +564,25 @@ class TestStripNullspace:
         for s in all_pivot_strips:
             is_pivot[512 * s : 512 * (s + 1)] = True
         pivots = np.flatnonzero(is_pivot)
+        dense = rng.integers(0, 2, size=(pivots.size, cols), dtype=np.uint8)
+        dense[:, pivots] = np.eye(pivots.size, dtype=np.uint8)
+        basis = bitlinalg._nullspace_from_rref(BitMatrix.from_dense(dense), pivots.tolist())
+        want = nullspace_oracle(dense, pivots)
+        assert basis == BitMatrix.from_dense(want)
+        assert not ((dense.astype(np.int64) @ want.T) % 2).any()
+
+    @pytest.mark.parametrize("cols,pivots,held", [
+        # two non-adjacent 64-column blocks of a 12-block matrix
+        (768, np.r_[128 + np.arange(0, 64, 3), 448 + np.arange(5, 64, 2)], (2, 7)),
+        # the last block, 20 columns wide, only
+        (724, np.array([704, 707, 711, 723]), (11,)),
+        (724, np.array([300]), (4,)),  # a single pivot
+    ], ids=["two-blocks", "last-partial-block", "one-pivot"])
+    def test_row_blocks_without_a_pivot(self, cols, pivots, held):
+        # only the row blocks listed in held hold a pivot; every other
+        # 64-row block of the pivot-placed matrix is zero and is skipped
+        assert tuple(np.unique(pivots // 64)) == held
+        rng = np.random.default_rng(cols + pivots.size)
         dense = rng.integers(0, 2, size=(pivots.size, cols), dtype=np.uint8)
         dense[:, pivots] = np.eye(pivots.size, dtype=np.uint8)
         basis = bitlinalg._nullspace_from_rref(BitMatrix.from_dense(dense), pivots.tolist())

@@ -519,7 +519,8 @@ def test_construction_is_bit_identical(label):
 # sha256 of regular_ldpc codes.  The criterion-10 code (n=10002, 6667 x 157
 # words of checks) was recorded with the word-stripe elimination that the
 # byte-aligned one with back-substitution replaced; the n=2000 code with the
-# whole-matrix null-space transpose that the strip-wise one replaced.
+# whole-matrix null-space transpose that the strip-wise one replaced.  Both
+# held when the one-pass Gauss-Jordan step replaced the back-substitution.
 REGULAR_LDPC_PINS = {
     (2000, 3, 6, 101): {
         "checks": "a4d89a15d454122079bd7ff76bb72d11ae0c5b9d09ae89d8f5d172bbcd956d4a",
