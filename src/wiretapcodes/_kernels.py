@@ -15,16 +15,17 @@ Bard and Hart, ACM TOMS 2010, the "M4RI" library) on byte-aligned blocks,
 in one Gauss-Jordan pass: the pivots of each 8-column byte come from the
 byte values of the unreduced rows, in row order, and every row, above the
 pivot rows and below them, is fixed by one gather from the table of all XOR
-combinations of the pivot rows.  There is no back-substitution pass.
+combinations of the pivot rows, XORed into the whole matrix in one
+contiguous pass.  There is no back-substitution pass.
 
 On the per-trial erasure ranks the basis beats ``_eliminate`` at every
 width: on each rank of 40 words or more that ``mc_equivocation_bec`` makes
 on (3,6)-dual pairs at n=5004 and n=10002 (509-4 995 rows, 40-125 words) it
 was 2.1-20x faster, 3.3-28 ms against 7.6-532 ms (best of 9 per rank; numpy
-2.4.6, Python 3.11, 2 vCPUs).  ``_eliminate`` updates every row at every
-byte, so its cost is rows x words whatever the rows hold; it wins only on
-dense, full-rank rows (72 against 78 ms on a dense 2000 x 5000 matrix),
-which no rank in the package has.
+2.4.6, Python 3.11, 2 vCPUs).  ``_eliminate`` XORs every word of every row
+at every byte, so its cost is rows x words whatever the rows hold; it wins
+only on dense, full-rank rows (85-94 against 145-170 ms on a dense 2000 x
+5000 matrix, min of 9 in two runs), which no rank in the package has.
 
 The BEC peeling decoder ``_peel_edges`` lives here too, with its edge
 helpers ``_edges`` and ``_edge_keys``.  It has two users: the exact
@@ -87,7 +88,9 @@ def _eliminate(words: np.ndarray, ncols: int) -> list[int]:
     bits, which clears the byte's pivot columns: a row without them takes
     entry 0, which is zero, and the rows the basis came from clear
     themselves.  The reduced pivot rows are table entries too, written to
-    rows ``r`` on.
+    rows ``r`` on.  The table is built from whole rows and XORed into whole
+    rows, one C-contiguous pass per byte: its rows are zero left of the
+    byte, so the words there stay as they were.
     """
     rows = words.shape[0]
     octets = words.view(np.uint8)
@@ -96,7 +99,6 @@ def _eliminate(words: np.ndarray, ncols: int) -> list[int]:
     for byte in range((ncols + 7) // 8):
         if r == rows:
             break
-        w = byte // 8
         col = octets[r:, byte] & np.uint8((1 << min(ncols - 8 * byte, 8)) - 1)
         nz = np.flatnonzero(col)
         if not nz.size:
@@ -121,17 +123,16 @@ def _eliminate(words: np.ndarray, ncols: int) -> list[int]:
         mask = sum(basis)
         extract = _EXTRACT[mask]
         # entry[s] is the table row whose pivot bits, packed, are s.
-        table = _combinations(words[found, w:])
+        table = _combinations(words[found])
         entry = np.empty(1 << k, dtype=np.intp)
-        entry[extract[table.view(np.uint8)[:, byte % 8]]] = np.arange(1 << k)
-        sub = words[:, w:]
-        sub ^= np.take(table, entry[extract[octets[:, byte]]], axis=0)
+        entry[extract[table.view(np.uint8)[:, byte]]] = np.arange(1 << k)
+        words ^= np.take(table, entry[extract[octets[:, byte]]], axis=0)
         # Pivot rows go to rows r..r+k-1; the rows they displace fill the holes.
         found_set = set(found)
         moved = [t for t in range(r, r + k) if t not in found_set]
         holes = [q for q in found if q >= r + k]
         words[holes] = words[moved]
-        words[r : r + k, w:] = table[entry[1 << np.arange(k)]]
+        words[r : r + k] = table[entry[1 << np.arange(k)]]
         pivots.extend(8 * byte + b for b in range(8) if mask >> b & 1)
         r += k
     return pivots

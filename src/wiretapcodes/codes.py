@@ -120,7 +120,7 @@ class LinearCode:
     def __init__(self, h, g, checks, pivots, span=None):
         n, k = h.cols, g.rows
         pivots = np.asarray(pivots, dtype=np.int64)
-        free = np.setdiff1d(np.arange(n), pivots)
+        free = _free_columns(n, pivots)
         if g.cols != n or h.rows + k != n or not (
             _holds_identity(h, pivots) and _holds_identity(g, free)
         ):
@@ -195,6 +195,14 @@ class LinearCode:
         return f"LinearCode(n={self.n}, k={self.k})"
 
 
+def _free_columns(n: int, pivots: np.ndarray) -> np.ndarray:
+    """The columns below ``n`` that are not ``pivots``, increasing.  Pivots
+    out of range are passed over, for :func:`_holds_identity` to reject."""
+    free = np.ones(n, dtype=bool)
+    free[pivots[(pivots >= 0) & (pivots < n)]] = False
+    return np.flatnonzero(free)
+
+
 def _holds_identity(m: BitMatrix, cols: np.ndarray) -> bool:
     """Whether ``m[:, cols]`` is the identity: row ``i`` has exactly one one
     among the distinct columns ``cols``, at ``cols[i]``.  Read off the
@@ -230,7 +238,7 @@ def _check_layout(chk, var, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     slot = pos * (m + 1) + chk
     slot_var = np.full((d, m + 1), n, dtype=np.int64)
     slot_var.flat[slot] = var
-    by_var = np.argsort(var, kind="stable")
+    by_var = np.argsort(var << _KEY_SHIFT | chk)  # distinct keys: the stable order
     var = var[by_var]
     pos, dv = slots(var, n)
     var_slots = np.full((dv, n + 1), m, dtype=np.int64)
@@ -270,7 +278,7 @@ def dual(code: LinearCode) -> LinearCode:
     ``span``; the parent's ``g`` holds the identity off its ``pivots``.
     Codes are immutable, so the dual shares the parent's matrices.
     """
-    free = np.setdiff1d(np.arange(code.n), code.pivots)
+    free = _free_columns(code.n, code.pivots)
     return LinearCode(code.g, code.h, code.g, free, span=code.checks)
 
 

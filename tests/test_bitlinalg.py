@@ -398,7 +398,7 @@ class TestPeeledRref:
         assert self.check(long_checks, oracle=False) == 78
 
     def test_peak_memory_of_the_long_code(self, long_checks):
-        # The peak, 2.76 MiB above the 7.99 MiB output, is in _eliminate:
+        # The peak, 2.71 MiB above the 7.99 MiB output, is in _eliminate:
         # the 1.01 MiB Schur complement and one table-row temporary per
         # byte.  Gathering the words of all 4992 resolving checks at once
         # would set the peak instead: 6.43 MiB above the output when the
@@ -753,7 +753,8 @@ class TestBlockedElimination:
     @staticmethod
     def assert_matches_oracle(words, ncols, width):
         """``_eliminate`` against the dense oracle, on packed rows ``width``
-        bits wide whose pivots are searched in ``ncols``."""
+        bits wide whose pivots are searched in ``ncols``; returns the reduced
+        words and the pivots."""
         dense = bitlinalg._unpack_rows(words, width)
         expect, expect_piv = dense_rref(dense, ncols)
         r = len(expect_piv)
@@ -767,6 +768,7 @@ class TestBlockedElimination:
             assert np.array_equal(got, expect)
         else:
             assert np.array_equal(got[:r, :ncols], expect[:r, :ncols])
+        return reduced, expect_piv
 
     @pytest.mark.parametrize("seed", range(40))
     def test_blocked_step_equals_per_pivot_step(self, seed):
@@ -784,6 +786,60 @@ class TestBlockedElimination:
         with_eye = np.hstack([dense, np.eye(rows, dtype=np.uint8)])
         words = BitMatrix.from_dense(with_eye).words
         self.assert_matches_oracle(words, cols, with_eye.shape[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 80),
+        ncols=st.integers(1, 400),
+        density=st.floats(0.03, 0.5),
+        shape=st.sampled_from(["random", "deficient", "schur"]),
+        extra_words=st.integers(0, 2),
+        junk=st.booleans(),
+    )
+    @example(seed=0, rows=80, ncols=400, density=0.03, shape="schur", extra_words=2, junk=True)
+    @example(seed=1, rows=80, ncols=400, density=0.5, shape="random", extra_words=1, junk=True)
+    @example(seed=2, rows=1, ncols=1, density=0.5, shape="schur", extra_words=0, junk=False)
+    def test_eliminate_property(self, seed, rows, ncols, density, shape, extra_words, junk):
+        # "schur" is shaped like rref's Schur complement: rank rows - 1, its
+        # pivots all in a lead of about rows columns and at least two words
+        # of pivot-free columns after them, under every byte step
+        rng = np.random.default_rng(seed)
+
+        def sparse(r, c):
+            return (rng.random((r, c)) < density).astype(np.uint8)
+
+        if shape == "random":
+            dense = sparse(rows, ncols)
+        elif shape == "deficient":
+            # every row the XOR of one or two of rank sparse rows
+            rank = int(rng.integers(0, rows))
+            base = np.vstack([sparse(rank, ncols), np.zeros((1, ncols), dtype=np.uint8)])
+            pick = rng.integers(0, rank + 1, size=(rows, 2))
+            dense = base[pick[:, 0]] ^ base[pick[:, 1]]
+        else:
+            lead = rows - 1 + int(rng.integers(0, 20))
+            ncols = max(ncols, lead + 128)
+            top = sparse(rows - 1, ncols)
+            # unit upper triangular at the pivots, so the lead has rank rows - 1
+            piv = np.sort(rng.choice(lead, size=rows - 1, replace=False))
+            top[:, piv] = np.triu(top[:, piv], 1)
+            top[np.arange(rows - 1), piv] = 1
+            last = np.bitwise_xor.reduce(top[rng.random(rows - 1) < 0.5], axis=0)
+            dense = np.vstack([top, last[None, :]])
+            dense = dense[rng.permutation(rows)]
+        nwords = bitlinalg._nwords(ncols) + extra_words
+        words = np.zeros((rows, nwords), dtype=np.uint64)
+        words[:, : bitlinalg._nwords(ncols)] = BitMatrix.from_dense(dense).words
+        if junk:
+            words = junk_past(words, ncols, rng)
+        reduced, pivots = self.assert_matches_oracle(words, ncols, 64 * nwords)
+        if shape == "schur":
+            assert len(pivots) == rows - 1 and all(p < lead for p in pivots)
+        # row operations only: the rows past ncols span the same space
+        rank = _rank_words_numpy(words, 64 * nwords)
+        assert _rank_words_numpy(reduced, 64 * nwords) == rank
+        assert _rank_words_numpy(np.vstack([words, reduced]), 64 * nwords) == rank
 
     @pytest.mark.parametrize("args", [(600, 3, 6, 2), (600, 4, 6, 3)])
     def test_sparse_checks_with_pivot_gaps(self, args):

@@ -234,8 +234,8 @@ class TestSystematicForm:
         # g must hold the identity on the column off the pivots
         with pytest.raises(ValueError, match="identity"):
             codes.LinearCode(h, BitMatrix.from_dense([[1, 0, 1]]), h, [0, 2])
-        # repeated, out-of-range or too few pivots
-        for pivots in ([0, 0], [0, 3], [0]):
+        # repeated, out-of-range, negative or too few pivots
+        for pivots in ([0, 0], [0, 3], [0, -1], [0]):
             with pytest.raises(ValueError, match="identity"):
                 codes.LinearCode(h, g, h, pivots)
         # row counts of h and g that do not add up to n, and a g wider than h
@@ -521,18 +521,24 @@ def test_construction_is_bit_identical(label):
 # byte-aligned one with back-substitution replaced; the n=2000 code with the
 # whole-matrix null-space transpose that the strip-wise one replaced.  Both
 # held when the one-pass Gauss-Jordan step replaced the back-substitution.
+# The decoder layout (check_layout's slot_var and var_slots) was recorded
+# with its variable order taken by a stable argsort of the variables.
 REGULAR_LDPC_PINS = {
     (2000, 3, 6, 101): {
         "checks": "a4d89a15d454122079bd7ff76bb72d11ae0c5b9d09ae89d8f5d172bbcd956d4a",
         "h": "d5b59075e55f997ae97f039bae8c3db94c2636a35e0d65458cee7a2eb498affc",
         "g": "48c3d3023ccb605a146bac149f82279567c11837d829f5909441558f7b354832",
         "pivots": "6572c13c4cc4d5e577aa9c0c91ab710b373ba526a99195190472d5850beae1b7",
+        "slot_var": "eabc5974fd13895d3216c518b91fcdf90ea436e3224a8c44b03dd1d5a37ae0a1",
+        "var_slots": "b31de1128a87f40c2d6628bf6f7b7533871af56813e295b7752ac72198c7446a",
     },
     (10002, 4, 6, 8): {
         "checks": "08a5561cb75e766707f406ae8d88127e4e5b6bd6c8086cb2291325055056563d",
         "h": "eb7399651d99b5f7a031ed4eb25be233296cd8bab1cc0617a40233c5c40ad12a",
         "g": "c75e35a9ef93ddec4698bf5bffbab60d1ef387603b92a15b42f32b3fe22c4927",
         "pivots": "98da6fddf0e32ee195673e790e594f38ffb27e774deecf614cbd5cc8b1f2f439",
+        "slot_var": "578e80ce427c4a69e3d434b8eedcd187dec21b64d25687ec68b88bcd1f63e966",
+        "var_slots": "c24b8600c8b137c1bc1fca57d95944c7fa5845c6f89b275548d27c9fefc85670",
     },
 }
 
@@ -540,11 +546,52 @@ REGULAR_LDPC_PINS = {
 @pytest.mark.parametrize("args", sorted(REGULAR_LDPC_PINS), ids=lambda a: "-".join(map(str, a)))
 def test_regular_ldpc_construction_is_bit_identical(args):
     code = codes.regular_ldpc(*args)
+    slot_var, var_slots = code.check_layout()
     got = {
         "checks": sha(code.checks), "h": sha(code.h), "g": sha(code.g),
         "pivots": hashlib.sha256(code.pivots.astype("<i8").tobytes()).hexdigest(),
+        "slot_var": hashlib.sha256(slot_var.astype("<i8").tobytes()).hexdigest(),
+        "var_slots": hashlib.sha256(var_slots.astype("<i8").tobytes()).hexdigest(),
     }
     assert got == REGULAR_LDPC_PINS[args]
+
+
+def stable_layout(code) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``check_layout``: each check's edges in edge order, and
+    each variable's edges in the order of a stable argsort of the
+    variables, laid out one edge at a time."""
+    chk, var = code.edge_lists()
+    m, n = code.checks.rows, code.n
+    chk_deg = np.bincount(chk, minlength=m)
+    var_deg = np.bincount(var, minlength=n)
+    slot_var = np.full((int(chk_deg.max(initial=0)), m + 1), n, dtype=np.int64)
+    var_slots = np.full((int(var_deg.max(initial=0)), n + 1), m, dtype=np.int64)
+    slot = np.empty(chk.size, dtype=np.int64)
+    filled = np.zeros(m, dtype=np.int64)
+    for e, (c, v) in enumerate(zip(chk.tolist(), var.tolist())):
+        slot_var[filled[c], c] = v
+        slot[e] = filled[c] * (m + 1) + c
+        filled[c] += 1
+    filled = np.zeros(n, dtype=np.int64)
+    for e in np.argsort(var, kind="stable").tolist():
+        v = var[e]
+        var_slots[filled[v], v] = slot[e]
+        filled[v] += 1
+    return slot_var, var_slots
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_layout_is_the_stable_argsort_layout(seed):
+    # check_layout sorts the distinct keys var << 32 | chk, which gives the
+    # permutation of the stable argsort of the row-major variables
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(x) for x in rng.integers(1, 90, size=2))
+    dense = (rng.random((rows, cols)) < rng.uniform(0.02, 0.5)).astype(np.uint8)
+    edgeless = np.zeros((rows, cols), dtype=np.uint8)
+    for h in (dense, edgeless):
+        code = codes.from_parity_check(BitMatrix.from_dense(h))
+        for got, want in zip(code.check_layout(), stable_layout(code)):
+            assert np.array_equal(got, want)
 
 
 def test_ldpc10002_construction_peak_memory():
