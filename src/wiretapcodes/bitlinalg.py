@@ -225,13 +225,17 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     unmatched row ``u`` leaves ``S_u = u ^ XOR R_p`` over its prefix
     columns: the Schur complement.  The solve is level-synchronous: the
     rows of one peel round depend only on earlier rounds, so each round is
-    one gather of its checks' words and one XOR per dependency slot
-    (:func:`_xor_dependencies`), written to the output rows in one
-    assignment, and all of ``S`` is one such step.  ``_eliminate`` reduces
-    ``S`` alone, which gives the pivots from ``j0`` on.  The same rounds
-    run again on the checks' words with the reduced rows of ``S`` added at
-    the pivot bits they hold, which gives the reduced prefix rows.  A
-    dense matrix peels no word (``j0 = 0``), and ``S`` is the whole matrix.
+    one gather of its checks' words and one XOR per dependency slot,
+    written to the output rows in one assignment, and all of ``S`` is one
+    such round, written to the output rows from ``j0`` on.  Each solve is
+    planned once for all its rounds (:func:`_plan`), so the round loop
+    only gathers and XORs.  ``_eliminate`` reduces ``S`` alone, which gives
+    the pivots from ``j0`` on.  The same rounds run again on the checks'
+    words with the reduced rows of ``S`` added at the pivot bits they hold,
+    which gives the reduced prefix rows; those bits are read in one pass
+    over the checks' pivot words, after ``S`` is freed, and enter the plan
+    as extra dependencies.  A dense matrix peels no word (``j0 = 0``), and
+    ``S`` is the whole matrix.
     The RREF of a matrix is unique, so the result does not depend on the
     split, nor on whether the peel reads the keys ``m`` keeps.
     """
@@ -256,68 +260,83 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
         keep = column != own[owner]
         return np.compress(keep, owner), np.compress(keep, column)
 
+    def solve(checks, bounds, owner, source, dest):
+        """Write each ``tail_words[checks[i]]`` XORed with the rows
+        ``solved[source[k]]`` of the ``k`` with ``owner[k] == i`` to
+        ``solved[dest[i]]``, one round of ``bounds`` at a time."""
+        order, src, slots = _plan(bounds, owner, source)
+        for a, b, spans in zip(bounds[:-1], bounds[1:], slots):
+            i = order[a:b]
+            acc = tail_words[checks[i]]
+            for s0, s1 in spans:
+                acc[: s1 - s0] ^= solved[src[s0:s1]]
+            solved[dest[i]] = acc
+
     # the prefix columns of each c(q) but q, by position in peel order
     owner, column = prefix_columns(via, resolved)
-    dep_bounds = np.searchsorted(owner, bounds)
-
-    def solve_prefix(is_pivot):
-        """Write every ``R_q``, round by round, with the rows of ``S`` at
-        the ``is_pivot`` bits of ``c(q)`` added; row ``j0 + i`` of ``out``
-        is the reduced row of the ``i``-th pivot."""
-        pivot_mask = pack_vector(is_pivot, cols - j0)
-        pivot_words = np.flatnonzero(pivot_mask)  # none in the first solve
-        pivot_mask = pivot_mask[pivot_words]
-        pivot_row = j0 - 1 + np.cumsum(is_pivot)
-        for a, b, d, e in zip(bounds[:-1], bounds[1:], dep_bounds[:-1], dep_bounds[1:]):
-            checks = via[a:b]
-            words = tail_words[np.ix_(checks, pivot_words)] & pivot_mask
-            at, bit = _edges(words)
-            bit = 64 * pivot_words[bit >> 6] + (bit & 63)
-            order, acc = _xor_dependencies(
-                tail_words, checks, np.concatenate([owner[d:e] - a, at]),
-                np.concatenate([column[d:e], pivot_row[bit]]), solved)
-            solved[resolved[a:b][order]] = acc
-
-    is_pivot = np.zeros(cols - j0, dtype=bool)
-    solve_prefix(is_pivot)
+    solve(via, bounds, owner, column, resolved)
+    # S goes to the rows from j0 on, one per unmatched row, and is reduced
+    # on a contiguous copy
     unmatched = np.ones(rows, dtype=bool)
     unmatched[via] = False
     unmatched = np.flatnonzero(unmatched)
-    _, s = _xor_dependencies(tail_words, unmatched, *prefix_columns(unmatched), solved)
+    solve(unmatched, np.array([0, unmatched.size]), *prefix_columns(unmatched),
+          j0 + np.arange(unmatched.size))
+    s = solved[j0:].copy()
     tail = _eliminate(s, cols - j0)
-    solved[j0 : j0 + len(tail)] = s[: len(tail)]
+    solved[j0:] = s
     del s
-    # Again with the reduced rows of S, which clear the pivot bits of each
-    # c(q), and the reduced rows of the earlier columns: the reduced R_q.
+    # Again with the reduced rows of S at the pivot bits of each c(q), which
+    # clear them, and the reduced rows of the earlier columns: the reduced
+    # R_q.  Row ``j0 + i`` of ``out`` is the reduced row of S's i-th pivot.
+    is_pivot = np.zeros(cols - j0, dtype=bool)
     is_pivot[tail] = True
-    solve_prefix(is_pivot)
+    pivot_mask = pack_vector(is_pivot, cols - j0)
+    pivot_words = np.flatnonzero(pivot_mask)
+    bits = tail_words[np.ix_(via, pivot_words)]
+    bits &= pivot_mask[pivot_words]  # in place: one more copy would set the peak
+    at, bit = _edges(bits)
+    del bits
+    bit = 64 * pivot_words[bit >> 6] + (bit & 63)
+    pivot_row = j0 - 1 + np.cumsum(is_pivot)
+    solve(via, bounds, np.concatenate([owner, at]), np.concatenate([column, pivot_row[bit]]),
+          resolved)
     q = np.arange(j0)
     out[q, q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)
     return BitMatrix(rows, cols, out), list(range(j0)) + [j0 + p for p in tail]
 
 
-def _xor_dependencies(words, index, owner, source, solved):
-    """Each row ``words[index[i]]`` XORed with the rows ``solved[source[k]]``
-    of the ``k`` with ``owner[k] == i``, as ``(order, acc)``: ``acc[r]`` is
-    the sum for ``i = order[r]``.
+def _plan(bounds, owner, source):
+    """The schedule of a solve whose row ``i``, in round ``t`` if
+    ``bounds[t] <= i < bounds[t + 1]``, XORs in ``source[k]`` for each
+    ``k`` with ``owner[k] == i``, as ``(order, src, slots)``.
 
-    The rows are taken by falling dependency count, so step ``j`` XORs one
-    gather into the prefix of ``acc`` whose rows have more than ``j``
-    dependencies: the work and the memory of each step are its own rows,
-    and no row is padded to the largest count.
+    ``order[bounds[t] : bounds[t + 1]]`` is round ``t``'s rows by falling
+    pair count (stable), so the rows with more than ``j`` pairs are a
+    prefix of the round; its slot ``j`` XORs the sources ``src[s0:s1]``
+    into that prefix, ``(s0, s1) = slots[t][j]``.  The work and memory of
+    a slot are its own rows, and no row is padded to the largest count.
+    Each source is scattered to its slot, not sorted there.
     """
-    count = np.bincount(owner, minlength=index.size)
-    order = np.argsort(-count, kind="stable")
-    count = count[order]
-    acc = words[index[order]]
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
-    source = source[np.argsort(place[owner], kind="stable")]
-    start = np.cumsum(count) - count
-    live = np.searchsorted(-count, -np.arange(count.max(initial=0)), side="left")
-    for j, k in enumerate(live.tolist()):
-        acc[:k] ^= solved[source[start[:k] + j]]
-    return order, acc
+    n, rounds = int(bounds[-1]), len(bounds) - 1
+    count = np.bincount(owner, minlength=n)
+    level = np.repeat(np.arange(rounds), np.diff(bounds))
+    order = np.argsort(level * (count.max(initial=0) + 1) - count, kind="stable")
+    place = np.empty(n, dtype=np.int64)  # of each row in its round's order
+    place[order] = np.arange(n) - bounds[level]
+    top = np.zeros(rounds, dtype=np.int64)  # slots per round
+    np.maximum.at(top, level, count)
+    base = np.cumsum(top) - top
+    by_owner = np.argsort(owner, kind="stable")
+    owner = owner[by_owner]
+    # the slot of each pair: its round's first plus its rank among its row's
+    slot = base[level[owner]] + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    size = np.bincount(slot, minlength=top.sum())
+    first = np.cumsum(size) - size
+    src = np.empty_like(source)
+    src[first[slot] + place[owner]] = source[by_owner]
+    spans = list(zip(first.tolist(), (first + size).tolist()))
+    return order, src, [spans[c : c + k] for c, k in zip(base.tolist(), top.tolist())]
 
 
 def _peeled_prefix(m: BitMatrix):

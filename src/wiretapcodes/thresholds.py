@@ -83,10 +83,18 @@ def bec_bp_threshold(dd: DegreeDistribution, tol: float = DE_CLASSIFY_TOL) -> Th
 
     ``tol`` classifies convergence: the threshold is the largest eps whose
     residual falls below it.  The classification tolerance is kept two
-    orders looser than the iteration tolerance ``DE_TOL`` so that ensembles
-    with slow linear contraction (degree-2 variables) are not misclassified
-    by the stopping rule.  The final bracket is at most 1e-4 wide, and the
-    estimate is checked against the Shannon bound ``1 - design rate``.
+    orders looser than the iteration tolerance ``DE_TOL``, but that does not
+    cover every ensemble with degree-2 variables.  Near zero their DE
+    contracts linearly, at a rate ``r`` that tends to 1 at the stability
+    bound, and ``de_residual`` stops at about ``DE_TOL * r / (1 - r)``.
+    That is above ``tol`` once ``r > 1 / (1 + DE_TOL / tol)``, about 0.99 by
+    default, so such points count as not decoded.  An ensemble whose
+    threshold is its stability bound therefore reads about 1% low:
+    ``regular(2, 4)`` gives 0.330048, bracket (0.330017, 0.330078), where
+    the threshold is 1/3.  ROADMAP item 7 (the MAP threshold) is where this
+    is to be mended, since the mend moves threshold numbers.  The final
+    bracket is at most 1e-4 wide, and the estimate is checked against the
+    Shannon bound ``1 - design rate``.
     """
     if not DE_TOL < tol < math.inf:
         raise ValueError("classification tol must be finite and exceed the DE iteration tol")

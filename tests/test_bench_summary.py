@@ -101,3 +101,28 @@ def test_pairs_won_compares_runs_at_the_same_seed(better, parent, change, won):
 def test_verdict(better, parent, change, expected):
     result = bench_summary.verdict(parent, change, better, 0.25)
     assert (result["worse_than_bound"], result["unresolved"]) == expected
+
+
+_TEN = [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19]  # median 14.5, interquartile range 4.5
+
+
+@pytest.mark.parametrize("better, change, won, gain", [
+    # 9 of 10 pairs won, the tenth a tie; median 19.5, 5 above the parent's
+    ("higher", [v + 6 for v in _TEN[:9]] + [19.0], 9, True),
+    # 8 of 10 won (two ties), though the median is 8 above
+    ("higher", [v + 10 for v in _TEN[:8]] + [18.0, 19.0], 8, False),
+    # every pair won, but the gap equals the interquartile range, then falls below it
+    ("higher", [v + 4.5 for v in _TEN], 10, False),
+    ("higher", [v + 4 for v in _TEN], 10, False),
+    # lower is better: 9 of 10 won, the tenth lost; median 9.5, 5 below
+    ("lower", [v - 5 for v in _TEN[:9]] + [20.0], 9, True),
+    ("lower", [v + 6 for v in _TEN], 0, False),
+])
+def test_gain_is_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr(better, change, won, gain):
+    result = bench_summary.verdict(_TEN, change, better, 0.25)
+    assert (result["pairs_won"], result["gain"]) == (won, gain)
+    assert isinstance(result["gain"], bool)
+
+
+def test_no_gain_at_one_tied_seed():
+    assert bench_summary.verdict([5.0], [5.0], "higher", 0.25)["gain"] is False

@@ -376,6 +376,23 @@ class TestPeeledRref:
         bitlinalg.rref(checks)
         assert len(seen) == 1 and seen[0][0] < checks.rows // 4
 
+    def test_reads_the_pivot_bits_in_one_pass(self, monkeypatch):
+        # the checks keep their keys, so the peel extracts no edges, and the
+        # second solve reads the pivot bits of all 21 rounds' checks at once
+        checks = codes.regular_ldpc(2000, 3, 6, seed=101).checks
+        assert checks._keys is not None
+        assert bitlinalg._peeled_prefix(checks)[3].size - 1 == 21
+        calls = []
+        edges = _kernels._edges
+
+        def spy(words):
+            calls.append(words.shape)
+            return edges(words)
+
+        monkeypatch.setattr(bitlinalg, "_edges", spy)
+        bitlinalg.rref(checks)
+        assert len(calls) == 1 and calls[0][0] == bitlinalg._peeled_prefix(checks)[2].size
+
     @pytest.fixture(scope="class")
     def long_code_checks(self):
         return codes.regular_ldpc(10002, 4, 6, seed=8).checks
@@ -398,11 +415,13 @@ class TestPeeledRref:
         assert self.check(long_checks, oracle=False) == 78
 
     def test_peak_memory_of_the_long_code(self, long_checks):
-        # The peak, 2.71 MiB above the 7.99 MiB output, is in _eliminate:
+        # The peak, 2.69 MiB above the 7.99 MiB output, is in _eliminate:
         # the 1.01 MiB Schur complement and one table-row temporary per
-        # byte.  Gathering the words of all 4992 resolving checks at once
-        # would set the peak instead: 6.43 MiB above the output when the
-        # first solve does it, 4.64 MiB when the second does.
+        # byte.  The pivot bits are read after it is freed, from the 33
+        # pivot words of the 4992 resolving checks (1.26 MiB), at 2.19 MiB.
+        # Gathering the whole words of those checks at once would set the
+        # peak instead: 6.43 MiB above the output when the first solve does
+        # it, 4.64 MiB when the second does.
         bitlinalg.rref(long_checks)
         tracemalloc.start()
         try:

@@ -17,7 +17,10 @@ holds, per workload:
   parent's interquartile range exceeds ``bound`` times its median, and not
   every change run beats every parent run), and ``pairs_won``, the seeds at
   which the change's run beats the parent's in the ``better`` direction
-  (ties count for neither side), to read beside the workload's seed count;
+  (ties count for neither side), to read beside the workload's seed count,
+  and ``gain``, the rule a claimed improvement must meet: the change wins
+  at least nine tenths of the pairs, and its median is better than the
+  parent's by more than the parent's interquartile range;
 - per seed, whether the two result digests are equal;
 
 and, per side, the provenance of its runs (rank backend, Python, numpy and
@@ -58,16 +61,18 @@ def spread(values: list[float]) -> dict[str, float]:
 
 
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """``worse_than_bound``, ``unresolved`` and ``pairs_won`` for one
-    metric's runs, ``parent[i]`` and ``change[i]`` at the same seed."""
+    """``worse_than_bound``, ``unresolved``, ``pairs_won`` and ``gain`` for
+    one metric's runs, ``parent[i]`` and ``change[i]`` at the same seed."""
     sign = 1.0 if better == "higher" else -1.0
     base = spread(parent)
-    worse = sign * (base["median"] - statistics.median(change)) > bound * abs(base["median"])
+    gap = sign * (statistics.median(change) - base["median"])
     beats = min(sign * v for v in change) > max(sign * v for v in parent)
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     return {
-        "worse_than_bound": worse,
+        "worse_than_bound": -gap > bound * abs(base["median"]),
         "unresolved": base["iqr"] > bound * abs(base["median"]) and not beats,
-        "pairs_won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "pairs_won": won,
+        "gain": 10 * won >= 9 * len(parent) and gap > base["iqr"],
     }
 
 
