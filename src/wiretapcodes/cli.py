@@ -41,6 +41,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import codes, secrecy, thresholds
+from .bitlinalg import _check_count
 from .channels import BEC, BIAWGN, BSC, CHANNELS
 
 # The eavesdropper channel each estimator's grid parameter belongs to.
@@ -161,12 +162,18 @@ def _grid_values(args) -> list[float]:
     return _parse_grid(args.grid) if args.grid is not None else [args.param]
 
 
+def _seed_sequence(seed: int, index: int) -> np.random.SeedSequence:
+    """Stream ``index`` of the master ``seed``; ValueError naming ``seed``
+    if it is negative."""
+    return np.random.SeedSequence((_check_count(seed, "seed", 0), index))
+
+
 def _spawn_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+    return np.random.default_rng(_seed_sequence(seed, index))
 
 
 def _construction_seed(seed: int) -> int:
-    return int(np.random.SeedSequence((seed, 0)).generate_state(1)[0])
+    return int(_seed_sequence(seed, 0).generate_state(1)[0])
 
 
 def _load_code(args) -> codes.LinearCode:

@@ -367,6 +367,20 @@ class TestPlumbing:
             "--out", str(tmp_path / "sim.csv"),
         ) == 2
 
+    @pytest.mark.parametrize("given", ["command-line", "config"])
+    @pytest.mark.parametrize("argv", [
+        _SIM_BEC[:-2], ("threshold", "--channel", "biawgn", *_THRESHOLD_AWGN[:-2])],
+        ids=["simulate", "threshold"])
+    def test_negative_seed_names_the_flag(self, argv, given, tmp_path, capsys):
+        # numpy's SeedSequence refuses a negative seed without naming the flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1} if given == "config" else {}))
+        seed = ("--seed", "-1") if given == "command-line" else ()
+        assert run("--config", str(cfg), *argv, *seed) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be an integer >= 0, got -1" in captured.err
+
     def test_io_error_exit_code(self, tmp_path):
         assert run(
             "capacity", "--channel", "bec", "--param", "0.5",
