@@ -1,16 +1,20 @@
 """Exact GF(2) linear algebra on bit-packed matrices.
 
 This module is the computational substrate for parity-check matrices,
-syndromes, and rank-based equivocation.  Matrices are dense and bit-packed:
-64 columns per uint64 word, row-major, with all padding bits beyond the
-declared column count kept zero.
+syndromes, and rank-based equivocation.  Matrices are bit-packed: 64
+columns per uint64 word, row-major, with all padding bits beyond the
+declared column count kept zero.  A sparse matrix built from its edges
+(``_pack_keys``) holds only their sorted keys, and packs its words the
+first time they are read.
 
 All public operations are pure: they never mutate their inputs (elimination
 runs on a working copy), so values can be shared freely between concurrent
-workers.
+workers.  Packing on first read is idempotent: readers that race to pack
+a matrix get equal words, and the matrix keeps one of them, so a matrix
+shared before its words are read stays shareable.
 
 ``rref`` peels a sparse column prefix (``_kernels._peel_edges``) before it
-eliminates.
+eliminates, and reads the rows of a matrix that holds keys from the keys.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ def pack_vector(v: np.ndarray, cols: int) -> np.ndarray:
 
 
 class BitMatrix:
-    """Dense GF(2) matrix stored as bit-packed rows.
+    """GF(2) matrix stored as bit-packed rows.
 
     Use the constructors :meth:`from_dense` and :meth:`identity`; the raw
     ``words`` array is part of the public layout (shape
@@ -122,11 +126,13 @@ class BitMatrix:
     ValueError unless ``words`` is uint64, of that shape, with every bit past
     column ``cols`` zero.
 
-    A matrix packed from its edges (:func:`_pack_keys`) keeps their sorted
-    keys as ``_keys``; any other, a :meth:`copy` too, starts without them.
+    A matrix built from its edges (:func:`_pack_keys`) holds their sorted
+    keys as ``_keys``, and no words until ``words`` is first read, which
+    packs them from the keys; any other, a :meth:`copy` too, holds words
+    and no keys.
     """
 
-    __slots__ = ("rows", "cols", "words", "_keys")
+    __slots__ = ("rows", "cols", "_words", "_keys")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         rows, cols = _check_count(rows, "rows", 0), _check_count(cols, "cols", 0)
@@ -142,8 +148,18 @@ class BitMatrix:
             raise ValueError(f"a padding bit beyond column {cols} is set")
         self.rows = rows
         self.cols = cols
-        self.words = words
+        self._words = words
         self._keys = None
+
+    @property
+    def words(self) -> np.ndarray:
+        """The packed rows; a matrix built from keys packs them on first read."""
+        if self._words is None:
+            words = np.zeros((self.rows, _nwords(self.cols)), dtype=np.uint64)
+            row, word, value = _word_entries(self._keys)
+            words[row, word] = value
+            self._words = words
+        return self._words
 
     @classmethod
     def from_dense(cls, array) -> "BitMatrix":
@@ -186,16 +202,31 @@ class BitMatrix:
 
 def _pack_keys(keys: np.ndarray, rows: int, cols: int) -> BitMatrix:
     """The ``rows x cols`` matrix whose ones are the sorted, distinct edge
-    keys ``keys`` (:func:`._kernels._edge_keys`), packed without a dense
-    intermediate, and keeping ``keys``."""
-    words = np.zeros((rows, _nwords(cols)), dtype=np.uint64)
-    var = keys & _KEY_LOW
-    bit = np.uint64(1) << (var & 63).astype(np.uint64)
-    # One bit per edge; ufunc.at ORs the edges that share a word together.
-    np.bitwise_or.at(words, (keys >> _KEY_SHIFT, var >> 6), bit)
-    m = BitMatrix(rows, cols, words)
-    m._keys = keys
+    keys ``keys`` (:func:`._kernels._edge_keys`), holding ``keys`` alone: its
+    words are packed the first time they are read.  ValueError unless every
+    key's check is below ``rows`` and its variable below ``cols``, which is
+    what the constructor checks of words."""
+    rows, cols = _check_count(rows, "rows", 0), _check_count(cols, "cols", 0)
+    if keys.size and not (0 <= keys[0] and keys[-1] >> _KEY_SHIFT < rows
+                          and (keys & _KEY_LOW).max() < cols):
+        raise ValueError(f"an edge key lies outside the {rows}x{cols} matrix")
+    m = BitMatrix.__new__(BitMatrix)
+    m.rows, m.cols, m._words, m._keys = rows, cols, None, keys
     return m
+
+
+def _word_entries(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, word, value)`` per nonzero word of the matrix whose ones are
+    the sorted, distinct edge keys ``keys``, in key order: ``value`` ORs the
+    bits of the keys that fall in word ``word`` of row ``row``.  Those keys
+    are adjacent, as they share ``key >> 6``."""
+    cell = keys >> 6
+    first = np.ones(cell.size, dtype=bool)
+    np.not_equal(cell[1:], cell[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    value = np.bitwise_or.reduceat(np.uint64(1) << (keys & 63).astype(np.uint64), first)
+    cell = cell[first]
+    return cell >> (_KEY_SHIFT - 6), cell & (_KEY_LOW >> 6), value
 
 
 def _keys_of(m: BitMatrix) -> np.ndarray:
@@ -225,27 +256,54 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     unmatched row ``u`` leaves ``S_u = u ^ XOR R_p`` over its prefix
     columns: the Schur complement.  The solve is level-synchronous: the
     rows of one peel round depend only on earlier rounds, so each round is
-    one gather of its checks' words and one XOR per dependency slot,
-    written to the output rows in one assignment, and all of ``S`` is one
-    such round, written to the output rows from ``j0`` on.  Each solve is
-    planned once for all its rounds (:func:`_plan`), so the round loop
-    only gathers and XORs.  ``_eliminate`` reduces ``S`` alone, which gives
-    the pivots from ``j0`` on.  The same rounds run again on the checks'
-    words with the reduced rows of ``S`` added at the pivot bits they hold,
-    which gives the reduced prefix rows; those bits are read in one pass
-    over the checks' pivot words, after ``S`` is freed, and enter the plan
-    as extra dependencies.  A dense matrix peels no word (``j0 = 0``), and
-    ``S`` is the whole matrix.
+    one gather of its checks' rows from ``j0`` on and one XOR per
+    dependency slot, written to the output rows in one assignment, and all
+    of ``S`` is one such round, written to the output rows from ``j0`` on.
+    Each solve is planned once for all its rounds (:func:`_plan`), so the
+    round loop only gathers and XORs.  ``_eliminate`` reduces ``S`` alone,
+    which gives the pivots from ``j0`` on.  The same rounds run again on
+    the checks' rows with the reduced rows of ``S`` added at the pivot bits
+    they hold, which gives the reduced prefix rows; those bits are read in
+    one pass, after ``S`` is freed, and enter the plan as extra
+    dependencies.  A dense matrix peels no word (``j0 = 0``), and ``S`` is
+    the whole matrix.
+
+    A matrix that holds words gives the rounds its rows, and its pivot
+    bits from one gather of its pivot words.  One that holds keys is never
+    packed: the nonzero words of every check's row from ``j0`` on
+    (:func:`_word_entries`) are written to the output row the check
+    solves, in one assignment (again for the second solve, over zeroed
+    prefix rows), so each round gathers its rows from the output, and the
+    pivot bits are read off the keys.
     The RREF of a matrix is unique, so the result does not depend on the
-    split, nor on whether the peel reads the keys ``m`` keeps.
+    split, nor on whether ``m`` holds keys.
     """
     rows, cols = m.rows, m.cols
     nw = _nwords(cols)
     w0, resolved, via, bounds, ptr, prefix_of = _peeled_prefix(m)
     j0 = 64 * w0
-    tail_words = m.words[:, w0:]
     out = np.zeros((rows, nw), dtype=np.uint64)
     solved = out[:, w0:]  # row q holds R_q from the round that resolves q
+    unmatched = np.ones(rows, dtype=bool)
+    unmatched[via] = False
+    unmatched = np.flatnonzero(unmatched)
+    keys = m._keys
+    if keys is None:
+        tail_words = m.words[:, w0:]
+    else:
+        tail = np.compress((keys & _KEY_LOW) >= j0, keys)
+        # every check's row from j0 on, written to the output row it solves:
+        # c(q) to q, the i-th unmatched row to j0 + i.  The words of the c(q)
+        # are kept for the second solve, and the rest freed before the peak.
+        row, word, value = _word_entries(tail)
+        target = np.empty(rows, dtype=np.int64)
+        target[via] = resolved
+        target[unmatched] = j0 + np.arange(unmatched.size)
+        flat = target[row] * nw + word
+        out.reshape(-1)[flat] = value
+        in_prefix = flat < j0 * nw
+        flat, value = np.compress(in_prefix, flat), np.compress(in_prefix, value)
+        del row, word, target, in_prefix
 
     def prefix_columns(checks, own=None):
         """``(owner, column)`` per prefix column of each ``checks[i]``
@@ -261,13 +319,15 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
         return np.compress(keep, owner), np.compress(keep, column)
 
     def solve(checks, bounds, owner, source, dest):
-        """Write each ``tail_words[checks[i]]`` XORed with the rows
+        """Write each row ``checks[i]`` from ``j0`` on XORed with the rows
         ``solved[source[k]]`` of the ``k`` with ``owner[k] == i`` to
-        ``solved[dest[i]]``, one round of ``bounds`` at a time."""
+        ``solved[dest[i]]``, one round of ``bounds`` at a time.  For a
+        matrix that holds keys, ``solved[dest[i]]`` already holds the row."""
         order, src, slots = _plan(bounds, owner, source)
+        rows_of, index = (tail_words, checks) if keys is None else (solved, dest)
         for a, b, spans in zip(bounds[:-1], bounds[1:], slots):
             i = order[a:b]
-            acc = tail_words[checks[i]]
+            acc = rows_of[index[i]]
             for s0, s1 in spans:
                 acc[: s1 - s0] ^= solved[src[s0:s1]]
             solved[dest[i]] = acc
@@ -277,33 +337,40 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     solve(via, bounds, owner, column, resolved)
     # S goes to the rows from j0 on, one per unmatched row, and is reduced
     # on a contiguous copy
-    unmatched = np.ones(rows, dtype=bool)
-    unmatched[via] = False
-    unmatched = np.flatnonzero(unmatched)
     solve(unmatched, np.array([0, unmatched.size]), *prefix_columns(unmatched),
           j0 + np.arange(unmatched.size))
     s = solved[j0:].copy()
-    tail = _eliminate(s, cols - j0)
+    pivots = _eliminate(s, cols - j0)
     solved[j0:] = s
     del s
     # Again with the reduced rows of S at the pivot bits of each c(q), which
     # clear them, and the reduced rows of the earlier columns: the reduced
     # R_q.  Row ``j0 + i`` of ``out`` is the reduced row of S's i-th pivot.
     is_pivot = np.zeros(cols - j0, dtype=bool)
-    is_pivot[tail] = True
-    pivot_mask = pack_vector(is_pivot, cols - j0)
-    pivot_words = np.flatnonzero(pivot_mask)
-    bits = tail_words[np.ix_(via, pivot_words)]
-    bits &= pivot_mask[pivot_words]  # in place: one more copy would set the peak
-    at, bit = _edges(bits)
-    del bits
-    bit = 64 * pivot_words[bit >> 6] + (bit & 63)
+    is_pivot[pivots] = True
+    if keys is None:
+        pivot_mask = pack_vector(is_pivot, cols - j0)
+        pivot_words = np.flatnonzero(pivot_mask)
+        bits = tail_words[np.ix_(via, pivot_words)]
+        bits &= pivot_mask[pivot_words]  # in place: one more copy would set the peak
+        at, bit = _edges(bits)
+        del bits
+        bit = 64 * pivot_words[bit >> 6] + (bit & 63)
+    else:
+        # the c(q) rows again, over the R_q (the rows q < j0)
+        solved[:j0] = 0
+        out.reshape(-1)[flat] = value
+        via_index = np.full(rows, -1, dtype=np.int64)
+        via_index[via] = np.arange(via.size)
+        at, bit = via_index[tail >> _KEY_SHIFT], (tail & _KEY_LOW) - j0
+        keep = (at >= 0) & is_pivot[bit]
+        at, bit = np.compress(keep, at), np.compress(keep, bit)
     pivot_row = j0 - 1 + np.cumsum(is_pivot)
     solve(via, bounds, np.concatenate([owner, at]), np.concatenate([column, pivot_row[bit]]),
           resolved)
     q = np.arange(j0)
     out[q, q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)
-    return BitMatrix(rows, cols, out), list(range(j0)) + [j0 + p for p in tail]
+    return BitMatrix(rows, cols, out), list(range(j0)) + [j0 + p for p in pivots]
 
 
 def _plan(bounds, owner, source):

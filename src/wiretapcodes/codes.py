@@ -6,9 +6,11 @@ decoders), a full-row-rank parity-check matrix ``h``, and a generator ``g``.
 A dual code also keeps its parent's check rows as ``span``, a sparse
 spanning set of the code itself; the BEC rank estimators peel it, or
 ``checks`` for a code without one.
-:func:`regular_ldpc` and :func:`read_alist` pack ``checks`` from its edges,
-so the matrix keeps their sorted keys (:func:`.bitlinalg._pack_keys`), and
-a dual's ``span`` is that same matrix.
+:func:`regular_ldpc` and :func:`read_alist` build ``checks`` from its
+edges' sorted keys (:func:`.bitlinalg._pack_keys`), and a dual's ``span``
+is that same matrix.  Construction, the decoders and the rank estimators
+all read the keys, so the check matrix is never packed into words unless a
+caller reads them.
 The true dimension ``k`` is always computed from rank, never assumed from a
 design rate, because finite-length LDPC matrices are routinely rank-deficient
 and the coset message length must be exact.
@@ -131,8 +133,13 @@ class LinearCode:
         for name, m in (("checks", checks), ("span", span)):
             if m is not None and m.cols != n:
                 raise ValueError(f"{name} has {m.cols} columns, not n = {n}")
-        self.n = n
-        self.k = k
+        self._assign(h, g, checks, pivots, span)
+
+    def _assign(self, h, g, checks, pivots, span):
+        """Set the attributes from matrices that pass the constructor's
+        checks, without checking them."""
+        self.n = h.cols
+        self.k = g.rows
         self.h = h
         self.g = g
         self.checks = checks
@@ -254,7 +261,7 @@ def from_parity_check(h: BitMatrix) -> LinearCode:
     object; the original matrix is retained as ``checks`` for the decoders.
     ``checks`` is a copy: codes are immutable, and the caller may go on
     changing its matrix.  (:func:`regular_ldpc` and :func:`read_alist` hand
-    over the matrix they have just packed, which nothing else holds, and
+    over the matrix they have just built, which nothing else holds, and
     skip the copy.)
     """
     return _from_checks(h.copy())
@@ -276,10 +283,12 @@ def dual(code: LinearCode) -> LinearCode:
 
     The parent's raw ``checks`` span the dual, so they are kept as its
     ``span``; the parent's ``g`` holds the identity off its ``pivots``.
-    Codes are immutable, so the dual shares the parent's matrices.
+    Codes are immutable, so the dual shares the parent's matrices, which
+    the parent's constructor has already checked.
     """
-    free = _free_columns(code.n, code.pivots)
-    return LinearCode(code.g, code.h, code.g, free, span=code.checks)
+    dual_code = LinearCode.__new__(LinearCode)
+    dual_code._assign(code.g, code.h, code.g, _free_columns(code.n, code.pivots), code.checks)
+    return dual_code
 
 
 def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
@@ -292,8 +301,7 @@ def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:
     ``1 - dv/dc`` and the true rate can only be larger.
 
     Deterministic: the same ``(n, dv, dc, seed)`` always yields the same
-    matrix.  ``checks`` is packed from, and keeps, the sorted edge keys of
-    the matching.
+    matrix.  ``checks`` holds the sorted edge keys of the matching.
     """
     n = _check_count(n, "n", 0)  # n < dc is refused below, naming dc
     dv = _check_count(dv, "dv")
@@ -453,18 +461,16 @@ def read_alist(path) -> LinearCode:
             block += idx
         return np.array(own, dtype=np.int64), np.array(block, dtype=np.int64) - 1
 
-    def pack(chk, var):
-        return _pack_keys(np.sort(chk << _KEY_SHIFT | var), m, n)
-
     col_of, row_idx = read_index_block(5, n, col_deg, m, "row")
-    h = pack(row_idx, col_of)
-    from_rows = pack(*read_index_block(5 + n, m, row_deg, n, "column"))
-    differ = np.flatnonzero((h.words != from_rows.words).any(axis=1))
+    row_of, col_idx = read_index_block(5 + n, m, row_deg, n, "column")
+    keys = np.sort(row_idx << _KEY_SHIFT | col_of)
+    # the edges in one list only, sorted: their checks are the rows that differ
+    differ = np.setxor1d(keys, row_of << _KEY_SHIFT | col_idx, assume_unique=True)
     if differ.size:
         raise AlistParseError(
-            f"line {5 + n + differ[0]}: row list disagrees with column lists"
+            f"line {5 + n + (differ[0] >> _KEY_SHIFT)}: row list disagrees with column lists"
         )
-    return _from_checks(h)
+    return _from_checks(_pack_keys(keys, m, n))
 
 
 def write_alist(code: LinearCode, path) -> None:

@@ -10,7 +10,7 @@ bench_summary = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_summary)
 
 
-def write_result(directory, workload, seed, trials_per_s, digest, commit, trace=0):
+def write_result(directory, workload, seed, trials_per_s, digest, commit, trace=0, raw=None):
     directory.mkdir(exist_ok=True)
     record = {
         "workload": workload,
@@ -19,6 +19,8 @@ def write_result(directory, workload, seed, trials_per_s, digest, commit, trace=
         "end_to_end": {"trials_per_s": trials_per_s, "ok_ratio": 1.0},
         "result_digest": digest,
     }
+    if raw is not None:
+        record["end_to_end_raw"] = raw
     path = directory / f"result-{workload}-seed{seed}-trace{trace}.json"
     path.write_text(json.dumps(record))
 
@@ -126,3 +128,26 @@ def test_gain_is_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr(better, change
 
 def test_no_gain_at_one_tied_seed():
     assert bench_summary.verdict([5.0], [5.0], "higher", 0.25)["gain"] is False
+
+
+def test_raw_spread_beside_the_scaled_one(tmp_path):
+    # the scaled rate doubles, the raw one does not move: the shift is in
+    # the calibration samples, not in the operations
+    parent, change = tmp_path / "p", tmp_path / "c"
+    for seed, rate in zip((1, 2, 3, 4), (10.0, 20.0, 30.0, 40.0)):
+        raw = {"trials_per_s": rate + 1, "setup_s": 0.5}
+        write_result(parent, "hot", seed, rate, "d", "aaa", raw=raw)
+        write_result(change, "hot", seed, 2 * rate, "d", "bbb",
+                     raw={**raw, "op_p50_ms": 3.0} if seed != 2 else raw)
+    hot = bench_summary.summarize(parent, change)["workloads"]["hot"]
+    assert hot["end_to_end"]["trials_per_s"]["change"]["median"] == 50.0
+    # op_p50_ms is missing from one change run, so it is left out
+    assert sorted(hot["end_to_end_raw"]) == ["setup_s", "trials_per_s"]
+    raw_rate = hot["end_to_end_raw"]["trials_per_s"]
+    assert raw_rate["parent"] == raw_rate["change"] == {
+        "median": 26.0, "q1": 18.5, "q3": 33.5, "iqr": 15.0}
+    assert hot["end_to_end_raw"]["setup_s"]["change"]["iqr"] == 0.0
+
+
+def test_no_raw_metrics_in_older_results(dirs):
+    assert bench_summary.summarize(*dirs)["workloads"]["hot"]["end_to_end_raw"] == {}

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wiretapcodes
-from wiretapcodes import bitlinalg, codes
+from wiretapcodes import bitlinalg, codes, secrecy
 from wiretapcodes import _kernels
 from wiretapcodes._kernels import _rank_words_numpy
 from wiretapcodes.bitlinalg import BitMatrix
@@ -376,12 +377,19 @@ class TestPeeledRref:
         bitlinalg.rref(checks)
         assert len(seen) == 1 and seen[0][0] < checks.rows // 4
 
-    def test_reads_the_pivot_bits_in_one_pass(self, monkeypatch):
-        # the checks keep their keys, so the peel extracts no edges, and the
-        # second solve reads the pivot bits of all 21 rounds' checks at once
+    @pytest.mark.parametrize("backing", ["keyed", "words"])
+    def test_reads_the_pivot_bits_in_one_pass(self, monkeypatch, backing):
+        # Checks that keep their keys are never packed: the peel and the
+        # pivot bits of the second solve are read off the keys, with no
+        # edges extracted.  A copy that holds words has its peel strips'
+        # edges extracted (all rows), and the second solve reads the pivot
+        # bits of all 21 rounds' checks in one pass.
         checks = codes.regular_ldpc(2000, 3, 6, seed=101).checks
-        assert checks._keys is not None
-        assert bitlinalg._peeled_prefix(checks)[3].size - 1 == 21
+        assert checks._keys is not None and checks._words is None
+        if backing == "words":
+            checks = checks.copy()
+        _, _, via, bounds, _, _ = bitlinalg._peeled_prefix(checks)
+        assert bounds.size - 1 == 21
         calls = []
         edges = _kernels._edges
 
@@ -391,7 +399,11 @@ class TestPeeledRref:
 
         monkeypatch.setattr(bitlinalg, "_edges", spy)
         bitlinalg.rref(checks)
-        assert len(calls) == 1 and calls[0][0] == bitlinalg._peeled_prefix(checks)[2].size
+        if backing == "keyed":
+            assert calls == [] and checks._words is None
+        else:
+            pivot_pass = [shape for shape in calls if shape[0] != checks.rows]
+            assert len(pivot_pass) == 1 and pivot_pass[0][0] == via.size
 
     @pytest.fixture(scope="class")
     def long_code_checks(self):
@@ -471,6 +483,39 @@ class TestEdgeKeys:
         reduced, pivots = bitlinalg.rref(copy)
         expect, expect_piv = dense_rref(copy.to_dense())
         assert pivots == expect_piv and np.array_equal(reduced.to_dense(), expect)
+
+    def test_words_are_packed_once_on_first_read(self):
+        # built from keys, a matrix holds no words until they are read; the
+        # first read packs the ones of the keys, and every read gives them
+        keys = codes.regular_ldpc(606, 3, 6, seed=1).checks._keys
+        m = bitlinalg._pack_keys(keys, 303, 606)
+        assert m._words is None
+        words = m.words
+        assert m.words is words and m._keys is keys
+        dense = np.zeros((303, 606), dtype=np.uint8)
+        dense[keys >> 32, keys & (2**32 - 1)] = 1
+        assert m == BitMatrix.from_dense(dense)
+
+    def test_threads_racing_to_pack_read_equal_words(self):
+        # packing on first read is the one state a keyed matrix shares; four
+        # threads on two cores read it at once, with a short switch interval
+        keys = codes.regular_ldpc(2000, 3, 6, seed=101).checks._keys
+        want = bitlinalg._pack_keys(keys, 1000, 2000).words
+        for _ in range(5):
+            m = bitlinalg._pack_keys(keys, 1000, 2000)
+            got = []
+            threads = [threading.Thread(target=lambda: got.append(m.words)) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads) and len(got) == 4
+            assert all(np.array_equal(w, want) for w in got + [m.words])
 
     def test_only_the_packer_gives_keys(self, checks):
         assert checks.transpose()._keys is None
@@ -950,10 +995,22 @@ class TestWordChecks:
             with pytest.raises(ValueError, match=f"padding bit beyond column {cols}"):
                 BitMatrix(3, cols, bad)
 
+    @pytest.mark.parametrize("chk, var", [(3, 0), (0, 5), (-1, 0)])
+    def test_keys_must_lie_inside_the_matrix(self, chk, var):
+        # what the words check would catch once packed: (0, 5) is not the
+        # last key, whose column is 2
+        keys = np.sort(np.array([1 << 32 | 2, chk << 32 | var], dtype=np.int64))
+        with pytest.raises(ValueError, match="edge key lies outside the 3x5 matrix"):
+            bitlinalg._pack_keys(keys, 3, 5)
+        if chk >= 0:
+            assert bitlinalg._pack_keys(keys, 4, 6).words.shape == (4, 1)
+
     def test_every_construction_in_the_package_passes(self, monkeypatch, tmp_path):
-        # Find each function in the package that calls the constructor,
-        # then run them all at widths that leave padding bits.
-        sites = set()
+        # Find each function in the package that builds a matrix from words
+        # (the constructor) or from edge keys (_pack_keys), then run them all
+        # at widths that leave padding bits.  A matrix built from keys passes
+        # when the words it packs pass the constructor.
+        sites, keyed_sites = set(), set()
         for path in Path(wiretapcodes.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ClassDef) and node.name == "BitMatrix":
@@ -963,28 +1020,45 @@ class TestWordChecks:
                 else:
                     continue
                 for fn in ast.walk(node):
-                    if isinstance(fn, ast.FunctionDef) and any(
-                        isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
-                        and c.func.id in makers for c in ast.walk(fn)
-                    ):
-                        sites.add(fn.name)
-        built = set()
+                    if isinstance(fn, ast.FunctionDef):
+                        called = {c.func.id for c in ast.walk(fn)
+                                  if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                        if called & makers:
+                            sites.add(fn.name)
+                        if "_pack_keys" in called:
+                            keyed_sites.add(fn.name)
+        built, keyed_built = set(), set()
         init = BitMatrix.__init__
+        pack_keys = bitlinalg._pack_keys
 
         def spy(self, rows, cols, words):
             init(self, rows, cols, words)
             built.add(sys._getframe(1).f_code.co_name)
 
+        def keyed_spy(keys, rows, cols):
+            m = pack_keys(keys, rows, cols)
+            init(BitMatrix.__new__(BitMatrix), rows, cols, m.words)
+            keyed_built.add(sys._getframe(1).f_code.co_name)
+            return m
+
         monkeypatch.setattr(BitMatrix, "__init__", spy)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("wiretapcodes") and (
+                    getattr(module, "_pack_keys", None) is pack_keys):
+                monkeypatch.setattr(module, "_pack_keys", keyed_spy)
         code = codes.regular_ldpc(130, 3, 6, seed=1)
         codes.write_alist(code, tmp_path / "code.alist")
         codes.read_alist(tmp_path / "code.alist")
         codes.nested_pair_from_coarse(codes.dual(codes.from_parity_check(code.checks)))
+        # one of these 8 patterns leaves a core to rank
+        secrecy.mc_equivocation_bec(codes.nested_pair_from_coarse(code), 0.3, 8,
+                                    np.random.default_rng(1))
         bitlinalg.nullspace_basis(code.h.transpose())
         bitlinalg.right_inverse(code.h)
         BitMatrix.identity(3)
-        assert "_pack_keys" in sites and "from_dense" in sites
+        assert "from_dense" in sites and {"regular_ldpc", "read_alist"} <= keyed_sites
         assert sites <= built, sites - built
+        assert keyed_sites <= keyed_built, keyed_sites - keyed_built
 
 
 @settings(max_examples=60, deadline=None)

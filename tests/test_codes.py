@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wiretapcodes import _kernels, bitlinalg, codes, secrecy
+from wiretapcodes import _kernels, bitlinalg, codes, decoders, secrecy
 from wiretapcodes.bitlinalg import BitMatrix
 from wiretapcodes.codes import AlistParseError, DegreeDistribution
 
@@ -145,6 +145,22 @@ class TestFromParityCheck:
 
 
 class TestDual:
+    def test_shares_the_parents_checked_matrices_unchecked(self, monkeypatch):
+        # the parent's constructor checked its h and g; the dual reuses them
+        # without a second scan, while the public constructor still checks
+        code = codes.regular_ldpc(300, 3, 6, seed=4)
+        calls = []
+        holds = codes._holds_identity
+        monkeypatch.setattr(codes, "_holds_identity",
+                            lambda m, cols: calls.append(m.shape) or holds(m, cols))
+        d = codes.dual(code)
+        assert calls == []
+        assert d.h is code.g and d.g is code.h and d.checks is code.g and d.span is code.checks
+        assert (d.n, d.k) == (code.n, code.n - code.k) and d._edge_cache is None
+        assert np.array_equal(d.pivots, codes._free_columns(code.n, code.pivots))
+        codes.LinearCode(d.h, d.g, d.checks, d.pivots, span=d.span)
+        assert calls == [d.h.shape, d.g.shape]
+
     def test_dual_of_full_space_is_zero_code(self):
         full = codes.from_parity_check(BitMatrix.from_dense(np.zeros((1, 4))))
         zero = codes.dual(full)
@@ -443,6 +459,14 @@ class TestAlist:
         with pytest.raises(AlistParseError, match="line 5: row index 1 repeated"):
             codes.read_alist(path)
 
+    def test_the_first_of_two_disagreeing_rows_names_the_line(self, tmp_path):
+        # columns say rows 2 and 3 are {1, 2} and {2, 3}; their row lists
+        # (lines 9 and 10) say {1, 3} and {1, 2}
+        path = tmp_path / "bad6.alist"
+        path.write_text("3 3\n2 2\n2 2 2\n2 2 2\n1 2\n2 3\n1 3\n1 3\n1 3\n1 2\n")
+        with pytest.raises(AlistParseError, match="line 9: row list disagrees"):
+            codes.read_alist(path)
+
     def test_row_list_disagreeing_with_column_lists_names_its_line(self, tmp_path):
         # columns say row 2 is {1, 3}; its row list (line 9) says {1, 2}
         path = tmp_path / "bad4.alist"
@@ -733,5 +757,47 @@ def test_sparse_checks_are_never_read_back_from_their_words(monkeypatch):
     code.degree_distribution()
     pair = codes.nested_pair_from_coarse(codes.dual(code))
     secrecy.mc_equivocation_bec(pair, 0.45, 8, np.random.default_rng(1))
-    assert calls, "the spy saw no call: rref's solve extracts the pivot bits it gathers"
-    assert not any(np.shares_memory(words, code.checks.words) for words in calls)
+    assert code.checks._words is None, "the checks were packed"
+    assert calls == []
+    # the positive control: rref extracts the pivot bits of a copy that
+    # holds words, through the spy
+    bitlinalg.rref(code.checks.copy())
+    assert calls, "the spy saw no call"
+
+
+@pytest.mark.parametrize("source", ["regular_ldpc", "read_alist"])
+def test_sparse_checks_are_never_packed(source, tmp_path):
+    # the checks hold only their edge keys, and no construction, decoder,
+    # rank estimator or writer packs them into words
+    code = codes.regular_ldpc(606, 3, 6, seed=2)
+    if source == "read_alist":
+        codes.write_alist(code, tmp_path / "code.alist")
+        code = codes.read_alist(tmp_path / "code.alist")
+    checks = code.checks
+    codes.nested_pair_from_coarse(code)
+    pair = codes.nested_pair_from_coarse(codes.dual(code))
+    assert pair.coarse.span is checks
+    for eps in (0.2, 0.45, 0.6):
+        secrecy.mc_equivocation_bec(pair, eps, 8, np.random.default_rng(1))
+        secrecy.mc_equivocation_bec(codes.nested_pair_from_coarse(code), eps, 8,
+                                    np.random.default_rng(1))
+    code.check_layout()
+    code.degree_distribution()
+    llr = np.random.default_rng(3).normal(2.0, 2.0, code.n)
+    decoders.bp_decode_awgn(code, llr, 20)
+    codes.write_alist(code, tmp_path / "again.alist")
+    assert checks._keys is not None and checks._words is None
+
+
+def test_ldpc10002_construction_holds_no_packed_checks():
+    # the checks hold their 40008 keys (0.31 MiB), not 6668 x 10002 packed
+    # bits (7.99 MiB): the construction peaks at 13.6 MiB, 21.6 MiB when
+    # they were packed
+    tracemalloc.start()
+    try:
+        code = codes.regular_ldpc(10002, 4, 6, seed=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code.checks._words is None
+    assert peak < 16 * 2**20

@@ -21,6 +21,10 @@ holds, per workload:
   and ``gain``, the rule a claimed improvement must meet: the change wins
   at least nine tenths of the pairs, and its median is better than the
   parent's by more than the parent's interquartile range;
+- per uncalibrated metric (``end_to_end_raw``, the timings before they are
+  scaled by the calibration samples), each side's median, quartiles and
+  interquartile range, which tell a shift in the operations from a shift
+  in the calibration samples; a metric missing from any run is left out;
 - per seed, whether the two result digests are equal;
 
 and, per side, the provenance of its runs (rank backend, Python, numpy and
@@ -104,9 +108,17 @@ def summarize(parent_dir: Path, change_dir: Path) -> dict:
                 **verdict(values["parent"], values["change"],
                           specs[metric]["better"], specs[metric]["bound"]),
             }
+        raw_metrics = set.intersection(
+            *(set(run.get("end_to_end_raw", ())) for side in sides for run in runs[side]))
+        end_to_end_raw = {
+            metric: {side: spread([run["end_to_end_raw"][metric] for run in runs[side]])
+                     for side in sides}
+            for metric in sorted(raw_metrics)
+        }
         workloads[name] = {
             "seeds": seeds,
             "end_to_end": end_to_end,
+            "end_to_end_raw": end_to_end_raw,
             "digests_equal": {
                 str(seed): p["result_digest"] == c["result_digest"]
                 for seed, p, c in zip(seeds, runs["parent"], runs["change"])
