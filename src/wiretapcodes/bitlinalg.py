@@ -4,8 +4,9 @@ This module is the computational substrate for parity-check matrices,
 syndromes, and rank-based equivocation.  Matrices are bit-packed: 64
 columns per uint64 word, row-major, with all padding bits beyond the
 declared column count kept zero.  A sparse matrix built from its edges
-(``_pack_keys``) holds only their sorted keys, and packs its words the
-first time they are read.
+(``_pack_keys``) holds only their sorted keys, and a reduced matrix whose
+leading rows hold a known identity (``_pack_tail``) only its words past
+that identity; either packs its words the first time they are read.
 
 All public operations are pure: they never mutate their inputs (elimination
 runs on a working copy), so values can be shared freely between concurrent
@@ -14,7 +15,8 @@ a matrix get equal words, and the matrix keeps one of them, so a matrix
 shared before its words are read stays shareable.
 
 ``rref`` peels a sparse column prefix (``_kernels._peel_edges``) before it
-eliminates, and reads the rows of a matrix that holds keys from the keys.
+eliminates, reads the rows of a matrix that holds keys from the keys, and
+stores only the words of its result past the peeled prefix's identity.
 """
 
 from __future__ import annotations
@@ -127,12 +129,13 @@ class BitMatrix:
     column ``cols`` zero.
 
     A matrix built from its edges (:func:`_pack_keys`) holds their sorted
-    keys as ``_keys``, and no words until ``words`` is first read, which
-    packs them from the keys; any other, a :meth:`copy` too, holds words
-    and no keys.
+    keys as ``_keys``, and one built from the words past an identity
+    prefix (:func:`_pack_tail`) holds those words as ``_tail``; either
+    holds no words until ``words`` is first read, which packs them.  Any
+    other, a :meth:`copy` too, holds words and neither.
     """
 
-    __slots__ = ("rows", "cols", "_words", "_keys")
+    __slots__ = ("rows", "cols", "_words", "_keys", "_tail")
 
     def __init__(self, rows: int, cols: int, words: np.ndarray):
         rows, cols = _check_count(rows, "rows", 0), _check_count(cols, "cols", 0)
@@ -143,23 +146,37 @@ class BitMatrix:
                 f"word array shape {words.shape} does not match "
                 f"{rows}x{cols} matrix"
             )
-        # the bits of the last word from column ``cols`` on
-        if cols % 64 and (words[:, -1] & np.uint64(2**64 - (1 << cols % 64))).any():
-            raise ValueError(f"a padding bit beyond column {cols} is set")
+        _check_padding(words, cols)
         self.rows = rows
         self.cols = cols
         self._words = words
-        self._keys = None
+        self._keys = self._tail = None
 
     @property
     def words(self) -> np.ndarray:
-        """The packed rows; a matrix built from keys packs them on first read."""
+        """The packed rows; a matrix built from keys or a tail packs them on
+        first read, and a tail then becomes a view of them, so the matrix
+        keeps one copy of its words."""
         if self._words is None:
-            words = np.zeros((self.rows, _nwords(self.cols)), dtype=np.uint64)
-            row, word, value = _word_entries(self._keys)
-            words[row, word] = value
+            words = self._packed()
+            if self._tail is not None:
+                self._tail = words[:, words.shape[1] - self._tail.shape[1]:]
             self._words = words
         return self._words
+
+    def _packed(self) -> np.ndarray:
+        """A new array of the packed rows of a matrix that holds keys or a
+        tail, cached nowhere."""
+        words = np.zeros((self.rows, _nwords(self.cols)), dtype=np.uint64)
+        if self._keys is not None:
+            row, word, value = _word_entries(self._keys)
+            words[row, word] = value
+        else:
+            w0 = words.shape[1] - self._tail.shape[1]
+            words[:, w0:] = self._tail
+            q = np.arange(64 * w0)
+            words[q, q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)
+        return words
 
     @classmethod
     def from_dense(cls, array) -> "BitMatrix":
@@ -178,7 +195,10 @@ class BitMatrix:
         return _unpack_rows(self.words, self.cols)
 
     def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.words.copy())
+        """A copy that holds words: one that holds keys or a tail is packed
+        into the copy's own array, not cached on the original."""
+        words = self._packed() if self._words is None else self._words.copy()
+        return BitMatrix(self.rows, self.cols, words)
 
     def transpose(self) -> "BitMatrix":
         """The transpose, computed on the packed words by 64x64 bit blocks;
@@ -200,6 +220,13 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
+def _check_padding(words: np.ndarray, cols: int) -> None:
+    """ValueError unless every bit of ``words`` past column ``cols`` of the
+    last word column is zero: the bits of that word from ``cols`` on."""
+    if cols % 64 and (words[:, -1] & np.uint64(2**64 - (1 << cols % 64))).any():
+        raise ValueError(f"a padding bit beyond column {cols} is set")
+
+
 def _pack_keys(keys: np.ndarray, rows: int, cols: int) -> BitMatrix:
     """The ``rows x cols`` matrix whose ones are the sorted, distinct edge
     keys ``keys`` (:func:`._kernels._edge_keys`), holding ``keys`` alone: its
@@ -211,8 +238,38 @@ def _pack_keys(keys: np.ndarray, rows: int, cols: int) -> BitMatrix:
                           and (keys & _KEY_LOW).max() < cols):
         raise ValueError(f"an edge key lies outside the {rows}x{cols} matrix")
     m = BitMatrix.__new__(BitMatrix)
-    m.rows, m.cols, m._words, m._keys = rows, cols, None, keys
+    m.rows, m.cols, m._words, m._keys, m._tail = rows, cols, None, keys, None
     return m
+
+
+def _pack_tail(tail: np.ndarray, rows: int, cols: int) -> BitMatrix:
+    """The ``rows x cols`` matrix whose words from word ``w0`` on are
+    ``tail``, ``w0`` being the words of a row that ``tail`` does not hold,
+    and whose words below ``w0`` hold the identity on its first ``64 w0``
+    rows and zeros on the rest.  It holds ``tail`` alone, and packs its
+    words the first time they are read; a ``tail`` of whole rows
+    (``w0 = 0``) is the words.  ValueError unless ``tail`` is a uint64
+    array of ``rows`` rows, the identity fits (``64 w0`` at most ``rows``
+    and ``cols``) and no padding bit is set."""
+    rows, cols = _check_count(rows, "rows", 0), _check_count(cols, "cols", 0)
+    nw = _nwords(cols)
+    if tail.shape[1:] == (nw,):
+        return BitMatrix(rows, cols, tail)
+    if (tail.dtype != np.uint64 or tail.ndim != 2 or tail.shape[0] != rows
+            or not 0 <= 64 * (nw - tail.shape[1]) <= min(rows, cols)):
+        raise ValueError(f"a {tail.dtype} tail of shape {tail.shape} does not fit the "
+                         f"{rows}x{cols} matrix below an identity")
+    _check_padding(tail, cols)
+    m = BitMatrix.__new__(BitMatrix)
+    m.rows, m.cols, m._words, m._keys, m._tail = rows, cols, None, None, tail
+    return m
+
+
+def _leading_rows(m: BitMatrix, r: int) -> BitMatrix:
+    """The first ``r`` rows of ``m``, sharing its storage; ``m`` holding a
+    tail, ``r`` is at least its identity's rows, and the rows stay
+    unpacked."""
+    return _pack_tail((m.words if m._tail is None else m._tail)[:r], r, m.cols)
 
 
 def _word_entries(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,17 +330,21 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     packed: the nonzero words of every check's row from ``j0`` on
     (:func:`_word_entries`) are written to the output row the check
     solves, in one assignment (again for the second solve, over zeroed
-    prefix rows), so each round gathers its rows from the output, and the
-    pivot bits are read off the keys.
+    prefix rows, read off the keys again rather than kept through
+    ``_eliminate``), so each round gathers its rows from the output, and
+    the pivot bits are read off the keys.
     The RREF of a matrix is unique, so the result does not depend on the
     split, nor on whether ``m`` holds keys.
+
+    Only the words from ``w0 = j0 / 64`` on are stored: below them the
+    first ``j0`` rows hold the identity and the rest zeros, which the
+    result keeps implicit (:func:`_pack_tail`) until its words are read.
     """
     rows, cols = m.rows, m.cols
-    nw = _nwords(cols)
     w0, resolved, via, bounds, ptr, prefix_of = _peeled_prefix(m)
     j0 = 64 * w0
-    out = np.zeros((rows, nw), dtype=np.uint64)
-    solved = out[:, w0:]  # row q holds R_q from the round that resolves q
+    tw = _nwords(cols) - w0
+    solved = np.zeros((rows, tw), dtype=np.uint64)  # row q: R_q from the round resolving q
     unmatched = np.ones(rows, dtype=bool)
     unmatched[via] = False
     unmatched = np.flatnonzero(unmatched)
@@ -291,19 +352,21 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     if keys is None:
         tail_words = m.words[:, w0:]
     else:
-        tail = np.compress((keys & _KEY_LOW) >= j0, keys)
-        # every check's row from j0 on, written to the output row it solves:
-        # c(q) to q, the i-th unmatched row to j0 + i.  The words of the c(q)
-        # are kept for the second solve, and the rest freed before the peak.
-        row, word, value = _word_entries(tail)
         target = np.empty(rows, dtype=np.int64)
         target[via] = resolved
         target[unmatched] = j0 + np.arange(unmatched.size)
-        flat = target[row] * nw + word
-        out.reshape(-1)[flat] = value
-        in_prefix = flat < j0 * nw
-        flat, value = np.compress(in_prefix, flat), np.compress(in_prefix, value)
-        del row, word, target, in_prefix
+
+        def tail_entries():
+            """The keys from ``j0`` on, and per nonzero word of their rows
+            its flat index in the output row its check solves (``c(q)`` to
+            ``q``, the ``i``-th unmatched row to ``j0 + i``) and its value."""
+            tail = np.compress((keys & _KEY_LOW) >= j0, keys)
+            row, word, value = _word_entries(tail)
+            return tail, target[row] * tw + (word - w0), value
+
+        _, flat, value = tail_entries()
+        solved.reshape(-1)[flat] = value
+        del flat, value
 
     def prefix_columns(checks, own=None):
         """``(owner, column)`` per prefix column of each ``checks[i]``
@@ -345,7 +408,7 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     del s
     # Again with the reduced rows of S at the pivot bits of each c(q), which
     # clear them, and the reduced rows of the earlier columns: the reduced
-    # R_q.  Row ``j0 + i`` of ``out`` is the reduced row of S's i-th pivot.
+    # R_q.  Row ``j0 + i`` of ``solved`` is the reduced row of S's i-th pivot.
     is_pivot = np.zeros(cols - j0, dtype=bool)
     is_pivot[pivots] = True
     if keys is None:
@@ -359,7 +422,10 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     else:
         # the c(q) rows again, over the R_q (the rows q < j0)
         solved[:j0] = 0
-        out.reshape(-1)[flat] = value
+        tail, flat, value = tail_entries()
+        in_prefix = flat < j0 * tw
+        solved.reshape(-1)[np.compress(in_prefix, flat)] = np.compress(in_prefix, value)
+        del flat, value, in_prefix
         via_index = np.full(rows, -1, dtype=np.int64)
         via_index[via] = np.arange(via.size)
         at, bit = via_index[tail >> _KEY_SHIFT], (tail & _KEY_LOW) - j0
@@ -368,9 +434,7 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     pivot_row = j0 - 1 + np.cumsum(is_pivot)
     solve(via, bounds, np.concatenate([owner, at]), np.concatenate([column, pivot_row[bit]]),
           resolved)
-    q = np.arange(j0)
-    out[q, q >> 6] = np.uint64(1) << (q & 63).astype(np.uint64)
-    return BitMatrix(rows, cols, out), list(range(j0)) + [j0 + p for p in pivots]
+    return _pack_tail(solved, rows, cols), list(range(j0)) + [j0 + p for p in pivots]
 
 
 def _plan(bounds, owner, source):
@@ -499,6 +563,11 @@ def _nullspace_from_rref(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
     written and transposed; the others are zero, and so are the words of
     the output they would give.  Besides the ``k x cols`` output, memory is
     one strip of the pivot-holding row blocks, at most ``cols x 512`` bits.
+
+    A ``reduced`` that holds a tail (:func:`_pack_tail`, as ``rref`` gives)
+    is read from the tail, not packed.  The word columns below the tail
+    hold only pivot columns, whose transposed rows are never gathered, so
+    those words of each strip are left zero rather than read.
     """
     cols = reduced.cols
     nw = _nwords(cols)
@@ -509,15 +578,19 @@ def _nullspace_from_rref(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
     basis = np.zeros((free.size, nw), dtype=np.uint64)
     held, piv_block = np.unique(piv // 64, return_inverse=True)
     piv_bit = piv % 64
-    pivot_rows = reduced.words[: piv.size]
+    stored = reduced.words if reduced._tail is None else reduced._tail
+    skip = nw - stored.shape[1]  # the word columns the tail leaves out
+    pivot_rows = stored[: piv.size]
     for w0 in range(0, nw, _STRIP_WORDS):
         w1 = min(w0 + _STRIP_WORDS, nw)
         t0, t1 = np.searchsorted(free, (64 * w0, 64 * w1))
         if t0 == t1:
             continue  # the strip holds only pivot columns
+        lo = max(w0, skip)
         # blocks[h, J, i] is word w0 + J of row 64 held[h] + i of a
         blocks = np.zeros((held.size, w1 - w0, 64), dtype=np.uint64)
-        blocks.transpose(0, 2, 1)[piv_block, piv_bit] = pivot_rows[:, w0:w1]
+        words = pivot_rows[:, lo - skip : w1 - skip]
+        blocks.transpose(0, 2, 1)[piv_block, piv_bit, lo - w0 :] = words
         _transpose_blocks(blocks)
         # now blocks[h, J, j] is word held[h] of row 64 (w0 + J) + j of a's transpose
         f = free[t0:t1] - 64 * w0

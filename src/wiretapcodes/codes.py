@@ -10,7 +10,9 @@ spanning set of the code itself; the BEC rank estimators peel it, or
 edges' sorted keys (:func:`.bitlinalg._pack_keys`), and a dual's ``span``
 is that same matrix.  Construction, the decoders and the rank estimators
 all read the keys, so the check matrix is never packed into words unless a
-caller reads them.
+caller reads them.  Likewise ``h`` stores only its words past the identity
+of its peeled columns (:func:`.bitlinalg.rref`), which neither construction
+nor the decoders nor a dual pair's rank estimator reads.
 The true dimension ``k`` is always computed from rank, never assumed from a
 design rate, because finite-length LDPC matrices are routinely rank-deficient
 and the coset message length must be exact.
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import bitlinalg
 from ._kernels import _KEY_LOW, _KEY_SHIFT
-from .bitlinalg import BitMatrix, _check_count, _keys_of, _pack_keys
+from .bitlinalg import BitMatrix, _check_count, _keys_of, _leading_rows, _pack_keys
 
 _LDPC_FIXUP_ROUNDS = 1000
 
@@ -153,12 +155,11 @@ class LinearCode:
 
     def edge_lists(self) -> tuple[np.ndarray, np.ndarray]:
         """(check_index, var_index) arrays for the edges of ``checks``,
-        row-major.
-
-        Cached together with :meth:`check_layout`: the decoders call these
-        once per decode.
+        row-major, derived from its edge keys on each call: the decoders
+        read :meth:`check_layout` instead, which is cached.
         """
-        return self._edge_layout()[:2]
+        keys = _keys_of(self.checks)
+        return keys >> _KEY_SHIFT, keys & _KEY_LOW
 
     def check_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """The edges of ``checks`` laid out check-major, for the decoders.
@@ -171,15 +172,13 @@ class LinearCode:
         ``slot_var`` of variable ``v``'s edges in edge order, padded with
         ``m``, the first slot of column ``m``; column ``n`` is all padding.
         Slots run down the rows, so a reduction over a check's or a
-        variable's edges adds whole contiguous rows.
+        variable's edges adds whole contiguous rows.  Cached: the decoders
+        call it once per decode.
         """
-        return self._edge_layout()[2:]
-
-    def _edge_layout(self):
         if self._edge_cache is None:
             keys = _keys_of(self.checks)
-            chk, var = keys >> _KEY_SHIFT, keys & _KEY_LOW
-            self._edge_cache = (chk, var, *_check_layout(chk, var, self.checks.rows, self.n))
+            self._edge_cache = _check_layout(keys >> _KEY_SHIFT, keys & _KEY_LOW,
+                                             self.checks.rows, self.n)
         return self._edge_cache
 
     def degree_distribution(self) -> DegreeDistribution:
@@ -268,14 +267,28 @@ def from_parity_check(h: BitMatrix) -> LinearCode:
 
 
 def _from_checks(checks: BitMatrix) -> LinearCode:
-    """:func:`from_parity_check` keeping ``checks`` itself, not a copy."""
+    """:func:`from_parity_check` keeping ``checks`` itself, not a copy.
+
+    ``h`` is the first ``rank`` rows of the ``rref``, which keep its peeled
+    prefix's identity implicit, and ``g`` is read from them.  The code is
+    built unchecked (:func:`_unchecked`): the reduced form holds the
+    identity at its pivots and the null-space basis at the other columns,
+    and the constructor's scan would pack ``h`` to check it again.
+    """
     if checks.cols < 1:
         raise ValueError("block length must be at least 1")
     reduced, pivots = bitlinalg.rref(checks)
-    r = len(pivots)
-    h = BitMatrix(r, checks.cols, reduced.words[:r])
+    h = _leading_rows(reduced, len(pivots))
     g = bitlinalg._nullspace_from_rref(h, pivots)
-    return LinearCode(h, g, checks, pivots)
+    return _unchecked(h, g, checks, np.array(pivots, dtype=np.int64))
+
+
+def _unchecked(h, g, checks, pivots, span=None) -> LinearCode:
+    """The code of matrices that pass the constructor's checks
+    (:meth:`LinearCode._assign`), built without them."""
+    code = LinearCode.__new__(LinearCode)
+    code._assign(h, g, checks, pivots, span)
+    return code
 
 
 def dual(code: LinearCode) -> LinearCode:
@@ -284,11 +297,9 @@ def dual(code: LinearCode) -> LinearCode:
     The parent's raw ``checks`` span the dual, so they are kept as its
     ``span``; the parent's ``g`` holds the identity off its ``pivots``.
     Codes are immutable, so the dual shares the parent's matrices, which
-    the parent's constructor has already checked.
+    are in systematic form as every code's are, without checking them again.
     """
-    dual_code = LinearCode.__new__(LinearCode)
-    dual_code._assign(code.g, code.h, code.g, _free_columns(code.n, code.pivots), code.checks)
-    return dual_code
+    return _unchecked(code.g, code.h, code.g, _free_columns(code.n, code.pivots), code.checks)
 
 
 def regular_ldpc(n: int, dv: int, dc: int, seed: int) -> LinearCode:

@@ -145,21 +145,22 @@ def test_the_pair_keeps_only_the_code_and_the_rank_plan():
 
 
 def test_only_bitlinalg_names_a_matrix_edge_keys():
-    # a matrix's edge keys are a private slot of BitMatrix, which only
-    # bitlinalg reads or fills; codes packs and reads edges through its
-    # helpers, never extracting them from the words itself
+    # a matrix's edge keys, like the words past its identity prefix, are a
+    # private slot of BitMatrix, which only bitlinalg reads or fills; codes
+    # packs and reads edges, and takes leading rows, through its helpers,
+    # never extracting edges from the words itself
     package = ROOT / "src" / "wiretapcodes"
-    naming, edges_in_codes = set(), False
+    naming, edges_in_codes = {"_keys": set(), "_tail": set()}, False
     for path in package.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "_keys":
-                naming.add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr in naming:
+                naming[node.attr].add(path.stem)
             if path.stem == "codes" and (
                 isinstance(node, ast.ImportFrom) and any(a.name == "_edges" for a in node.names)
                 or isinstance(node, ast.Attribute) and node.attr == "_edges"
             ):
                 edges_in_codes = True
-    assert naming == {"bitlinalg"}
+    assert naming == {"_keys": {"bitlinalg"}, "_tail": {"bitlinalg"}}
     assert not edges_in_codes
 
 

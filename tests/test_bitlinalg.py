@@ -289,6 +289,12 @@ class TestPeeledRref:
         """``rref(m)`` against ``_eliminate`` on the whole matrix and, with
         ``oracle``, against ``dense_rref``; returns the peeled word count."""
         r, piv = bitlinalg.rref(m)
+        w0 = bitlinalg._peeled_prefix(m)[0]
+        # only the words past the peeled prefix's identity are stored
+        if w0:
+            assert r._words is None and r._tail.shape == (m.rows, bitlinalg._nwords(m.cols) - w0)
+        else:
+            assert r._tail is None
         whole = m.words.copy()
         assert piv == _kernels._eliminate(whole, m.cols)
         assert np.array_equal(r.words, whole)
@@ -296,7 +302,7 @@ class TestPeeledRref:
             expect, expect_piv = dense_rref(m.to_dense())
             assert piv == expect_piv
             assert np.array_equal(r.to_dense(), expect)
-        return bitlinalg._peeled_prefix(m)[0]
+        return w0
 
     @pytest.mark.parametrize("n,seed", [(240, s) for s in range(3)]
                              + [(606, s) for s in range(3)] + [(1002, s) for s in range(2)])
@@ -427,13 +433,16 @@ class TestPeeledRref:
         assert self.check(long_checks, oracle=False) == 78
 
     def test_peak_memory_of_the_long_code(self, long_checks):
-        # The peak, 2.69 MiB above the 7.99 MiB output, is in _eliminate:
-        # the 1.01 MiB Schur complement and one table-row temporary per
-        # byte.  The pivot bits are read after it is freed, from the 33
-        # pivot words of the 4992 resolving checks (1.26 MiB), at 2.19 MiB.
-        # Gathering the whole words of those checks at once would set the
-        # peak instead: 6.43 MiB above the output when the first solve does
-        # it, 4.64 MiB when the second does.
+        # The peak, 2.69 (keyless) to 2.89 MiB (keyed) above the 4.02 MiB
+        # stored output (the 79 words past the 78-word identity), is in
+        # _eliminate: the 1.01 MiB Schur complement and one table-row
+        # temporary per byte.  The keyed rref reads the check words of the
+        # second solve off the keys again rather than keep them through it.
+        # The pivot bits are read after it is freed, from the 33 pivot words
+        # of the 4992 resolving checks (1.26 MiB).  Gathering the whole
+        # words of those checks at once would set the peak instead: 6.43 MiB
+        # above the full output when the first solve does it, 4.64 MiB when
+        # the second does.
         bitlinalg.rref(long_checks)
         tracemalloc.start()
         try:
@@ -441,7 +450,8 @@ class TestPeeledRref:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < reduced.words.nbytes + 3.8 * 2**20
+        assert reduced._words is None and reduced._tail.shape == (6668, 79)
+        assert peak < reduced._tail.nbytes + 3.8 * 2**20
 
     @pytest.mark.parametrize("ones", [1, 3])
     def test_all_ones_rows(self, ones):
@@ -497,31 +507,104 @@ class TestEdgeKeys:
         assert m == BitMatrix.from_dense(dense)
 
     def test_threads_racing_to_pack_read_equal_words(self):
-        # packing on first read is the one state a keyed matrix shares; four
-        # threads on two cores read it at once, with a short switch interval
+        # packing on first read is the one state a keyed matrix shares
         keys = codes.regular_ldpc(2000, 3, 6, seed=101).checks._keys
         want = bitlinalg._pack_keys(keys, 1000, 2000).words
         for _ in range(5):
             m = bitlinalg._pack_keys(keys, 1000, 2000)
-            got = []
-            threads = [threading.Thread(target=lambda: got.append(m.words)) for _ in range(4)]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(t.is_alive() for t in threads) and len(got) == 4
-            assert all(np.array_equal(w, want) for w in got + [m.words])
+            assert all(np.array_equal(w, want) for w in read_words_racing(m))
+
+    @pytest.mark.parametrize("form", ["keys", "tail"])
+    def test_a_copy_leaves_the_original_unpacked(self, checks, form):
+        # a copy packs into its own words and caches none on the original
+        if form == "keys":
+            m = bitlinalg._pack_keys(checks._keys, checks.rows, checks.cols)
+        else:
+            m = bitlinalg.rref(checks)[0]
+            assert m._tail is not None
+        copy = m.copy()
+        assert m._words is None
+        assert copy._keys is None and copy._tail is None
+        assert np.array_equal(copy.words, m.words)
 
     def test_only_the_packer_gives_keys(self, checks):
         assert checks.transpose()._keys is None
         assert BitMatrix.from_dense(checks.to_dense())._keys is None
         assert BitMatrix.identity(5)._keys is None
         assert BitMatrix(checks.rows, checks.cols, checks.words)._keys is None
+
+
+def read_words_racing(m, threads=4) -> list[np.ndarray]:
+    """``m.words`` as read by ``threads`` threads at once, on two cores with
+    a short switch interval, then once more: the first read packs a matrix
+    that holds keys or a tail, the one state such a matrix shares."""
+    got = []
+    workers = [threading.Thread(target=lambda: got.append(m.words)) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers) and len(got) == threads
+    return got + [m.words]
+
+
+class TestTail:
+    """``rref`` stores the words of its result past the peeled prefix's
+    identity (``_tail``), and packs the identity with them on first read."""
+
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        return bitlinalg.rref(codes.regular_ldpc(2000, 3, 6, seed=101).checks)
+
+    def test_stores_19_of_32_words_and_packs_them_once(self, reduced):
+        # the 832-column prefix is 13 words, held as the identity; packing
+        # keeps one copy, the tail becoming a view of the words
+        m, pivots = reduced
+        m = bitlinalg._pack_tail(m._tail, m.rows, m.cols)
+        assert m._words is None and m._tail.shape == (1000, 19)
+        assert pivots[:832] == list(range(832))
+        words = m.words
+        assert m.words is words and np.shares_memory(m._tail, words)
+        assert np.array_equal(words[:832, :13], BitMatrix.identity(832).words)
+        assert not words[832:, :13].any() and np.array_equal(words[:, 13:], m._tail)
+
+    def test_threads_racing_to_pack_read_equal_words(self, reduced):
+        want = reduced[0].copy().words
+        for _ in range(5):
+            m = bitlinalg._pack_tail(reduced[0]._tail, 1000, 2000)
+            assert all(np.array_equal(w, want) for w in read_words_racing(m))
+        assert reduced[0]._words is None
+
+    def test_leading_rows_keep_the_tail(self, reduced):
+        m, pivots = reduced
+        h = bitlinalg._leading_rows(m, len(pivots))
+        assert h._words is None and np.shares_memory(h._tail, m._tail)
+        assert h == BitMatrix(len(pivots), m.cols, m.copy().words[: len(pivots)])
+        dense = BitMatrix.from_dense(np.eye(3, 70, dtype=np.uint8))
+        assert np.shares_memory(bitlinalg._leading_rows(dense, 2).words, dense.words)
+
+    @pytest.mark.parametrize("rows, cols, shape, dtype", [
+        (63, 130, (63, 2), np.uint64),  # the 64-row identity does not fit the rows
+        (64, 100, (64, 0), np.uint64),  # nor the 2-word one the 100 columns
+        (64, 130, (65, 2), np.uint64),
+        (64, 130, (64, 2), np.uint32),
+    ])
+    def test_a_tail_must_fit_below_its_identity(self, rows, cols, shape, dtype):
+        with pytest.raises(ValueError, match=f"does not fit the {rows}x{cols} matrix"):
+            bitlinalg._pack_tail(np.zeros(shape, dtype=dtype), rows, cols)
+
+    def test_a_tail_keeps_its_padding_zero(self):
+        tail = np.zeros((64, 2), dtype=np.uint64)
+        m = bitlinalg._pack_tail(tail, 64, 130)
+        assert m == BitMatrix.from_dense(np.eye(64, 130, dtype=np.uint8))
+        tail[5, 1] = np.uint64(1) << np.uint64(2)  # column 130
+        with pytest.raises(ValueError, match="padding bit beyond column 130"):
+            bitlinalg._pack_tail(tail, 64, 130)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 70), (3, 0), (5, 64), (7, 130), (40, 300)])
@@ -1007,10 +1090,11 @@ class TestWordChecks:
 
     def test_every_construction_in_the_package_passes(self, monkeypatch, tmp_path):
         # Find each function in the package that builds a matrix from words
-        # (the constructor) or from edge keys (_pack_keys), then run them all
-        # at widths that leave padding bits.  A matrix built from keys passes
+        # (the constructor), from edge keys (_pack_keys) or from the words
+        # past an identity (_pack_tail), then run them all at widths that
+        # leave padding bits.  A matrix built from keys or a tail passes
         # when the words it packs pass the constructor.
-        sites, keyed_sites = set(), set()
+        sites, keyed_sites, tail_sites = set(), set(), set()
         for path in Path(wiretapcodes.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.ClassDef) and node.name == "BitMatrix":
@@ -1027,9 +1111,11 @@ class TestWordChecks:
                             sites.add(fn.name)
                         if "_pack_keys" in called:
                             keyed_sites.add(fn.name)
-        built, keyed_built = set(), set()
+                        if "_pack_tail" in called:
+                            tail_sites.add(fn.name)
+        built, keyed_built, tail_built = set(), set(), set()
         init = BitMatrix.__init__
-        pack_keys = bitlinalg._pack_keys
+        pack_keys, pack_tail = bitlinalg._pack_keys, bitlinalg._pack_tail
 
         def spy(self, rows, cols, words):
             init(self, rows, cols, words)
@@ -1041,11 +1127,19 @@ class TestWordChecks:
             keyed_built.add(sys._getframe(1).f_code.co_name)
             return m
 
+        def tail_spy(tail, rows, cols):
+            m = pack_tail(tail, rows, cols)
+            m.copy()  # the constructor checks the words it packs
+            tail_built.add(sys._getframe(1).f_code.co_name)
+            return m
+
         monkeypatch.setattr(BitMatrix, "__init__", spy)
         for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("wiretapcodes") and (
-                    getattr(module, "_pack_keys", None) is pack_keys):
-                monkeypatch.setattr(module, "_pack_keys", keyed_spy)
+            if getattr(module, "__name__", "").startswith("wiretapcodes"):
+                for name, real, fake in (("_pack_keys", pack_keys, keyed_spy),
+                                         ("_pack_tail", pack_tail, tail_spy)):
+                    if getattr(module, name, None) is real:
+                        monkeypatch.setattr(module, name, fake)
         code = codes.regular_ldpc(130, 3, 6, seed=1)
         codes.write_alist(code, tmp_path / "code.alist")
         codes.read_alist(tmp_path / "code.alist")
@@ -1057,8 +1151,10 @@ class TestWordChecks:
         bitlinalg.right_inverse(code.h)
         BitMatrix.identity(3)
         assert "from_dense" in sites and {"regular_ldpc", "read_alist"} <= keyed_sites
+        assert {"rref", "_leading_rows"} <= tail_sites
         assert sites <= built, sites - built
         assert keyed_sites <= keyed_built, keyed_sites - keyed_built
+        assert tail_sites <= tail_built, tail_sites - tail_built
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -623,6 +624,19 @@ class TestFlagTable:
         assert len(rows) == len(table)
         assert rows == {(name, mode) for name, command in cli._COMMANDS.items()
                         for mode in command.runs}
+
+    def test_readme_examples_parse(self):
+        # every wiretapcodes line of the README's sh blocks, continuation
+        # lines joined, parses as a run without being run
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        commands = [line for block in blocks
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("wiretapcodes ")]
+        assert len(commands) == 7
+        for line in commands:
+            argv = shlex.split(line)[1:]
+            assert cli._parse_args(argv).command == argv[0], line
 
     @pytest.mark.parametrize("given", ["command-line", "config"])
     @pytest.mark.parametrize("case", sorted(MODE_UNREAD))

@@ -139,9 +139,13 @@ class TestFromParityCheck:
     def test_edge_lists_are_the_ones_in_row_major_order(self, shape):
         rng = np.random.default_rng(shape[1])
         h = BitMatrix.from_dense((rng.random(shape) < 0.3).astype(np.uint8))
-        ci, vi = codes.from_parity_check(h).edge_lists()
+        code = codes.from_parity_check(h)
+        ci, vi = code.edge_lists()
         want_ci, want_vi = np.nonzero(h.to_dense())
         assert np.array_equal(ci, want_ci) and np.array_equal(vi, want_vi)
+        # derived on each call; the cache holds the decoders' layout alone
+        assert code._edge_cache is None
+        assert code.check_layout() is code._edge_cache and len(code._edge_cache) == 2
 
 
 class TestDual:
@@ -580,6 +584,34 @@ def test_regular_ldpc_construction_is_bit_identical(args):
     assert got == REGULAR_LDPC_PINS[args]
 
 
+def assert_systematic(code):
+    """What the public constructor checks and the package's constructions
+    skip: ``h`` holds the identity at the pivots and ``g`` at the rest."""
+    free = codes._free_columns(code.n, code.pivots)
+    assert code.h.rows + code.g.rows == code.n and code.g.cols == code.n
+    assert codes._holds_identity(code.h, code.pivots)
+    assert codes._holds_identity(code.g, free)
+
+
+@pytest.mark.parametrize("args", sorted(REGULAR_LDPC_PINS), ids=lambda a: "-".join(map(str, a)))
+def test_regular_ldpc_is_systematic(args):
+    code = codes.regular_ldpc(*args)
+    assert_systematic(code)
+    assert_systematic(codes.dual(code))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_from_parity_check_is_systematic(seed):
+    # dense and sparse, full-rank and redundant, some peeling whole words
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(x) for x in rng.integers(1, 400, size=2))
+    dense = rng.random((rows, cols)) < rng.choice([0.005, 0.02, 0.5])
+    if seed % 2:
+        dense = np.vstack([dense, dense[: rows // 3]])
+    code = codes.from_parity_check(BitMatrix.from_dense(dense))
+    assert_systematic(code)
+
+
 def stable_layout(code) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for ``check_layout``: each check's edges in edge order, and
     each variable's edges in the order of a stable argsort of the
@@ -801,3 +833,35 @@ def test_ldpc10002_construction_holds_no_packed_checks():
         tracemalloc.stop()
     assert code.checks._words is None
     assert peak < 16 * 2**20
+
+
+def test_ldpc10002_construction_keeps_h_past_its_identity():
+    # h stores its 6667 rows from word 78 on (4.02 MiB), leaving out words
+    # 0-77 (3.97 MiB), which hold only the identity of the 4992 peeled
+    # columns: the construction keeps 8.37 MiB and peaks at 9.68 MiB,
+    # against 12.34 and 13.65 MiB with h's whole words
+    tracemalloc.start()
+    try:
+        code = codes.regular_ldpc(10002, 4, 6, seed=8)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code.h._words is None and code.h._tail.shape == (6667, 79)
+    assert kept < 9.5 * 2**20 and peak < 11 * 2**20
+
+
+def test_h_is_never_packed():
+    # h keeps its peeled identity implicit through the construction, the
+    # dual, both nestings, the dual pair's erasure ranks, the approach-1
+    # bound and BP: none of them reads h's words
+    code = codes.regular_ldpc(2000, 3, 6, seed=101)
+    h = code.h
+    assert h._tail is not None and h._words is None
+    dual_pair = codes.nested_pair_from_coarse(codes.dual(code))
+    for eps in (0.2, 0.45, 0.6, 0.8):
+        secrecy.mc_equivocation_bec(dual_pair, eps, 8, np.random.default_rng(1))
+    pair = codes.nested_pair_from_coarse(code)
+    secrecy.approach1_equivocation_bound(pair, 1.2, 4, 20, np.random.default_rng(2))
+    llr = np.random.default_rng(3).normal(2.0, 2.0, code.n)
+    decoders.bp_decode_awgn(code, llr, 20)
+    assert h._words is None
